@@ -14,29 +14,22 @@ from .core import (
     softmax,
 )
 from .losses import (
-    LossEvaluation,
     PerturbationConfig,
     focal_kd_loss,
     kl_loss,
     make_loss,
     pt_loss,
-    pt_loss_grad,
     smoothed_kl_loss,
     temperature_kl_loss,
 )
-from .series import TruncatedLogSeries, maclaurin_log, truncation_bound
+from .series import maclaurin_log, truncation_bound
 from .equivalence import (
     EquivalenceReport,
     focal_coefficients,
     ls_coefficients,
     verify_equivalence,
 )
-from .proxy import (
-    ProxySolution,
-    SolverConfig,
-    solve_proxy_batch,
-    solve_proxy_example,
-)
+from .proxy import SolverConfig, solve_proxy_rows
 from .selection import (
     QualityScore,
     RiskGapTerms,

@@ -1,8 +1,9 @@
 """Command-line entry point wiring every module.
 
 Owns the interchange file formats:
-  * probability CSV: one row per example, header ``p_0..p_{C-1}``
-  * label CSV: single ``label`` column of class indices
+  * probability CSV: one row per example, header ``p_0..p_{C-1}``; every
+    row finite, in [0, 1], and summing to 1 within ``SIMPLEX_ATOL``
+  * label CSV: single ``label`` column of class indices in [0, C)
   * coefficient JSON: ``{"order": M, "tie_classes": bool, "matrix": [[..]]}``
 
 Every command that writes files also writes a ``<name>.manifest.json``
@@ -15,29 +16,43 @@ file/schema error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, nn
 from .core import (
+    SIMPLEX_ATOL,
     ConfigurationError,
     InvalidInputError,
     SearchFailureError,
     SolverDivergenceError,
     TrainingDivergenceError,
 )
-from .data import GaussianMixtureSpec, generate, load_dataset, save_dataset
-from .distill import distill_student, sweep_proxy_teachers, train_teacher
+from .data import (
+    GaussianMixtureSpec,
+    generate,
+    load_dataset,
+    save_dataset,
+    true_posterior_rows,
+)
+from .distill import (
+    distill_student,
+    sweep_proxy_teachers,
+    teacher_probs,
+    train_teacher,
+)
 from .equivalence import verify_equivalence
 from .losses import PerturbationConfig
 from .nn import TrainConfig
-from .proxy import SolverConfig, solve_proxy_batch
-from .selection import SearchSpec, risk_gap_terms, run_search, search_coefficients
+from .proxy import SolverConfig, _solve_rows
+from .selection import SearchSpec, best_trial, risk_gap_terms, run_search
 
 DOMAIN_ERRORS = (InvalidInputError, ConfigurationError, SearchFailureError,
                  SolverDivergenceError, TrainingDivergenceError)
@@ -51,15 +66,26 @@ class SchemaError(Exception):
 # File formats
 # ---------------------------------------------------------------------------
 
+def _csv_body(path, ndmin: int) -> np.ndarray:
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=ndmin)
+    except ValueError as exc:  # a cell that is not a number, or ragged rows
+        raise SchemaError(f"{path}: {exc}") from None
+
+
 def read_probs_csv(path) -> np.ndarray:
     path = Path(path)
     with open(path) as f:
         header = f.readline().strip().split(",")
     if not header or not all(h == f"p_{i}" for i, h in enumerate(header)):
         raise SchemaError(f"{path}: expected header p_0..p_{{C-1}}, got {header}")
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    rows = _csv_body(path, ndmin=2)
     if rows.shape[1] != len(header):
         raise SchemaError(f"{path}: row width does not match header")
+    if not (np.all(np.isfinite(rows)) and np.all((rows >= 0.0) & (rows <= 1.0))):
+        raise SchemaError(f"{path}: probabilities must be finite and in [0, 1]")
+    if np.any(np.abs(rows.sum(axis=1) - 1.0) > SIMPLEX_ATOL):
+        raise SchemaError(f"{path}: every row must sum to 1")
     return rows
 
 
@@ -76,33 +102,46 @@ def read_labels_csv(path) -> np.ndarray:
         header = f.readline().strip()
     if header != "label":
         raise SchemaError(f"{path}: expected header 'label', got {header!r}")
-    labels = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1).astype(int)
-    return labels
+    # class indices as written; one_hot checks them against the class count
+    return _csv_body(path, ndmin=1)
 
 
 def one_hot(labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
     if num_classes is None:
         num_classes = int(labels.max()) + 1
+    if not np.all(np.isin(labels, np.arange(num_classes))):
+        raise SchemaError(f"labels must be integers in [0, {num_classes})")
     out = np.zeros((labels.size, num_classes))
-    out[np.arange(labels.size), labels] = 1.0
+    out[np.arange(labels.size), labels.astype(int)] = 1.0
     return out
 
 
 def read_coeffs_json(path) -> PerturbationConfig:
     path = Path(path)
     with open(path) as f:
-        doc = json.load(f)
-    for key in ("order", "tie_classes", "matrix"):
-        if key not in doc:
-            raise SchemaError(f"{path}: missing key {key!r}")
-    return PerturbationConfig(order=int(doc["order"]),
-                              coefficients=np.asarray(doc["matrix"], dtype=float),
-                              tie_classes=bool(doc["tie_classes"]))
+        return coeffs_from_dict(json.load(f), path)
 
 
 def coeffs_to_dict(cfg: PerturbationConfig) -> dict:
     return {"order": cfg.order, "tie_classes": cfg.tie_classes,
             "matrix": cfg.coefficients.tolist()}
+
+
+def coeffs_from_dict(doc, source) -> PerturbationConfig:
+    """Inverse of ``coeffs_to_dict``; ``source`` names the input in errors."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{source}: expected a coefficient object")
+    for key in ("order", "tie_classes", "matrix"):
+        if key not in doc:
+            raise SchemaError(f"{source}: missing key {key!r}")
+    try:
+        order = int(doc["order"])
+        matrix = np.asarray(doc["matrix"], dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{source}: order must be an integer and matrix "
+                          f"a numeric C x M array") from None
+    return PerturbationConfig(order=order, coefficients=matrix,
+                              tie_classes=bool(doc["tie_classes"]))
 
 
 def write_json(path, doc) -> None:
@@ -304,15 +343,10 @@ def cmd_search_coeffs(args) -> int:
                       tie_classes=bool(cfg["tie-classes"]),
                       seed=int(cfg["seed"]))
     trials = run_search(probs, labels, spec)
-    kept = [t for t in trials if not t.discarded]
-    if not kept:
-        raise SearchFailureError("all search candidates were discarded")
-    best = min(kept, key=lambda t: (t.score.total, t.order, t.trial))
+    best = best_trial(trials)
     doc = {
         "best": coeffs_to_dict(best.config),
-        "score": {"total": best.score.total,
-                  "distance_term": best.score.distance_term,
-                  "entropy_term": best.score.entropy_term},
+        "score": asdict(best.score),
         "convergence": {
             "candidates": len(trials),
             "discarded": sum(t.discarded for t in trials),
@@ -339,23 +373,18 @@ def cmd_solve_proxy(args) -> int:
     pcfg = read_coeffs_json(cfg["coeffs"])
     solver = SolverConfig(tolerance=float(cfg["tolerance"]),
                           max_iterations=int(cfg["max-iterations"]))
-    solutions = solve_proxy_batch(probs, pcfg, solver)
+    proxies, norms, iterations, converged = _solve_rows(probs, pcfg, solver)
     c = probs.shape[1]
     header = ",".join([f"p_{i}" for i in range(c)]
                       + ["residual_norm", "iterations", "converged"])
-    rows = np.column_stack([
-        np.stack([s.proxy.values for s in solutions]),
-        [s.residual_norm for s in solutions],
-        [s.iterations for s in solutions],
-        [float(s.converged) for s in solutions],
-    ])
+    rows = np.column_stack([proxies, norms, iterations, converged])
     np.savetxt(cfg["out"], rows, delimiter=",", header=header, comments="",
                fmt="%.17g")
     write_manifest("solve-proxy", cfg, {},
                    [cfg["teacher-probs"], cfg["coeffs"]], [cfg["out"]], started)
     print(json.dumps({
-        "examples": len(solutions),
-        "converged_fraction": float(np.mean([s.converged for s in solutions])),
+        "examples": len(proxies),
+        "converged_fraction": float(np.mean(converged)),
     }))
     return 0
 
@@ -387,20 +416,13 @@ def cmd_sweep(args) -> int:
         doc = json.load(f)
     if not isinstance(doc, list):
         raise SchemaError(f"{cfg['configs']}: expected a JSON list of configs")
-    configs = [PerturbationConfig(order=int(d["order"]),
-                                  coefficients=np.asarray(d["matrix"], dtype=float),
-                                  tie_classes=bool(d["tie_classes"]))
-               for d in doc]
+    configs = [coeffs_from_dict(d, f"{cfg['configs']}[{i}]")
+               for i, d in enumerate(doc)]
     ds = load_dataset(cfg["data-dir"])
     teacher = nn.load_model(cfg["teacher"])
     tc = _train_config(cfg)
     points = sweep_proxy_teachers(teacher, ds, configs, tc)
-    out_doc = [{
-        "l2_distance_to_truth": p.l2_distance_to_truth,
-        "tvd_to_truth": p.tvd_to_truth,
-        "student_test_accuracy": p.student_test_accuracy,
-        "converged_fraction": p.converged_fraction,
-    } for p in points]
+    out_doc = [asdict(p) for p in points]
     write_json(cfg["out"], out_doc)
     csv_path = Path(cfg["out"]).with_suffix(".csv")
     np.savetxt(csv_path, np.array([
@@ -425,20 +447,13 @@ def cmd_eval(args) -> int:
     ds = load_dataset(cfg["data-dir"])
     model = nn.load_model(cfg["model"])
     x, y = ds.split(cfg["split"])
-    from .core import softmax_rows
-    from .data import true_posterior_rows
-    probs = softmax_rows(nn.forward_rows(model, x))
+    probs = teacher_probs(model, x)
     acc = float(np.mean(np.argmax(probs, 1) == np.argmax(y, 1)))
-    doc = {"split": cfg["split"], "accuracy": acc}
-    vs_labels = risk_gap_terms(probs, y)
-    doc["vs_labels"] = {"l2_distance_mean": vs_labels.l2_distance_mean,
-                        "entropy_sq_mean": vs_labels.entropy_sq_mean,
-                        "tvd_mean": vs_labels.tvd_mean}
+    doc = {"split": cfg["split"], "accuracy": acc,
+           "vs_labels": asdict(risk_gap_terms(probs, y))}
     if ds.spec is not None:
-        vs_truth = risk_gap_terms(probs, true_posterior_rows(ds.spec, x))
-        doc["vs_truth"] = {"l2_distance_mean": vs_truth.l2_distance_mean,
-                           "entropy_sq_mean": vs_truth.entropy_sq_mean,
-                           "tvd_mean": vs_truth.tvd_mean}
+        doc["vs_truth"] = asdict(
+            risk_gap_terms(probs, true_posterior_rows(ds.spec, x)))
     print(json.dumps(doc))
     return 0
 
@@ -456,12 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
+    def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--config", help="JSON file of defaults; flags override")
+        p.set_defaults(func=func)
         return p
 
-    p = add("generate-data", help="sample a Gaussian-mixture dataset")
+    p = add("generate-data", cmd_generate_data,
+            help="sample a Gaussian-mixture dataset")
     p.add_argument("--classes", type=int)
     p.add_argument("--dim", type=int)
     p.add_argument("--sigma", type=float)
@@ -470,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out-dir")
 
-    p = add("train-teacher", help="train the cross-entropy teacher")
+    p = add("train-teacher", cmd_train_teacher,
+            help="train the cross-entropy teacher")
     p.add_argument("--data-dir")
     p.add_argument("--arch")
     p.add_argument("--lr", type=float)
@@ -479,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
 
-    p = add("distill", help="distill a student under a chosen loss")
+    p = add("distill", functools.partial(cmd_distill, parser=parser),
+            help="distill a student under a chosen loss")
     p.add_argument("--data-dir")
     p.add_argument("--teacher")
     p.add_argument("--method",
@@ -500,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float)
     p.add_argument("--gamma", type=float)
 
-    p = add("search-coeffs", help="random search for perturbation coefficients")
+    p = add("search-coeffs", cmd_search_coeffs,
+            help="random search for perturbation coefficients")
     p.add_argument("--teacher-probs")
     p.add_argument("--labels")
     p.add_argument("--max-order", type=int)
@@ -510,14 +530,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
 
-    p = add("solve-proxy", help="solve proxy-teacher distributions")
+    p = add("solve-proxy", cmd_solve_proxy,
+            help="solve proxy-teacher distributions")
     p.add_argument("--teacher-probs")
     p.add_argument("--coeffs")
     p.add_argument("--out")
     p.add_argument("--tolerance", type=float)
     p.add_argument("--max-iterations", type=int)
 
-    p = add("verify-equivalence", help="check a loss-equivalence claim")
+    p = add("verify-equivalence", cmd_verify_equivalence,
+            help="check a loss-equivalence claim")
     p.add_argument("--method", choices=["ls", "label_smoothing", "focal",
                                         "temperature"])
     p.add_argument("--param", type=float)
@@ -525,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
 
-    p = add("sweep", help="sweep proxy-teacher configurations")
+    p = add("sweep", cmd_sweep, help="sweep proxy-teacher configurations")
     p.add_argument("--data-dir")
     p.add_argument("--teacher")
     p.add_argument("--configs")
@@ -535,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
 
-    p = add("eval", help="evaluate a saved model on a dataset split")
+    p = add("eval", cmd_eval, help="evaluate a saved model on a dataset split")
     p.add_argument("--data-dir")
     p.add_argument("--model")
     p.add_argument("--split", choices=["train", "validation", "test"])
@@ -544,33 +566,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "generate-data":
-            return cmd_generate_data(args)
-        if args.command == "train-teacher":
-            return cmd_train_teacher(args)
-        if args.command == "distill":
-            return cmd_distill(args, parser)
-        if args.command == "search-coeffs":
-            return cmd_search_coeffs(args)
-        if args.command == "solve-proxy":
-            return cmd_solve_proxy(args)
-        if args.command == "verify-equivalence":
-            return cmd_verify_equivalence(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(args)
     except (SchemaError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DOMAIN_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 def main() -> None:

@@ -6,7 +6,7 @@ perturbed loss the coefficient search runs on the validation split first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,16 @@ from .selection import (
     search_coefficients,
 )
 
-METHODS = ("kl", "pt", "temperature", "label_smoothing", "focal", "onehot")
+# method -> (make_loss name, student targets): the training labels, the
+# teacher's logits, or the teacher's probabilities.
+METHODS = {
+    "kl": ("kl", "probs"),
+    "pt": ("pt", "probs"),
+    "temperature": ("temperature", "logits"),
+    "label_smoothing": ("label_smoothing", "probs"),
+    "focal": ("focal", "probs"),
+    "onehot": ("cross_entropy", "labels"),
+}
 
 
 @dataclass(frozen=True)
@@ -44,21 +53,9 @@ class DistillationReport:
             raise InvalidInputError("accuracy must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        def terms(t):
-            return None if t is None else {
-                "l2_distance_mean": t.l2_distance_mean,
-                "entropy_sq_mean": t.entropy_sq_mean,
-                "tvd_mean": t.tvd_mean,
-            }
-        return {
-            "method": self.method,
-            "student_test_accuracy": self.student_test_accuracy,
-            "teacher_vs_truth": terms(self.teacher_vs_truth),
-            "teacher_vs_labels": terms(self.teacher_vs_labels),
-            "chosen_config": self.chosen_config,
-            "seeds": self.seeds,
-            "teacher_validation_accuracy": self.teacher_validation_accuracy,
-        }
+        doc = asdict(self)
+        del doc["student_history"]
+        return doc
 
 
 def teacher_probs(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
@@ -88,9 +85,11 @@ def _teacher_diagnostics(teacher: MlpModel, data: LabeledDataset):
 
 
 def _train_student(teacher: MlpModel, data: LabeledDataset, loss,
-                   tc: TrainConfig, use_logits: bool = False):
-    x_train, _ = data.split("train")
-    if use_logits:
+                   tc: TrainConfig, target: str = "probs"):
+    x_train, y_train = data.split("train")
+    if target == "labels":
+        targets = y_train
+    elif target == "logits":
         targets = nn.forward_rows(teacher, x_train)
     else:
         targets = teacher_probs(teacher, x_train)
@@ -113,15 +112,9 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}")
 
+    loss_name, target = METHODS[method]
     chosen: dict = {"method": method, **params}
-    if method == "onehot":
-        x_train, y_train = data.split("train")
-        student = nn.init(teacher.layer_dims, tc.seed)
-        student, history = nn.train(student, x_train, y_train,
-                                    make_loss("cross_entropy"), tc)
-    elif method == "kl":
-        student, history = _train_student(teacher, data, make_loss("kl"), tc)
-    elif method == "pt":
+    if method == "pt":
         if "cfg" in params:
             cfg = params["cfg"]
         else:
@@ -132,27 +125,14 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
             x_val, y_val = data.split("validation")
             cfg, score = search_coefficients(
                 teacher_probs(teacher, x_val), y_val, search_spec, solver)
-            chosen["search_score"] = {
-                "total": score.total,
-                "distance_term": score.distance_term,
-                "entropy_term": score.entropy_term,
-            }
+            chosen["search_score"] = asdict(score)
         chosen["order"] = cfg.order
         chosen["coefficients"] = cfg.coefficients.tolist()
         chosen["tie_classes"] = cfg.tie_classes
         chosen.pop("cfg", None)
-        student, history = _train_student(teacher, data,
-                                          make_loss("pt", cfg=cfg), tc)
-    elif method == "temperature":
-        loss = make_loss("temperature", tau=params["tau"])
-        student, history = _train_student(teacher, data, loss, tc,
-                                          use_logits=True)
-    elif method == "label_smoothing":
-        loss = make_loss("label_smoothing", delta=params["delta"])
-        student, history = _train_student(teacher, data, loss, tc)
-    else:  # focal
-        loss = make_loss("focal", gamma=params["gamma"])
-        student, history = _train_student(teacher, data, loss, tc)
+        params["cfg"] = cfg
+    loss = make_loss(loss_name, **params)
+    student, history = _train_student(teacher, data, loss, tc, target)
 
     x_test, y_test = data.split("test")
     test_acc = nn.accuracy(student, x_test, y_test)

@@ -19,8 +19,6 @@ from .core import (
     softmax_rows,
 )
 
-GRAD_SUM_ATOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PerturbationConfig:
@@ -67,25 +65,6 @@ class PerturbationConfig:
         row = np.asarray(row, dtype=float).reshape(-1)
         matrix = np.tile(row, (num_classes, 1))
         return cls(order=row.size, coefficients=matrix, tie_classes=True)
-
-
-@dataclass(frozen=True)
-class LossEvaluation:
-    """A loss value with an optional d(loss)/d(student-logit) vector."""
-
-    value: float
-    gradient: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.gradient is not None:
-            g = np.asarray(self.gradient, dtype=float)
-            if abs(g.sum()) > GRAD_SUM_ATOL:
-                raise InvalidInputError(
-                    f"gradient must sum to 0 (softmax null direction), got {g.sum()!r}"
-                )
-            g = g.copy()
-            g.setflags(write=False)
-            object.__setattr__(self, "gradient", g)
 
 
 def _check_same_classes(a: np.ndarray, b: np.ndarray):
@@ -167,13 +146,6 @@ def pt_loss(teacher: ProbVector, student: ProbVector,
     if cfg.order > 0 and cfg.num_classes != teacher.num_classes:
         raise InvalidInputError("coefficient matrix does not match class count")
     return float(pt_rows(teacher.values, student.values, cfg))
-
-
-def pt_loss_grad(teacher: ProbVector, student_logits: LogitVector,
-                 cfg: PerturbationConfig) -> LossEvaluation:
-    """PT loss at softmax(student_logits) with its analytic logit gradient."""
-    values, grads = pt_grad_rows(teacher.values, student_logits.values, cfg)
-    return LossEvaluation(value=float(values), gradient=grads)
 
 
 def temperature_kl_loss(teacher_logits: LogitVector,

@@ -19,37 +19,28 @@ import numpy as np
 
 from .core import (
     InvalidInputError,
-    ProbVector,
     SolverDivergenceError,
     clamp_probs,
     softmax_rows,
 )
 from .losses import PerturbationConfig, _perturbation_slope, pt_rows
 
+# Levenberg-Marquardt damping: the starting value, and the cap at which a
+# row whose steps keep being rejected stops.
+LAM_INIT = 1e-3
+LAM_CAP = 1e12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     tolerance: float = 1e-8
     max_iterations: int = 100
-    damping_init: float = 1e-3
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise InvalidInputError("tolerance must be > 0")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")
-        if self.damping_init <= 0:
-            raise InvalidInputError("damping_init must be > 0")
-
-
-@dataclass(frozen=True)
-class ProxySolution:
-    """A solved proxy distribution plus residual diagnostics."""
-
-    proxy: ProbVector
-    residual_norm: float
-    iterations: int
-    converged: bool
 
 
 def _slope_derivative(teacher: np.ndarray, q: np.ndarray,
@@ -98,33 +89,31 @@ def _recenter(z: np.ndarray) -> np.ndarray:
 
 
 def _solve_rows(teacher: np.ndarray, cfg: PerturbationConfig,
-                solver: SolverConfig, start_logits: np.ndarray | None = None):
-    """Vectorized solve over the rows of ``teacher``.
+                solver: SolverConfig):
+    """Vectorized solve over the rows of ``teacher``, from the teacher itself.
 
     Returns (proxies, residual_norms, iterations, converged) arrays.
     """
     teacher = np.atleast_2d(np.asarray(teacher, dtype=float))
+    if teacher.size == 0:
+        raise InvalidInputError("empty teacher batch")
     n, c = teacher.shape
     if cfg.order > 0 and cfg.num_classes != c:
         raise InvalidInputError("coefficient matrix does not match class count")
 
-    if start_logits is None:
-        z = _recenter(np.log(clamp_probs(teacher)))
-    else:
-        z = _recenter(np.atleast_2d(np.asarray(start_logits, dtype=float)).copy())
+    z = _recenter(np.log(clamp_probs(teacher)))
     grad = _gradient_rows(teacher, z, cfg)
     if not np.all(np.isfinite(grad)):
         raise SolverDivergenceError("non-finite gradient at the start point")
     norm = np.linalg.norm(grad, axis=-1)
     obj = pt_rows(teacher, softmax_rows(z), cfg)
 
-    lam = np.full(n, solver.damping_init)
+    lam = np.full(n, LAM_INIT)
     iterations = np.zeros(n, dtype=int)
     eye = np.eye(c)
-    lam_cap = 1e12
 
     for _ in range(solver.max_iterations):
-        active = (norm > solver.tolerance) & (lam < lam_cap)
+        active = (norm > solver.tolerance) & (lam < LAM_CAP)
         if not np.any(active):
             break
         iterations[active] += 1
@@ -160,58 +149,14 @@ def _solve_rows(teacher: np.ndarray, cfg: PerturbationConfig,
         lam[bad] *= 4.0
 
     proxies = softmax_rows(z)
+    if not np.all(np.isfinite(proxies)):
+        raise SolverDivergenceError("solver produced a non-finite proxy")
     converged = norm <= solver.tolerance
     return proxies, norm, iterations, converged
 
 
-def solve_proxy_example(teacher: ProbVector, cfg: PerturbationConfig,
-                        solver: SolverConfig = SolverConfig(),
-                        start_logits: np.ndarray | None = None) -> ProxySolution:
-    """Solve one example's proxy distribution from the teacher start point."""
-    proxies, norms, iters, conv = _solve_rows(
-        teacher.values[None, :], cfg, solver,
-        None if start_logits is None else np.asarray(start_logits)[None, :])
-    if not np.all(np.isfinite(proxies)):
-        raise SolverDivergenceError("solver produced a non-finite proxy")
-    return ProxySolution(
-        proxy=ProbVector(proxies[0]),
-        residual_norm=float(norms[0]),
-        iterations=int(iters[0]),
-        converged=bool(conv[0]),
-    )
-
-
-def solve_proxy_batch(teachers, cfg: PerturbationConfig,
-                      solver: SolverConfig = SolverConfig()) -> list[ProxySolution]:
-    """Element-wise proxy solve over a nonempty uniform-C batch."""
-    if isinstance(teachers, np.ndarray):
-        rows = np.atleast_2d(teachers)
-    else:
-        teachers = list(teachers)
-        if not teachers:
-            raise InvalidInputError("empty teacher batch")
-        rows = np.stack([
-            t.values if isinstance(t, ProbVector) else np.asarray(t, dtype=float)
-            for t in teachers
-        ])
-    if rows.size == 0:
-        raise InvalidInputError("empty teacher batch")
-    proxies, norms, iters, conv = _solve_rows(rows, cfg, solver)
-    return [
-        ProxySolution(ProbVector(proxies[i]), float(norms[i]),
-                      int(iters[i]), bool(conv[i]))
-        for i in range(rows.shape[0])
-    ]
-
-
 def solve_proxy_rows(teacher_rows: np.ndarray, cfg: PerturbationConfig,
                      solver: SolverConfig = SolverConfig()):
-    """Array-level batch solve: returns (proxies, converged) for pipelines."""
+    """Solve every row's proxy teacher; returns (proxies, converged) arrays."""
     proxies, _, _, conv = _solve_rows(teacher_rows, cfg, solver)
     return proxies, conv
-
-
-def proxy_objective_rows(teacher: np.ndarray, q: np.ndarray,
-                         cfg: PerturbationConfig) -> np.ndarray:
-    """The per-example objective g evaluated at candidate distributions q."""
-    return pt_rows(teacher, q, cfg)

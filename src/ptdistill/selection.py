@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidInputError, ProbVector, SearchFailureError, clamp_probs
+from .core import InvalidInputError, SearchFailureError, clamp_probs
 from .losses import PerturbationConfig
 from .proxy import SolverConfig, solve_proxy_rows
 from .rng import derive_rng
@@ -65,17 +65,8 @@ class RiskGapTerms:
             raise InvalidInputError("tvd_mean must be <= 1")
 
 
-def _as_rows(vectors, name: str) -> np.ndarray:
-    if isinstance(vectors, np.ndarray):
-        rows = np.atleast_2d(vectors)
-    else:
-        vectors = list(vectors)
-        if not vectors:
-            raise InvalidInputError(f"{name} must be nonempty")
-        rows = np.stack([
-            v.values if isinstance(v, ProbVector) else np.asarray(v, dtype=float)
-            for v in vectors
-        ])
+def _as_rows(values, name: str) -> np.ndarray:
+    rows = np.atleast_2d(np.asarray(values, dtype=float))
     if rows.size == 0:
         raise InvalidInputError(f"{name} must be nonempty")
     return rows
@@ -183,22 +174,22 @@ def run_search(teacher_val, labels, spec: SearchSpec,
     return trials
 
 
-def search_coefficients(teacher_val, labels, spec: SearchSpec,
-                        solver: SolverConfig = SolverConfig()):
-    """Random coefficient search; returns (best config, best score).
+def best_trial(trials: list[SearchTrial]) -> SearchTrial:
+    """The kept trial with the lowest score.
 
     Ties break toward the lowest order, then the lowest trial index.
     """
-    trials = run_search(teacher_val, labels, spec, solver)
-    best = None
-    for t in trials:
-        if t.discarded:
-            continue
-        if best is None or t.score.total < best.score.total:
-            best = t
-    if best is None:
+    kept = [t for t in trials if not t.discarded]
+    if not kept:
         raise SearchFailureError(
             f"all {len(trials)} candidates were discarded "
             f"(convergence below {MIN_CONVERGED_FRACTION})"
         )
+    return min(kept, key=lambda t: (t.score.total, t.order, t.trial))
+
+
+def search_coefficients(teacher_val, labels, spec: SearchSpec,
+                        solver: SolverConfig = SolverConfig()):
+    """Random coefficient search; returns (best config, best score)."""
+    best = best_trial(run_search(teacher_val, labels, spec, solver))
     return best.config, best.score

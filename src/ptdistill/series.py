@@ -6,32 +6,9 @@ is evaluated at (clamped) probabilities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import InvalidInputError
-
-
-@dataclass(frozen=True)
-class TruncatedLogSeries:
-    """A truncation order plus optional per-order coefficient perturbations."""
-
-    order: int
-    perturbations: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise InvalidInputError("order must be >= 1")
-        if self.perturbations is not None:
-            arr = np.asarray(self.perturbations, dtype=float)
-            if arr.shape != (self.order,):
-                raise InvalidInputError(
-                    f"perturbations must have length {self.order}, got {arr.shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInputError("perturbations must be finite")
-            object.__setattr__(self, "perturbations", arr)
 
 
 def _check_domain(x: float) -> float:

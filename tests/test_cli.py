@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ptdistill import cli
+from ptdistill.selection import SearchSpec, search_coefficients
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +68,13 @@ class TestFileFormats:
     def test_coeffs_missing_key(self, tmp_path):
         path = tmp_path / "coeffs.json"
         path.write_text(json.dumps({"order": 1, "matrix": [[0.0]]}))
+        with pytest.raises(cli.SchemaError):
+            cli.read_coeffs_json(path)
+
+    def test_coeffs_ragged_matrix(self, tmp_path):
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps(
+            {"order": 1, "tie_classes": False, "matrix": [[1.0], [1.0, 2.0]]}))
         with pytest.raises(cli.SchemaError):
             cli.read_coeffs_json(path)
 
@@ -173,6 +181,20 @@ class TestDistill:
         assert e.value.code == 2
 
 
+def write_search_inputs(tmp_path, labels, probs):
+    cli.write_probs_csv(tmp_path / "probs.csv", probs)
+    (tmp_path / "labels.csv").write_text(
+        "label\n" + "\n".join(map(str, labels)) + "\n")
+
+
+def search_cli(capsys, tmp_path, *flags):
+    out = tmp_path / "best.json"
+    code, _, err = run_cli(
+        capsys, "search-coeffs", "--teacher-probs", str(tmp_path / "probs.csv"),
+        "--labels", str(tmp_path / "labels.csv"), "--out", str(out), *flags)
+    return code, err, out
+
+
 class TestSearchCoeffs:
     def test_end_to_end(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
@@ -180,9 +202,7 @@ class TestSearchCoeffs:
         noise = rng.uniform(0.1, 0.3, size=30)
         probs = np.where(labels[:, None] == np.arange(2),
                          1 - noise[:, None], noise[:, None])
-        cli.write_probs_csv(tmp_path / "probs.csv", probs)
-        (tmp_path / "labels.csv").write_text(
-            "label\n" + "\n".join(map(str, labels)) + "\n")
+        write_search_inputs(tmp_path, labels, probs)
         out = tmp_path / "best.json"
         code, stdout, _ = run_cli(
             capsys, "search-coeffs", "--teacher-probs",
@@ -194,6 +214,31 @@ class TestSearchCoeffs:
         assert doc["best"]["order"] == 1
         assert doc["score"]["total"] >= 0.0
         assert doc["convergence"]["candidates"] == 6
+
+    def test_same_winner_as_library_search(self, capsys, tmp_path):
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 3, size=40)
+        probs = rng.dirichlet(np.ones(3), size=40)
+        write_search_inputs(tmp_path, labels, probs)
+        code, _, out = search_cli(capsys, tmp_path, "--max-order", "2",
+                                  "--trials", "6", "--seed", "4")
+        assert code == 0
+        doc = json.loads(out.read_text())
+        cfg, score = search_coefficients(
+            cli.read_probs_csv(tmp_path / "probs.csv"), np.eye(3)[labels],
+            SearchSpec(max_order=2, trials_per_order=6, seed=4))
+        assert doc["best"] == cli.coeffs_to_dict(cfg)
+        assert doc["score"]["total"] == score.total
+
+    @pytest.mark.parametrize("bad_label", ["5", "-1", "1.5"])
+    def test_label_outside_classes_is_schema_error(self, capsys, tmp_path,
+                                                   bad_label):
+        probs = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])
+        write_search_inputs(tmp_path, ["0", bad_label], probs)
+        code, err, out = search_cli(capsys, tmp_path, "--trials", "1")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "labels" in err
+        assert not out.exists()
 
 
 class TestSolveProxy:
@@ -213,6 +258,22 @@ class TestSolveProxy:
         assert rows[0, 0] == pytest.approx(0.8685170917577956, abs=1e-8)
         header = out.read_text().splitlines()[0]
         assert header == "p_0,p_1,residual_norm,iterations,converged"
+
+    @pytest.mark.parametrize("row", ["0.9,0.9,0.2", "nan,0.5,0.5",
+                                     "-0.1,0.6,0.5", "inf,0,0", "0.5,abc,0.5"])
+    def test_bad_teacher_row_is_schema_error(self, capsys, tmp_path, row):
+        (tmp_path / "probs.csv").write_text(
+            "p_0,p_1,p_2\n0.2,0.3,0.5\n" + row + "\n")
+        (tmp_path / "coeffs.json").write_text(json.dumps(
+            {"order": 1, "tie_classes": True, "matrix": [[1.0]] * 3}))
+        out = tmp_path / "proxies.csv"
+        code, _, err = run_cli(
+            capsys, "solve-proxy", "--teacher-probs",
+            str(tmp_path / "probs.csv"), "--coeffs",
+            str(tmp_path / "coeffs.json"), "--out", str(out))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "probs.csv" in err
+        assert not out.exists()
 
 
 class TestVerifyEquivalence:
@@ -250,6 +311,21 @@ class TestSweep:
         doc = json.loads(out.read_text())
         assert len(doc) == 2
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_config_without_matrix_is_schema_error(self, workspace, capsys,
+                                                   tmp_path):
+        _, data_dir, teacher = workspace
+        configs = tmp_path / "configs.json"
+        configs.write_text(json.dumps([
+            {"order": 1, "tie_classes": True, "matrix": [[0.0]] * 3},
+            {"order": 1, "tie_classes": True},
+        ]))
+        code, _, err = run_cli(
+            capsys, "sweep", "--data-dir", str(data_dir),
+            "--teacher", str(teacher), "--configs", str(configs),
+            "--out", str(tmp_path / "sweep.json"))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "'matrix'" in err
 
 
 class TestEval:

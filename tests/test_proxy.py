@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
 
-from ptdistill.core import InvalidInputError, ProbVector
+from ptdistill.core import InvalidInputError
 from ptdistill.losses import PerturbationConfig, pt_rows
 from ptdistill.proxy import (
     SolverConfig,
     _gradient_rows,
     _hessian_rows,
-    proxy_objective_rows,
-    solve_proxy_batch,
-    solve_proxy_example,
+    _solve_rows,
     solve_proxy_rows,
 )
+
+
+def solve_one(teacher, cfg, solver=SolverConfig()):
+    """One example through the batch solver: (proxy, residual, iters, conv)."""
+    proxies, norms, iterations, converged = _solve_rows(
+        np.asarray(teacher, dtype=float)[None, :], cfg, solver)
+    return proxies[0], norms[0], iterations[0], converged[0]
 
 
 def grid_oracle(teacher, cfg, step=1e-6):
@@ -63,6 +68,8 @@ class TestGradientAndHessian:
 
 
 class TestSolveProxyExample:
+    """Single-example solves."""
+
     def test_zero_coefficients_return_teacher(self):
         rng = np.random.default_rng(65)
         for c in (2, 3, 10):
@@ -70,27 +77,23 @@ class TestSolveProxyExample:
                 t = rng.dirichlet(np.ones(c))
                 t = np.clip(t, 1e-4, None)
                 t /= t.sum()
-                sol = solve_proxy_example(ProbVector(t),
-                                          PerturbationConfig.zero(c))
-                assert sol.converged
-                np.testing.assert_allclose(sol.proxy.values, t, atol=1e-8)
+                (proxy,), (converged,) = solve_proxy_rows(
+                    t, PerturbationConfig.zero(c))
+                assert converged
+                np.testing.assert_allclose(proxy, t, atol=1e-8)
 
     def test_direct_binary_value(self):
-        sol = solve_proxy_example(ProbVector([0.8, 0.2]),
-                                  PerturbationConfig.tied([1.0], 2))
-        assert sol.converged
-        assert sol.proxy.values[0] == pytest.approx(
-            0.8685170917577956, abs=1e-8)
-        obj = float(proxy_objective_rows(np.array([0.8, 0.2]),
-                                         sol.proxy.values,
-                                         PerturbationConfig.tied([1.0], 2)))
+        cfg = PerturbationConfig.tied([1.0], 2)
+        (proxy,), (converged,) = solve_proxy_rows(np.array([0.8, 0.2]), cfg)
+        assert converged
+        assert proxy[0] == pytest.approx(0.8685170917577956, abs=1e-8)
+        obj = float(pt_rows(np.array([0.8, 0.2]), proxy, cfg))
         assert obj == pytest.approx(0.29703741473093437, abs=1e-10)
 
     def test_direct_binary_order_two(self):
         cfg = PerturbationConfig.tied([1.0, 1.0], 2)
-        sol = solve_proxy_example(ProbVector([0.8, 0.2]), cfg)
-        assert sol.proxy.values[0] == pytest.approx(
-            0.8586093362777536, abs=1e-8)
+        (proxy,), _ = solve_proxy_rows(np.array([0.8, 0.2]), cfg)
+        assert proxy[0] == pytest.approx(0.8586093362777536, abs=1e-8)
 
     def test_stationary_gradient(self):
         rng = np.random.default_rng(67)
@@ -101,9 +104,9 @@ class TestSolveProxyExample:
             t /= t.sum()
             m = int(rng.integers(1, 4))
             cfg = PerturbationConfig(m, rng.uniform(-2, 2, size=(c, m)))
-            sol = solve_proxy_example(ProbVector(t), cfg)
-            if sol.converged:
-                z = np.log(sol.proxy.values)
+            (proxy,), (converged,) = solve_proxy_rows(t, cfg)
+            if converged:
+                z = np.log(proxy)
                 grad = _gradient_rows(t[None], z[None], cfg)[0]
                 assert np.linalg.norm(grad) <= 1e-6
 
@@ -114,58 +117,58 @@ class TestSolveProxyExample:
             t = np.array([t0, 1.0 - t0])
             m = int(rng.integers(1, 4))
             cfg = PerturbationConfig(m, rng.uniform(-2, 2, size=(2, m)))
-            sol = solve_proxy_example(ProbVector(t), cfg)
+            (proxy,), _ = solve_proxy_rows(t, cfg)
             q_star, g_star = grid_oracle(t, cfg)
-            obj = float(proxy_objective_rows(t, sol.proxy.values, cfg))
+            obj = float(pt_rows(t, proxy, cfg))
             assert obj == pytest.approx(g_star, abs=1e-6)
-            np.testing.assert_allclose(sol.proxy.values, q_star, atol=1e-4)
+            np.testing.assert_allclose(proxy, q_star, atol=1e-4)
 
     def test_idempotent_restart(self):
-        # restarting from the solution must terminate immediately
-        t = ProbVector([0.7, 0.3])
-        cfg = PerturbationConfig.tied([2.0], 2)
-        first = solve_proxy_example(t, cfg)
-        z = np.log(first.proxy.values)
-        z -= z.mean()
-        again = solve_proxy_example(t, cfg, start_logits=z)
-        assert again.iterations == 0
-        np.testing.assert_allclose(again.proxy.values, first.proxy.values,
-                                   atol=1e-10)
+        # with eps = 0 the teacher start point is already stationary, so the
+        # solve must stop before its first step and return the start point
+        rng = np.random.default_rng(69)
+        for c in (2, 3, 10):
+            t = rng.dirichlet(np.ones(c))
+            proxy, norm, iterations, converged = solve_one(
+                t, PerturbationConfig.tied([0.0, 0.0], c))
+            assert iterations == 0
+            assert converged and norm <= 1e-8
+            np.testing.assert_allclose(proxy, t, atol=1e-10)
 
     def test_reports_nonconvergence(self):
-        sol = solve_proxy_example(
-            ProbVector([0.8, 0.2]), PerturbationConfig.tied([5.0], 2),
+        _, norm, _, converged = solve_one(
+            [0.8, 0.2], PerturbationConfig.tied([5.0], 2),
             SolverConfig(max_iterations=1))
-        assert not sol.converged
-        assert sol.residual_norm > 1e-8
+        assert not converged
+        assert norm > 1e-8
 
 
 class TestBatchSolvers:
     def test_batch_matches_example(self):
+        # each row of a batch solve equals that row solved on its own
         rng = np.random.default_rng(71)
         teachers = rng.dirichlet(np.ones(3), size=8)
         cfg = PerturbationConfig(2, rng.uniform(-1, 2, size=(3, 2)))
-        sols = solve_proxy_batch(teachers, cfg)
-        assert len(sols) == 8
-        for row, sol in zip(teachers, sols):
-            single = solve_proxy_example(ProbVector(row), cfg)
-            np.testing.assert_allclose(sol.proxy.values, single.proxy.values,
-                                       atol=1e-9)
-            assert sol.converged == single.converged
+        proxies, conv = solve_proxy_rows(teachers, cfg)
+        assert proxies.shape == (8, 3) and conv.shape == (8,)
+        for row, proxy, ok in zip(teachers, proxies, conv):
+            single, _, _, single_ok = solve_one(row, cfg)
+            np.testing.assert_allclose(proxy, single, atol=1e-9)
+            assert ok == single_ok
 
     def test_rows_matches_batch(self):
+        # the pipelines' entry point returns the full solve's arrays unchanged
         rng = np.random.default_rng(73)
         teachers = rng.dirichlet(np.ones(4), size=6)
         cfg = PerturbationConfig.tied([0.5, -0.2], 4)
         proxies, conv = solve_proxy_rows(teachers, cfg)
-        sols = solve_proxy_batch(teachers, cfg)
-        np.testing.assert_allclose(
-            proxies, np.stack([s.proxy.values for s in sols]), atol=1e-12)
-        assert list(conv) == [s.converged for s in sols]
+        full, _, _, full_conv = _solve_rows(teachers, cfg, SolverConfig())
+        np.testing.assert_array_equal(proxies, full)
+        np.testing.assert_array_equal(conv, full_conv)
 
     def test_empty_batch(self):
         with pytest.raises(InvalidInputError):
-            solve_proxy_batch([], PerturbationConfig.zero(2))
+            solve_proxy_rows(np.empty((0, 2)), PerturbationConfig.zero(2))
 
     def test_mismatched_classes(self):
         with pytest.raises(InvalidInputError):
@@ -177,7 +180,7 @@ class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
         {"tolerance": 0.0},
         {"max_iterations": 0},
-        {"damping_init": -1.0},
+        {"tolerance": -1.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidInputError):

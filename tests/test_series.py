@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ptdistill.core import InvalidInputError
-from ptdistill.series import TruncatedLogSeries, maclaurin_log, truncation_bound
+from ptdistill.series import maclaurin_log, truncation_bound
 
 
 class TestMaclaurinLog:
@@ -68,16 +68,3 @@ class TestTruncationBound:
         with pytest.raises(InvalidInputError):
             truncation_bound(bad, 3)
 
-
-class TestTruncatedLogSeries:
-    def test_valid(self):
-        s = TruncatedLogSeries(order=3, perturbations=[0.1, 0.2, 0.3])
-        assert s.order == 3
-
-    def test_order_too_small(self):
-        with pytest.raises(InvalidInputError):
-            TruncatedLogSeries(order=0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            TruncatedLogSeries(order=2, perturbations=[0.1])
