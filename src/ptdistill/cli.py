@@ -200,22 +200,15 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     return merged
 
 
-def _parse_triple(text: str):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise SchemaError(f"expected three comma-separated values, got {text!r}")
+def _parse_numbers(text: str, kind=float, count: int | None = None) -> list:
+    """Comma-separated numbers from a flag; ``count``, if given, must match."""
+    try:
+        parts = [kind(p) for p in text.split(",")]
+    except ValueError:
+        raise SchemaError(f"expected comma-separated numbers, got {text!r}") from None
+    if count is not None and len(parts) != count:
+        raise SchemaError(f"expected {count} comma-separated values, got {text!r}")
     return parts
-
-
-def _parse_range(text: str):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 2:
-        raise SchemaError(f"expected lo,hi, got {text!r}")
-    return tuple(parts)
-
-
-def _parse_arch(text: str):
-    return [int(p) for p in text.split(",")]
 
 
 def _train_config(cfg: dict, seed_key: str = "seed") -> TrainConfig:
@@ -239,7 +232,7 @@ def cmd_generate_data(args) -> int:
                                      num_classes=int(cfg["classes"]),
                                      dim=int(cfg["dim"]),
                                      sigma=float(cfg["sigma"]))
-    ds = generate(spec, int(cfg["n"]), _parse_triple(cfg["split"]))
+    ds = generate(spec, int(cfg["n"]), _parse_numbers(cfg["split"], count=3))
     written = save_dataset(ds, cfg["out-dir"])
     write_manifest("generate-data", cfg, {"seed": int(cfg["seed"])},
                    [], written, started)
@@ -258,7 +251,7 @@ def cmd_train_teacher(args) -> int:
         raise SchemaError("--data-dir and --out are required")
     ds = load_dataset(cfg["data-dir"])
     tc = _train_config(cfg)
-    model, val_acc = train_teacher(ds, _parse_arch(cfg["arch"]), tc)
+    model, val_acc = train_teacher(ds, _parse_numbers(cfg["arch"], int), tc)
     nn.save_model(model, cfg["out"])
     inputs = sorted(Path(cfg["data-dir"]).glob("*.csv"))
     write_manifest("train-teacher", cfg, {"seed": tc.seed}, inputs,
@@ -294,7 +287,7 @@ def cmd_distill(args, parser: argparse.ArgumentParser) -> int:
             search_spec = SearchSpec(
                 max_order=int(cfg["max-order"]),
                 trials_per_order=int(cfg["trials"]),
-                coefficient_range=_parse_range(cfg["range"]),
+                coefficient_range=tuple(_parse_numbers(cfg["range"], count=2)),
                 tie_classes=bool(cfg["tie-classes"]),
                 seed=int(cfg["search-seed"]),
             )
@@ -339,7 +332,7 @@ def cmd_search_coeffs(args) -> int:
     labels = one_hot(read_labels_csv(cfg["labels"]), probs.shape[1])
     spec = SearchSpec(max_order=int(cfg["max-order"]),
                       trials_per_order=int(cfg["trials"]),
-                      coefficient_range=_parse_range(cfg["range"]),
+                      coefficient_range=tuple(_parse_numbers(cfg["range"], count=2)),
                       tie_classes=bool(cfg["tie-classes"]),
                       seed=int(cfg["seed"]))
     trials = run_search(probs, labels, spec)

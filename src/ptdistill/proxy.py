@@ -5,11 +5,14 @@ proxy teacher q minimizes
 
     g(q) = KL(t || q) + sum_c t_c sum_m eps_{c,m} (1 - q_c)^m
 
-over the simplex. The solve works in unconstrained logit space (q =
-softmax(z)) and drives the analytic gradient of g w.r.t. z to zero with
-Newton steps under Levenberg-Marquardt diagonal damping. Logits are
-re-centered to zero mean after every step, which removes the softmax
-shift-invariance null direction from the (otherwise singular) Hessian.
+over the simplex. g is one term per class under the single constraint
+sum(q) = 1, so the Newton step on q itself has a closed form: with the
+per-class slope g'_c and curvature h_c, d_c = (nu - g'_c) / h_c and the
+scalar nu makes sum(d) = 0. That is O(C) per row, with no C x C Hessian.
+Where the exact curvature is not positive definite on sum(d) = 0 (a class
+term is nonconvex there), the KL curvature t / q^2 stands in. Steps stop
+short of the q > 0 boundary and are halved until g does not rise, so each
+row reaches the local minimum nearest the teacher.
 """
 from __future__ import annotations
 
@@ -23,12 +26,15 @@ from .core import (
     clamp_probs,
     softmax_rows,
 )
-from .losses import PerturbationConfig, _perturbation_slope, pt_rows
+from .losses import (
+    PerturbationConfig,
+    _perturbation_rows,
+    _perturbation_slope,
+)
 
-# Levenberg-Marquardt damping: the starting value, and the cap at which a
-# row whose steps keep being rejected stops.
-LAM_INIT = 1e-3
-LAM_CAP = 1e12
+# A step goes at most this fraction of the way to the q > 0 boundary.
+BOUNDARY_FRACTION = 0.99
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -43,56 +49,58 @@ class SolverConfig:
             raise InvalidInputError("max_iterations must be >= 1")
 
 
-def _slope_derivative(teacher: np.ndarray, q: np.ndarray,
-                      cfg: PerturbationConfig) -> np.ndarray:
-    """d s_c / d q_c with s_c = t_c sum_m m eps_{c,m} (1 - q_c)^{m-1}."""
+def _curvature_rows(teacher: np.ndarray, q: np.ndarray,
+                    cfg: PerturbationConfig) -> np.ndarray:
+    """h_c = d^2 g / d q_c^2; t is clamped so exact zeros keep h finite."""
+    h = clamp_probs(teacher) / q ** 2
     if cfg.order == 0:
-        return np.zeros_like(q)
+        return h
     u = 1.0 - q
     m = np.arange(1, cfg.order + 1)
     powers = u[..., :, None] ** np.clip(m - 2, 0, None)
-    # the m = 1 term is constant in q_c, so its derivative vanishes
+    # the m = 1 term is linear in q_c, so its second derivative vanishes
     coeff = m * (m - 1) * cfg.coefficients
-    return -teacher * np.sum(coeff * powers, axis=-1)
+    return h + teacher * np.sum(coeff * powers, axis=-1)
 
 
-def _gradient_rows(teacher: np.ndarray, z: np.ndarray,
-                   cfg: PerturbationConfig) -> np.ndarray:
-    """Gradient of g w.r.t. logits: (q - t) - J_softmax^T s."""
-    q = softmax_rows(z)
-    s = _perturbation_slope(teacher, q, cfg)
-    qs = np.sum(q * s, axis=-1, keepdims=True)
-    return (q - teacher) - (q * s - q * qs)
+def _objective_rows(teacher: np.ndarray, q: np.ndarray,
+                    cfg: PerturbationConfig) -> np.ndarray:
+    """g(q) less its constant sum t log t; q > 0, so log q needs no clamp."""
+    return _perturbation_rows(teacher, q, cfg) - np.sum(teacher * np.log(q),
+                                                        axis=-1)
 
 
-def _hessian_rows(teacher: np.ndarray, z: np.ndarray,
-                  cfg: PerturbationConfig) -> np.ndarray:
-    """Batched (N, C, C) Hessian of g w.r.t. logits."""
-    q = softmax_rows(z)
-    n, c = q.shape
-    s = _perturbation_slope(teacher, q, cfg)
-    ds = _slope_derivative(teacher, q, cfg)
-    qs = np.sum(q * s, axis=-1)
-    # A = dF/dq, F the gradient above, then H = A @ J with J = diag(q) - q q^T
-    diag = 1.0 - s - q * ds + qs[:, None]
-    a = np.zeros((n, c, c))
-    idx = np.arange(c)
-    a[:, idx, idx] = diag
-    a += q[:, :, None] * (s + q * ds)[:, None, :]
-    j = -q[:, :, None] * q[:, None, :]
-    j[:, idx, idx] += q
-    return a @ j
+def _slope_rows(teacher: np.ndarray, q: np.ndarray, cfg: PerturbationConfig):
+    """dg/dq and the norm of the logit gradient q * (dg - q.dg)."""
+    dg = -teacher / q - _perturbation_slope(teacher, q, cfg)
+    qdg = np.sum(q * dg, axis=-1, keepdims=True)
+    return dg, np.linalg.norm(q * (dg - qdg), axis=-1)
 
 
-def _recenter(z: np.ndarray) -> np.ndarray:
-    return z - np.mean(z, axis=-1, keepdims=True)
+def _newton_step(teacher: np.ndarray, q: np.ndarray, dg: np.ndarray,
+                 cfg: PerturbationConfig):
+    """Newton direction on q under sum(d) = 0, and its largest step size."""
+    h = _curvature_rows(teacher, q, cfg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / h
+        # diag(h) is positive definite on sum(d) = 0 iff every h_c > 0, or
+        # exactly one h_c < 0 and sum(1 / h) < 0
+        nonpos = np.sum(h <= 0.0, axis=-1)
+        exact = (nonpos == 0) | ((nonpos == 1) & (np.sum(inv, axis=-1) < 0.0))
+        inv = np.where(exact[:, None], inv, q ** 2 / clamp_probs(teacher))
+        nu = np.sum(dg * inv, axis=-1, keepdims=True) / np.sum(
+            inv, axis=-1, keepdims=True)
+        d = (nu - dg) * inv
+        to_boundary = np.min(np.where(d < 0.0, -q / d, np.inf), axis=-1)
+    return d, np.minimum(1.0, BOUNDARY_FRACTION * to_boundary)
 
 
 def _solve_rows(teacher: np.ndarray, cfg: PerturbationConfig,
                 solver: SolverConfig):
     """Vectorized solve over the rows of ``teacher``, from the teacher itself.
 
-    Returns (proxies, residual_norms, iterations, converged) arrays.
+    Returns (proxies, residual_norms, iterations, converged) arrays; the
+    residual is the norm of g's gradient w.r.t. the logits of q.
     """
     teacher = np.atleast_2d(np.asarray(teacher, dtype=float))
     if teacher.size == 0:
@@ -101,58 +109,46 @@ def _solve_rows(teacher: np.ndarray, cfg: PerturbationConfig,
     if cfg.order > 0 and cfg.num_classes != c:
         raise InvalidInputError("coefficient matrix does not match class count")
 
-    z = _recenter(np.log(clamp_probs(teacher)))
-    grad = _gradient_rows(teacher, z, cfg)
-    if not np.all(np.isfinite(grad)):
+    q = softmax_rows(np.log(clamp_probs(teacher)))
+    dg, norm = _slope_rows(teacher, q, cfg)
+    if not np.all(np.isfinite(norm)):
         raise SolverDivergenceError("non-finite gradient at the start point")
-    norm = np.linalg.norm(grad, axis=-1)
-    obj = pt_rows(teacher, softmax_rows(z), cfg)
+    obj = _objective_rows(teacher, q, cfg)
 
-    lam = np.full(n, LAM_INIT)
+    scale = np.ones(n)
     iterations = np.zeros(n, dtype=int)
-    eye = np.eye(c)
 
     for _ in range(solver.max_iterations):
-        active = (norm > solver.tolerance) & (lam < LAM_CAP)
-        if not np.any(active):
+        act = np.flatnonzero(norm > solver.tolerance)
+        if act.size == 0:
             break
-        iterations[active] += 1
+        iterations[act] += 1
 
-        hess = _hessian_rows(teacher[active], z[active], cfg)
-        damped = hess + lam[active, None, None] * eye
-        try:
-            step = np.linalg.solve(damped, -grad[active][:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = np.stack([
-                np.linalg.lstsq(damped[i], -grad[active][i], rcond=None)[0]
-                for i in range(damped.shape[0])
-            ])
-
-        z_trial = _recenter(z[active] + step)
-        grad_trial = _gradient_rows(teacher[active], z_trial, cfg)
-        norm_trial = np.linalg.norm(grad_trial, axis=-1)
-        obj_trial = pt_rows(teacher[active], softmax_rows(z_trial), cfg)
-        # Accept on objective decrease: with large damping the step becomes
-        # plain gradient descent on g, so descent is always reachable and the
-        # iterate converges to the local minimum nearest the start point.
+        t = teacher[act]
+        d, alpha = _newton_step(t, q[act], dg[act], cfg)
+        q_trial = q[act] + (scale[act] * alpha)[:, None] * d
+        # sum(d) = 0 holds only up to cancellation, so project back
+        q_trial /= np.sum(q_trial, axis=-1, keepdims=True)
+        dg_trial, norm_trial = _slope_rows(t, q_trial, cfg)
+        obj_trial = _objective_rows(t, q_trial, cfg)
+        # Accept on objective decrease, or on a tie at rounding level that
+        # shrinks the residual; otherwise halve this row's next step.
+        tie = obj_trial <= obj[act] + 4.0 * EPS * np.abs(obj[act])
         ok = (np.isfinite(norm_trial) & np.isfinite(obj_trial)
-              & (obj_trial < obj[active]))
+              & ((obj_trial < obj[act]) | (tie & (norm_trial < norm[act]))))
 
-        act_idx = np.flatnonzero(active)
-        good = act_idx[ok]
-        bad = act_idx[~ok]
-        z[good] = z_trial[ok]
-        grad[good] = grad_trial[ok]
+        good, bad = act[ok], act[~ok]
+        q[good] = q_trial[ok]
+        dg[good] = dg_trial[ok]
         norm[good] = norm_trial[ok]
         obj[good] = obj_trial[ok]
-        lam[good] *= 0.5
-        lam[bad] *= 4.0
+        scale[good] = 1.0
+        scale[bad] *= 0.5
 
-    proxies = softmax_rows(z)
-    if not np.all(np.isfinite(proxies)):
+    if not np.all(np.isfinite(q)):
         raise SolverDivergenceError("solver produced a non-finite proxy")
     converged = norm <= solver.tolerance
-    return proxies, norm, iterations, converged
+    return q, norm, iterations, converged
 
 
 def solve_proxy_rows(teacher_rows: np.ndarray, cfg: PerturbationConfig,

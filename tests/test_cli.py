@@ -99,6 +99,14 @@ class TestGenerateData:
         assert code == 2
         assert "out-dir" in err
 
+    def test_non_numeric_split_is_schema_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "generate-data", "--n", "10",
+                               "--split", "0.5,x,0.25",
+                               "--out-dir", str(tmp_path / "data"))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "0.5,x,0.25" in err
+        assert not (tmp_path / "data").exists()
+
 
 class TestTrainTeacher:
     def test_model_and_stdout(self, workspace, capsys):
@@ -119,6 +127,17 @@ class TestTrainTeacher:
             "--out", str(tmp_path / "m.json"))
         assert code == 2
         assert "error" in err
+
+    def test_non_numeric_arch_is_schema_error(self, workspace, capsys,
+                                              tmp_path):
+        _, data_dir, _ = workspace
+        out = tmp_path / "m.json"
+        code, _, err = run_cli(
+            capsys, "train-teacher", "--data-dir", str(data_dir),
+            "--arch", "30,x,3", "--epochs", "1", "--out", str(out))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "30,x,3" in err
+        assert not out.exists()
 
 
 class TestDistill:
@@ -238,6 +257,14 @@ class TestSearchCoeffs:
         code, err, out = search_cli(capsys, tmp_path, "--trials", "1")
         assert code == 2
         assert len(err.splitlines()) == 1 and "labels" in err
+        assert not out.exists()
+
+    def test_non_numeric_range_is_schema_error(self, capsys, tmp_path):
+        probs = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])
+        write_search_inputs(tmp_path, ["0", "1"], probs)
+        code, err, out = search_cli(capsys, tmp_path, "--range", "a,1")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "a,1" in err
         assert not out.exists()
 
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from ptdistill.core import InvalidInputError
-from ptdistill.losses import PerturbationConfig, pt_rows
+from ptdistill.core import SIMPLEX_ATOL, InvalidInputError, softmax_rows
+from ptdistill.losses import PerturbationConfig, pt_grad_rows, pt_rows
 from ptdistill.proxy import (
     SolverConfig,
-    _gradient_rows,
-    _hessian_rows,
+    _curvature_rows,
+    _slope_rows,
     _solve_rows,
     solve_proxy_rows,
 )
@@ -28,43 +28,24 @@ def grid_oracle(teacher, cfg, step=1e-6):
     return q[i], float(g[i])
 
 
-class TestGradientAndHessian:
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(61)
-        h = 1e-6
-        for _ in range(50):
-            c = int(rng.integers(2, 5))
-            t = rng.dirichlet(np.ones(c))
-            z = rng.uniform(-2, 2, size=c)
-            m = int(rng.integers(1, 4))
-            cfg = PerturbationConfig(m, rng.uniform(-2, 2, size=(c, m)))
-            grad = _gradient_rows(t[None], z[None], cfg)[0]
-            from ptdistill.core import softmax_rows
-            for j in range(c):
-                e = np.zeros(c)
-                e[j] = h
-                up = pt_rows(t, softmax_rows(z + e), cfg)
-                dn = pt_rows(t, softmax_rows(z - e), cfg)
-                assert grad[j] == pytest.approx(
-                    float(up - dn) / (2 * h), abs=2e-6, rel=1e-4)
-
-    def test_hessian_matches_gradient_differences(self):
+class TestCurvature:
+    def test_curvature_matches_slope_differences(self):
+        # g is separable in q, so d(dg)/dq is diagonal with entries h
         rng = np.random.default_rng(63)
-        h = 1e-6
         for _ in range(20):
             c = int(rng.integers(2, 5))
             t = rng.dirichlet(np.ones(c))
-            z = rng.uniform(-2, 2, size=c)
+            q = softmax_rows(rng.uniform(-2, 2, size=c))
             m = int(rng.integers(1, 4))
             cfg = PerturbationConfig(m, rng.uniform(-2, 2, size=(c, m)))
-            hess = _hessian_rows(t[None], z[None], cfg)[0]
+            h = _curvature_rows(t[None], q[None], cfg)[0]
             for j in range(c):
                 e = np.zeros(c)
-                e[j] = h
-                up = _gradient_rows(t[None], (z + e)[None], cfg)[0]
-                dn = _gradient_rows(t[None], (z - e)[None], cfg)[0]
-                fd = (up - dn) / (2 * h)
-                np.testing.assert_allclose(hess[:, j], fd, atol=5e-6)
+                e[j] = 1e-6 * q[j]
+                up = _slope_rows(t[None], (q + e)[None], cfg)[0][0]
+                dn = _slope_rows(t[None], (q - e)[None], cfg)[0][0]
+                fd = (up - dn) / (2 * e[j])
+                np.testing.assert_allclose(fd, h[j] * np.eye(c)[j], atol=5e-6)
 
 
 class TestSolveProxyExample:
@@ -106,9 +87,47 @@ class TestSolveProxyExample:
             cfg = PerturbationConfig(m, rng.uniform(-2, 2, size=(c, m)))
             (proxy,), (converged,) = solve_proxy_rows(t, cfg)
             if converged:
-                z = np.log(proxy)
-                grad = _gradient_rows(t[None], z[None], cfg)[0]
+                grad = pt_grad_rows(t, np.log(proxy), cfg)[1]
                 assert np.linalg.norm(grad) <= 1e-6
+
+    def test_teacher_entries_at_or_near_zero(self):
+        # exact zeros need the clamped curvature; an entry just above the
+        # 1e-12 clamp is pushed below it by the first, boundary-capped step,
+        # where only an unclamped objective still shows the way back
+        cases = [
+            ([[0.7, 0.3, 0.0], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]],
+             [[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]]),
+            ([[0.6, 0.4 - 9e-12, 9e-12]],
+             [[5.89, 9.22, 7.21], [0.67, 6.26, 5.76], [1.33, 0.06, 0.38]]),
+        ]
+        for teachers, eps in cases:
+            teachers = np.array(teachers)
+            cfg = PerturbationConfig(len(eps[0]), np.array(eps))
+            proxies, converged = solve_proxy_rows(teachers, cfg)
+            assert np.all(converged) and np.all(np.isfinite(proxies))
+            grads = pt_grad_rows(teachers, np.log(proxies), cfg)[1]
+            assert np.all(np.linalg.norm(grads, axis=1) <= 1e-6)
+            # a class the teacher rules out gets (next to) no proxy mass
+            assert np.all(proxies[teachers == 0.0] <= 1e-12)
+
+    def test_nonconvex_class_term(self):
+        # a class term that is concave at the solution (first row: h_3 < 0)
+        # or where the iterates pass (second row: there diag(h) is indefinite
+        # on sum(d) = 0, and without the KL curvature standing in the row
+        # does not converge within 100 iterations)
+        cases = [
+            ([0.002, 0.002, 0.996],
+             [[0.21, 1.72], [6.72, 0.19], [-0.91, -0.76]]),
+            ([0.38, 0.5, 0.12],
+             [[4.5, 4.4, 2.2], [4.7, 1.1, -6.3], [9.0, 1.9, 0.5]]),
+        ]
+        for i, (t, eps) in enumerate(cases):
+            t = np.array(t)
+            cfg = PerturbationConfig(len(eps[0]), np.array(eps))
+            proxy, norm, _, converged = solve_one(t, cfg)
+            assert converged and norm <= 1e-8
+            if i == 0:
+                assert _curvature_rows(t[None], proxy[None], cfg)[0, 2] < 0.0
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(0)
@@ -155,6 +174,17 @@ class TestBatchSolvers:
             single, _, _, single_ok = solve_one(row, cfg)
             np.testing.assert_allclose(proxy, single, atol=1e-9)
             assert ok == single_ok
+
+    def test_wide_rows_stay_on_simplex(self):
+        # sum(d) = 0 holds only up to cancellation; at C = 100 the sums
+        # must still stay within the simplex tolerance
+        rng = np.random.default_rng(75)
+        teachers = rng.dirichlet(np.full(100, 0.5), size=40)
+        cfg = PerturbationConfig(3, rng.uniform(-1, 10, size=(100, 3)))
+        proxies, conv = solve_proxy_rows(teachers, cfg)
+        assert np.all(conv) and np.all(proxies > 0.0)
+        np.testing.assert_allclose(proxies.sum(axis=1), 1.0, rtol=0,
+                                   atol=SIMPLEX_ATOL)
 
     def test_rows_matches_batch(self):
         # the pipelines' entry point returns the full solve's arrays unchanged

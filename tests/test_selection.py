@@ -3,7 +3,7 @@ import pytest
 
 from ptdistill.core import InvalidInputError, SearchFailureError
 from ptdistill.losses import PerturbationConfig
-from ptdistill.proxy import SolverConfig
+from ptdistill import selection
 from ptdistill.selection import (
     QualityScore,
     RiskGapTerms,
@@ -150,12 +150,16 @@ class TestSearchCoefficients:
         assert cfg.order == 1
         np.testing.assert_allclose(cfg.coefficients, 0.0, atol=1e-299)
 
-    def test_all_discarded_raises(self):
+    def test_all_discarded_raises(self, monkeypatch):
+        # every solve reports no converged row, so every candidate is dropped
+        def unconverged(teachers, cfg, solver):
+            return teachers, np.zeros(len(teachers), dtype=bool)
+
+        monkeypatch.setattr(selection, "solve_proxy_rows", unconverged)
         teachers, labels = small_validation_set()
-        solver = SolverConfig(tolerance=1e-300, max_iterations=1)
         spec = SearchSpec(max_order=1, trials_per_order=2, seed=0)
         with pytest.raises(SearchFailureError):
-            search_coefficients(teachers, labels, spec, solver)
+            search_coefficients(teachers, labels, spec)
 
     def test_reproducible(self):
         teachers, labels = small_validation_set()
