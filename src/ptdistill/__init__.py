@@ -4,24 +4,13 @@ from .core import (
     ConfigurationError,
     DegenerateTeacherError,
     InvalidInputError,
-    LogitVector,
     PROB_FLOOR,
     ProbVector,
     SearchFailureError,
     SolverDivergenceError,
     TrainingDivergenceError,
-    entropy,
-    softmax,
 )
-from .losses import (
-    PerturbationConfig,
-    focal_kd_loss,
-    kl_loss,
-    make_loss,
-    pt_loss,
-    smoothed_kl_loss,
-    temperature_kl_loss,
-)
+from .losses import PerturbationConfig, kl_rows, make_loss, pt_rows
 from .series import maclaurin_log, truncation_bound
 from .equivalence import (
     EquivalenceReport,
@@ -38,7 +27,7 @@ from .selection import (
     risk_gap_terms,
     search_coefficients,
 )
-from .data import GaussianMixtureSpec, LabeledDataset, generate, true_posterior
+from .data import GaussianMixtureSpec, LabeledDataset, generate
 from .nn import MlpModel, TrainConfig
 from .distill import (
     DistillationReport,

@@ -31,14 +31,17 @@ from .core import (
     SIMPLEX_ATOL,
     ConfigurationError,
     InvalidInputError,
+    SchemaError,
     SearchFailureError,
     SolverDivergenceError,
     TrainingDivergenceError,
 )
 from .data import (
     GaussianMixtureSpec,
+    csv_rows,
     generate,
     load_dataset,
+    one_hot,
     save_dataset,
     true_posterior_rows,
 )
@@ -49,7 +52,7 @@ from .distill import (
     train_teacher,
 )
 from .equivalence import verify_equivalence
-from .losses import PerturbationConfig
+from .losses import PerturbationConfig, loss_class
 from .nn import TrainConfig
 from .proxy import SolverConfig, _solve_rows
 from .selection import SearchSpec, best_trial, risk_gap_terms, run_search
@@ -58,20 +61,9 @@ DOMAIN_ERRORS = (InvalidInputError, ConfigurationError, SearchFailureError,
                  SolverDivergenceError, TrainingDivergenceError)
 
 
-class SchemaError(Exception):
-    """An input file does not match its documented schema."""
-
-
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
-
-def _csv_body(path, ndmin: int) -> np.ndarray:
-    try:
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=ndmin)
-    except ValueError as exc:  # a cell that is not a number, or ragged rows
-        raise SchemaError(f"{path}: {exc}") from None
-
 
 def read_probs_csv(path) -> np.ndarray:
     path = Path(path)
@@ -79,7 +71,7 @@ def read_probs_csv(path) -> np.ndarray:
         header = f.readline().strip().split(",")
     if not header or not all(h == f"p_{i}" for i, h in enumerate(header)):
         raise SchemaError(f"{path}: expected header p_0..p_{{C-1}}, got {header}")
-    rows = _csv_body(path, ndmin=2)
+    rows = csv_rows(path, ndmin=2)
     if rows.shape[1] != len(header):
         raise SchemaError(f"{path}: row width does not match header")
     if not (np.all(np.isfinite(rows)) and np.all((rows >= 0.0) & (rows <= 1.0))):
@@ -103,17 +95,7 @@ def read_labels_csv(path) -> np.ndarray:
     if header != "label":
         raise SchemaError(f"{path}: expected header 'label', got {header!r}")
     # class indices as written; one_hot checks them against the class count
-    return _csv_body(path, ndmin=1)
-
-
-def one_hot(labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1
-    if not np.all(np.isin(labels, np.arange(num_classes))):
-        raise SchemaError(f"labels must be integers in [0, {num_classes})")
-    out = np.zeros((labels.size, num_classes))
-    out[np.arange(labels.size), labels.astype(int)] = 1.0
-    return out
+    return csv_rows(path, ndmin=1)
 
 
 def read_coeffs_json(path) -> PerturbationConfig:
@@ -273,12 +255,11 @@ def cmd_distill(args, parser: argparse.ArgumentParser) -> int:
     for flag in ("data-dir", "teacher", "method", "out"):
         if cfg[flag] is None:
             raise SchemaError(f"--{flag} is required")
-    method = {"temp": "temperature", "ls": "label_smoothing"}.get(
-        cfg["method"], cfg["method"])
+    loss_cls = loss_class(cfg["method"])
 
     params: dict = {}
     search_spec = None
-    if method == "pt":
+    if loss_cls.method == "pt":
         if cfg["coeffs"] is not None:
             params["cfg"] = read_coeffs_json(cfg["coeffs"])
         elif cfg["max-order"] is None:
@@ -291,30 +272,23 @@ def cmd_distill(args, parser: argparse.ArgumentParser) -> int:
                 tie_classes=bool(cfg["tie-classes"]),
                 seed=int(cfg["search-seed"]),
             )
-    elif method == "temperature":
-        if cfg["tau"] is None:
-            parser.error("--method temp requires --tau")
-        params["tau"] = float(cfg["tau"])
-    elif method == "label_smoothing":
-        if cfg["delta"] is None:
-            parser.error("--method ls requires --delta")
-        params["delta"] = float(cfg["delta"])
-    elif method == "focal":
-        if cfg["gamma"] is None:
-            parser.error("--method focal requires --gamma")
-        params["gamma"] = float(cfg["gamma"])
+    elif loss_cls.param is not None:
+        if cfg[loss_cls.param] is None:
+            parser.error(f"--method {cfg['method']} requires --{loss_cls.param}")
+        params[loss_cls.param] = float(cfg[loss_cls.param])
 
     ds = load_dataset(cfg["data-dir"])
     teacher = nn.load_model(cfg["teacher"])
     tc = _train_config(cfg)
-    report = distill_student(teacher, ds, method, tc, params=params,
+    report = distill_student(teacher, ds, loss_cls.method, tc, params=params,
                              search_spec=search_spec)
-    write_json(cfg["out"], report.to_dict())
+    doc = asdict(report)
+    write_json(cfg["out"], doc)
     inputs = sorted(Path(cfg["data-dir"]).glob("*.csv")) + [cfg["teacher"]]
     write_manifest("distill", {k: v for k, v in cfg.items() if k != "coeffs"}
                    | {"coeffs": cfg["coeffs"]},
                    report.seeds, inputs, [cfg["out"]], started)
-    print(json.dumps(report.to_dict()))
+    print(json.dumps(doc))
     return 0
 
 
@@ -388,11 +362,10 @@ def cmd_verify_equivalence(args) -> int:
     })
     if cfg["method"] is None or cfg["param"] is None:
         raise SchemaError("--method and --param are required")
-    method = {"ls": "label_smoothing"}.get(cfg["method"], cfg["method"])
-    report = verify_equivalence(method, float(cfg["param"]),
-                                int(cfg["order"]), int(cfg["trials"]),
-                                int(cfg["seed"]))
-    print(json.dumps(report.to_dict()))
+    report = verify_equivalence(loss_class(cfg["method"]).method,
+                                float(cfg["param"]), int(cfg["order"]),
+                                int(cfg["trials"]), int(cfg["seed"]))
+    print(json.dumps(asdict(report)))
     return 0
 
 

@@ -40,11 +40,8 @@ class TrainingDivergenceError(RuntimeError):
     """Training produced a non-finite loss or parameter."""
 
 
-def _as_1d_float(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"{name} must be a 1-d vector, got shape {arr.shape}")
-    return arr
+class SchemaError(Exception):
+    """An input file does not match its documented schema."""
 
 
 @dataclass(frozen=True)
@@ -54,7 +51,10 @@ class ProbVector:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_1d_float(self.values, "ProbVector.values")
+        arr = np.asarray(self.values, dtype=float)
+        if arr.ndim != 1:
+            raise InvalidInputError(
+                f"ProbVector.values must be a 1-d vector, got shape {arr.shape}")
         if arr.size < 2:
             raise InvalidInputError("ProbVector needs at least 2 classes")
         if not np.all(np.isfinite(arr)):
@@ -65,27 +65,6 @@ class ProbVector:
             raise InvalidInputError(
                 f"ProbVector entries must sum to 1 (got {arr.sum()!r})"
             )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def num_classes(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class LogitVector:
-    """A vector of finite log-odds; shift-invariant under softmax."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_1d_float(self.values, "LogitVector.values")
-        if arr.size < 2:
-            raise InvalidInputError("LogitVector needs at least 2 classes")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("LogitVector entries must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -114,12 +93,3 @@ def entropy_rows(p: np.ndarray) -> np.ndarray:
     logs = np.log(clamp_probs(p))
     return -np.sum(np.where(p > 0.0, p * logs, 0.0), axis=-1)
 
-
-def softmax(z: LogitVector) -> ProbVector:
-    """Map logits to the simplex; stable for arbitrarily large finite entries."""
-    return ProbVector(softmax_rows(z.values))
-
-
-def entropy(p: ProbVector) -> float:
-    """Entropy of a distribution in nats; always in [0, ln C]."""
-    return float(entropy_rows(p.values))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InvalidInputError, ProbVector, softmax_rows
+from .core import InvalidInputError, SchemaError, softmax_rows
 from .rng import derive_rng
 
 SPLIT_NAMES = ("train", "validation", "test")
@@ -136,14 +136,28 @@ def true_posterior_rows(spec: GaussianMixtureSpec, x: np.ndarray) -> np.ndarray:
     return softmax_rows(-sq / (2.0 * spec.sigma ** 2))
 
 
-def true_posterior(spec: GaussianMixtureSpec, x) -> ProbVector:
-    """Exact Bayes posterior at a single input."""
-    return ProbVector(true_posterior_rows(spec, x)[0])
-
-
 # ---------------------------------------------------------------------------
 # Serialization: one CSV per split plus a JSON sidecar with the full spec.
 # ---------------------------------------------------------------------------
+
+def csv_rows(path, ndmin: int) -> np.ndarray:
+    """The numbers below a CSV's header line."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=ndmin)
+    except ValueError as exc:  # a cell that is not a number, or ragged rows
+        raise SchemaError(f"{path}: {exc}") from None
+
+
+def one_hot(labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
+    """One-hot rows for class indices, which must be integers in [0, C)."""
+    if num_classes is None:
+        num_classes = int(labels.max()) + 1
+    if not np.all(np.isin(labels, np.arange(num_classes))):
+        raise SchemaError(f"labels must be integers in [0, {num_classes})")
+    out = np.zeros((labels.size, num_classes))
+    out[np.arange(labels.size), labels.astype(int)] = 1.0
+    return out
+
 
 def save_dataset(ds: LabeledDataset, out_dir) -> list[Path]:
     out_dir = Path(out_dir)
@@ -171,18 +185,9 @@ def load_dataset(in_dir) -> LabeledDataset:
         meta = json.load(f)
     spec = (GaussianMixtureSpec.from_dict(meta["spec"])
             if meta.get("spec") else None)
-    xs, ys = [], []
-    num_classes = spec.num_classes if spec else None
-    for name in SPLIT_NAMES:
-        rows = np.loadtxt(in_dir / f"{name}.csv", delimiter=",", skiprows=1,
-                          ndmin=2)
-        xs.append(rows[:, :-1])
-        ys.append(rows[:, -1].astype(int))
-    labels_flat = np.concatenate(ys)
-    if num_classes is None:
-        num_classes = int(labels_flat.max()) + 1
-    inputs = np.concatenate(xs)
-    labels = np.zeros((inputs.shape[0], num_classes))
-    labels[np.arange(inputs.shape[0]), labels_flat] = 1.0
+    splits = [csv_rows(in_dir / f"{name}.csv", ndmin=2) for name in SPLIT_NAMES]
+    inputs = np.concatenate([rows[:, :-1] for rows in splits])
+    labels = one_hot(np.concatenate([rows[:, -1] for rows in splits]),
+                     spec.num_classes if spec else None)
     return LabeledDataset(inputs=inputs, labels=labels,
                           split_sizes=dict(meta["split_sizes"]), spec=spec)

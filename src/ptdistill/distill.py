@@ -13,7 +13,7 @@ import numpy as np
 from . import nn
 from .core import InvalidInputError, softmax_rows
 from .data import LabeledDataset, true_posterior_rows
-from .losses import PerturbationConfig, make_loss
+from .losses import PerturbationConfig, loss_class, make_loss
 from .nn import MlpModel, TrainConfig
 from .proxy import SolverConfig, solve_proxy_rows
 from .selection import (
@@ -22,17 +22,6 @@ from .selection import (
     risk_gap_terms,
     search_coefficients,
 )
-
-# method -> (make_loss name, student targets): the training labels, the
-# teacher's logits, or the teacher's probabilities.
-METHODS = {
-    "kl": ("kl", "probs"),
-    "pt": ("pt", "probs"),
-    "temperature": ("temperature", "logits"),
-    "label_smoothing": ("label_smoothing", "probs"),
-    "focal": ("focal", "probs"),
-    "onehot": ("cross_entropy", "labels"),
-}
 
 
 @dataclass(frozen=True)
@@ -47,15 +36,10 @@ class DistillationReport:
     student_history: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if loss_class(self.method).method != self.method:
             raise InvalidInputError(f"unknown method {self.method!r}")
         if not 0.0 <= self.student_test_accuracy <= 1.0:
             raise InvalidInputError("accuracy must lie in [0, 1]")
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        del doc["student_history"]
-        return doc
 
 
 def teacher_probs(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
@@ -85,11 +69,11 @@ def _teacher_diagnostics(teacher: MlpModel, data: LabeledDataset):
 
 
 def _train_student(teacher: MlpModel, data: LabeledDataset, loss,
-                   tc: TrainConfig, target: str = "probs"):
+                   tc: TrainConfig):
     x_train, y_train = data.split("train")
-    if target == "labels":
+    if loss.targets == "labels":
         targets = y_train
-    elif target == "logits":
+    elif loss.targets == "logits":
         targets = nn.forward_rows(teacher, x_train)
     else:
         targets = teacher_probs(teacher, x_train)
@@ -104,15 +88,13 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
                     solver: SolverConfig = SolverConfig()) -> DistillationReport:
     """Distill one student under the chosen loss and report diagnostics.
 
-    ``method`` is one of kl / pt / temperature / label_smoothing / focal /
-    onehot. For pt the coefficient search runs on the validation split and
+    ``method`` is a name or alias in ``losses.LOSSES``; the report carries
+    its method name (kl / pt / temperature / label_smoothing / focal /
+    onehot). For pt the coefficient search runs on the validation split and
     the winning configuration lands in ``chosen_config``.
     """
     params = dict(params or {})
-    if method not in METHODS:
-        raise InvalidInputError(f"unknown method {method!r}")
-
-    loss_name, target = METHODS[method]
+    method = loss_class(method).method
     chosen: dict = {"method": method, **params}
     if method == "pt":
         if "cfg" in params:
@@ -131,8 +113,8 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
         chosen["tie_classes"] = cfg.tie_classes
         chosen.pop("cfg", None)
         params["cfg"] = cfg
-    loss = make_loss(loss_name, **params)
-    student, history = _train_student(teacher, data, loss, tc, target)
+    loss = make_loss(method, **params)
+    student, history = _train_student(teacher, data, loss, tc)
 
     x_test, y_test = data.split("test")
     test_acc = nn.accuracy(student, x_test, y_test)

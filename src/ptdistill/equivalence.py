@@ -8,7 +8,7 @@ coefficient reproducing the temperature-scaled loss value at that point.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .core import (
     ConfigurationError,
     DegenerateTeacherError,
     InvalidInputError,
-    LogitVector,
     PROB_FLOOR,
     ProbVector,
     entropy_rows,
@@ -24,16 +23,20 @@ from .core import (
 )
 from .losses import (
     PerturbationConfig,
-    kl_rows,
-    pt_rows,
     focal_rows,
+    kl_rows,
+    make_loss,
+    pt_rows,
     smooth_rows,
-    temperature_kl_loss,
 )
 from .rng import derive_rng
 from .series import truncation_bound
 
 METHODS = ("label_smoothing", "focal", "temperature")
+# Per-class probabilities are drawn uniform in PROB_RANGE, then normalized;
+# the smallest probability that allows sets the series order TOLERANCE needs.
+PROB_RANGE = (0.3, 0.7)
+TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,9 +53,6 @@ class EquivalenceReport:
             raise InvalidInputError("max_abs_deviation must be >= 0")
         if self.samples_checked < 1:
             raise InvalidInputError("samples_checked must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def ls_coefficients(teacher: ProbVector, delta: float,
@@ -120,15 +120,13 @@ def _fit_temperature_coefficient(teacher: np.ndarray, student: np.ndarray,
 
 
 def verify_equivalence(method: str, param: float, order: int, trials: int,
-                       seed: int, num_classes: int = 2,
-                       prob_range: tuple[float, float] = (0.3, 0.7),
-                       tol: float = 1e-6) -> EquivalenceReport:
+                       seed: int, num_classes: int = 2) -> EquivalenceReport:
     """Numerically check one Appendix-style equivalence claim.
 
     Samples ``trials`` random teacher/student pairs (per-class probabilities
-    uniform in ``prob_range`` then normalized, keeping truncation error
-    small), computes both losses, and reports the maximum deviation after
-    removing the analytic additive constant.
+    uniform in ``PROB_RANGE`` then normalized), computes both losses, and
+    reports the maximum deviation after removing the analytic additive
+    constant.
 
     The temperature check holds by construction: it fits eps from the
     temperature-scaled loss value and then compares against that same
@@ -138,20 +136,19 @@ def verify_equivalence(method: str, param: float, order: int, trials: int,
         raise InvalidInputError(f"unknown method {method!r}")
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
-    lo, hi = prob_range
-    if not (0.0 < lo < hi < 1.0):
-        raise InvalidInputError("prob_range must satisfy 0 < lo < hi < 1")
-    if method == "temperature" and num_classes != 2:
-        raise InvalidInputError(
-            "the temperature containment check is defined for 2 classes only"
-        )
-
-    if method != "temperature":
+    lo, hi = PROB_RANGE
+    if method == "temperature":
+        if num_classes != 2:
+            raise InvalidInputError(
+                "the temperature containment check is defined for 2 classes only"
+            )
+        temperature = make_loss("temperature", tau=param)
+    else:
         prob_floor = lo / (lo + (num_classes - 1) * hi)
-        needed = required_order(prob_floor, tol)
+        needed = required_order(prob_floor, TOLERANCE)
         if order < needed:
             raise ConfigurationError(
-                f"order {order} too small for tolerance {tol!r}; "
+                f"order {order} too small for tolerance {TOLERANCE!r}; "
                 f"need at least {needed}"
             )
 
@@ -180,8 +177,7 @@ def verify_equivalence(method: str, param: float, order: int, trials: int,
         else:
             t_logits = rng.uniform(-3.0, 3.0, size=num_classes)
             s_logits = rng.uniform(-3.0, 3.0, size=num_classes)
-            target = temperature_kl_loss(LogitVector(t_logits),
-                                         LogitVector(s_logits), param)
+            target = float(temperature.values_and_grads(t_logits, s_logits)[0])
             t = softmax_rows(t_logits)
             q = softmax_rows(s_logits)
             cfg = _fit_temperature_coefficient(t, q, target)

@@ -1,8 +1,8 @@
 """Distillation losses and their analytic gradients w.r.t. student logits.
 
-Per-example functions take ``ProbVector``/``LogitVector`` values; the
-``*_rows`` helpers operate on (N, C) arrays and back the training loops.
-Batch risks are arithmetic means computed by callers.
+Every function works row by row on (N, C) arrays (a 1-d vector is one row);
+batch risks are arithmetic means computed by callers. ``LOSSES`` is the one
+table of training losses by method name.
 """
 from __future__ import annotations
 
@@ -10,14 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    InvalidInputError,
-    LogitVector,
-    ProbVector,
-    clamp_probs,
-    entropy_rows,
-    softmax_rows,
-)
+from .core import InvalidInputError, clamp_probs, entropy_rows, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -135,41 +128,10 @@ def pt_grad_rows(teacher: np.ndarray, student_logits: np.ndarray,
     return values, grads
 
 
-def kl_loss(teacher: ProbVector, student: ProbVector) -> float:
-    """KL(teacher || student); >= 0, zero iff equal up to the clamp."""
-    return float(kl_rows(teacher.values, student.values))
-
-
-def pt_loss(teacher: ProbVector, student: ProbVector,
-            cfg: PerturbationConfig) -> float:
-    """KL plus the order-M polynomial perturbation; equals KL when eps = 0."""
-    if cfg.order > 0 and cfg.num_classes != teacher.num_classes:
-        raise InvalidInputError("coefficient matrix does not match class count")
-    return float(pt_rows(teacher.values, student.values, cfg))
-
-
-def temperature_kl_loss(teacher_logits: LogitVector,
-                        student_logits: LogitVector, tau: float) -> float:
-    """KL between temperature-scaled softmaxes of the two logit vectors."""
-    if tau <= 0:
-        raise InvalidInputError(f"tau must be > 0, got {tau!r}")
-    t = softmax_rows(teacher_logits.values / tau)
-    s = softmax_rows(student_logits.values / tau)
-    return float(kl_rows(t, s))
-
-
 def smooth_rows(teacher: np.ndarray, delta: float) -> np.ndarray:
     """Mix a distribution with uniform: (1 - delta) p + delta / C."""
     teacher = np.asarray(teacher, dtype=float)
     return (1.0 - delta) * teacher + delta / teacher.shape[-1]
-
-
-def smoothed_kl_loss(teacher: ProbVector, student: ProbVector,
-                     delta: float) -> float:
-    """KL loss with the teacher smoothed toward uniform by delta."""
-    if not 0.0 <= delta < 1.0:
-        raise InvalidInputError(f"delta must lie in [0, 1), got {delta!r}")
-    return float(kl_rows(smooth_rows(teacher.values, delta), student.values))
 
 
 def focal_rows(teacher: np.ndarray, student: np.ndarray,
@@ -183,22 +145,22 @@ def focal_rows(teacher: np.ndarray, student: np.ndarray,
     return -entropy_rows(teacher) + modulated
 
 
-def focal_kd_loss(teacher: ProbVector, student: ProbVector,
-                  gamma: float) -> float:
-    """Focal distillation loss; gamma = 0 recovers the KL loss."""
-    if gamma < 0:
-        raise InvalidInputError(f"gamma must be >= 0, got {gamma!r}")
-    return float(focal_rows(teacher.values, student.values, gamma))
-
-
 # ---------------------------------------------------------------------------
 # Batched training losses (value per example + gradient w.r.t. student logits)
 # ---------------------------------------------------------------------------
 
 class TrainingLoss:
-    """A named per-example loss with analytic logit gradients for training."""
+    """A named per-example loss with analytic logit gradients for training.
 
-    name = "base"
+    ``method`` is the name reports carry; ``name`` names the loss itself.
+    ``param`` is the one constructor argument (None: no argument), and
+    ``targets`` is what the student trains against: the training
+    ``labels``, the teacher's ``logits`` or the teacher's ``probs``.
+    """
+
+    name = method = "base"
+    param: str | None = None
+    targets = "probs"
 
     def values_and_grads(self, targets: np.ndarray, logits: np.ndarray):
         raise NotImplementedError
@@ -208,6 +170,8 @@ class CrossEntropyLoss(TrainingLoss):
     """One-hot cross-entropy; targets are one-hot rows."""
 
     name = "cross_entropy"
+    method = "onehot"
+    targets = "labels"
 
     def values_and_grads(self, targets, logits):
         q = softmax_rows(logits)
@@ -216,9 +180,9 @@ class CrossEntropyLoss(TrainingLoss):
 
 
 class KLLoss(TrainingLoss):
-    """KL(targets || softmax(logits)); targets are probability rows."""
+    """KL(targets || softmax of the logits); targets are probability rows."""
 
-    name = "kl"
+    name = method = "kl"
 
     def values_and_grads(self, targets, logits):
         q = softmax_rows(logits)
@@ -228,7 +192,8 @@ class KLLoss(TrainingLoss):
 class PTLoss(TrainingLoss):
     """Perturbed distillation loss with a fixed coefficient configuration."""
 
-    name = "pt"
+    name = method = "pt"
+    param = "cfg"
 
     def __init__(self, cfg: PerturbationConfig):
         self.cfg = cfg
@@ -240,7 +205,9 @@ class PTLoss(TrainingLoss):
 class TemperatureKLLoss(TrainingLoss):
     """KL between temperature-scaled softmaxes; targets are teacher logits."""
 
-    name = "temperature"
+    name = method = "temperature"
+    param = "tau"
+    targets = "logits"
 
     def __init__(self, tau: float):
         if tau <= 0:
@@ -256,7 +223,8 @@ class TemperatureKLLoss(TrainingLoss):
 class SmoothedKLLoss(TrainingLoss):
     """KL loss against targets smoothed toward uniform by delta."""
 
-    name = "label_smoothing"
+    name = method = "label_smoothing"
+    param = "delta"
 
     def __init__(self, delta: float):
         if not 0.0 <= delta < 1.0:
@@ -272,7 +240,8 @@ class SmoothedKLLoss(TrainingLoss):
 class FocalKDLoss(TrainingLoss):
     """Focal distillation loss with exact gradients through softmax."""
 
-    name = "focal"
+    name = method = "focal"
+    param = "gamma"
 
     def __init__(self, gamma: float):
         if gamma < 0:
@@ -297,18 +266,29 @@ class FocalKDLoss(TrainingLoss):
         return values, grads
 
 
+# Method names and their aliases -> loss class.
+LOSSES = {
+    "onehot": CrossEntropyLoss, "cross_entropy": CrossEntropyLoss,
+    "kl": KLLoss,
+    "pt": PTLoss,
+    "temperature": TemperatureKLLoss, "temp": TemperatureKLLoss,
+    "label_smoothing": SmoothedKLLoss, "ls": SmoothedKLLoss,
+    "focal": FocalKDLoss,
+}
+
+
+def loss_class(name: str) -> type[TrainingLoss]:
+    """The loss class a method name or alias selects."""
+    if name not in LOSSES:
+        raise InvalidInputError(f"unknown method {name!r}")
+    return LOSSES[name]
+
+
 def make_loss(name: str, **params) -> TrainingLoss:
-    """Factory for the training losses by their CLI/report names."""
-    if name in ("cross_entropy", "onehot"):
-        return CrossEntropyLoss()
-    if name == "kl":
-        return KLLoss()
-    if name == "pt":
-        return PTLoss(params["cfg"])
-    if name in ("temperature", "temp"):
-        return TemperatureKLLoss(params["tau"])
-    if name in ("label_smoothing", "ls"):
-        return SmoothedKLLoss(params["delta"])
-    if name == "focal":
-        return FocalKDLoss(params["gamma"])
-    raise InvalidInputError(f"unknown loss name {name!r}")
+    """The loss a method name or alias selects, built from its ``param``."""
+    cls = loss_class(name)
+    if cls.param is None:
+        return cls()
+    if cls.param not in params:
+        raise InvalidInputError(f"loss {name!r} needs {cls.param!r}")
+    return cls(params[cls.param])

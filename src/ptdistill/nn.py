@@ -7,12 +7,12 @@ losses module, so the whole pipeline is finite-difference checkable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import InvalidInputError, LogitVector, TrainingDivergenceError
+from .core import InvalidInputError, TrainingDivergenceError
 from .losses import TrainingLoss
 from .rng import derive_rng
 
@@ -37,7 +37,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 100
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
@@ -58,58 +57,52 @@ def init(layer_dims, seed: int) -> MlpModel:
     return MlpModel(layer_dims=dims, weights=weights, biases=biases, seed=seed)
 
 
-def forward_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Batched logits for an (N, d) input matrix."""
+def _forward_layers(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output for an (N, d) input: the input first, logits last.
+
+    Backprop reads the ReLU masks off the hidden outputs (> 0 where the
+    pre-activation is > 0), so one forward pass serves both.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.layer_dims[0]:
         raise InvalidInputError(
             f"input dim {x.shape[1]} != model input dim {model.layer_dims[0]}"
         )
-    a = x
+    layers = [x]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w + b
+        a = layers[-1] @ w + b
         if i != last:
-            a = np.maximum(a, 0.0)
-    return a
+            np.maximum(a, 0.0, out=a)
+        layers.append(a)
+    return layers
 
 
-def forward(model: MlpModel, x) -> LogitVector:
-    """Logits for a single input vector."""
-    return LogitVector(forward_rows(model, np.asarray(x, dtype=float)[None, :])[0])
+def forward_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Batched logits for an (N, d) input matrix."""
+    return _forward_layers(model, x)[-1]
 
 
-def _backprop(model: MlpModel, x: np.ndarray, dlogits: np.ndarray):
-    """Parameter gradients given d(mean loss)/d(logits) for the batch."""
-    activations = [x]
-    pre = []
-    a = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        pre.append(z)
-        a = np.maximum(z, 0.0) if i != last else z
-        activations.append(a)
-
+def _backprop(model: MlpModel, layers: list[np.ndarray], dlogits: np.ndarray):
+    """Parameter gradients given the batch's layer outputs and
+    d(mean loss)/d(logits)."""
     dws = [None] * len(model.weights)
     dbs = [None] * len(model.biases)
     delta = dlogits
-    for i in range(last, -1, -1):
-        dws[i] = activations[i].T @ delta
+    for i in range(len(model.weights) - 1, -1, -1):
+        dws[i] = layers[i].T @ delta
         dbs[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0.0)
+            delta = (delta @ model.weights[i].T) * (layers[i] > 0.0)
     return dws, dbs
 
 
 def loss_and_param_grads(model: MlpModel, x: np.ndarray, targets: np.ndarray,
                          loss: TrainingLoss):
     """Mean loss over the batch and its exact parameter gradients."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    logits = forward_rows(model, x)
-    values, dlogits = loss.values_and_grads(targets, logits)
-    n = x.shape[0]
-    dws, dbs = _backprop(model, x, dlogits / n)
+    layers = _forward_layers(model, x)
+    values, dlogits = loss.values_and_grads(targets, layers[-1])
+    dws, dbs = _backprop(model, layers, dlogits / layers[0].shape[0])
     return float(np.mean(values)), dws, dbs
 
 
@@ -142,10 +135,7 @@ def train(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
     n = inputs.shape[0]
     history = []
     for epoch in range(tc.epochs):
-        if tc.shuffle:
-            order = derive_rng(tc.seed, "epoch-shuffle", epoch).permutation(n)
-        else:
-            order = np.arange(n)
+        order = derive_rng(tc.seed, "epoch-shuffle", epoch).permutation(n)
         for start in range(0, n, tc.batch_size):
             idx = order[start:start + tc.batch_size]
             value, dws, dbs = loss_and_param_grads(

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -137,6 +138,28 @@ class TestTrainTeacher:
             "--arch", "30,x,3", "--epochs", "1", "--out", str(out))
         assert code == 2
         assert len(err.splitlines()) == 1 and "30,x,3" in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("bad_label,message", [
+        ("-1", "labels"), ("1.5", "labels"), ("7", "labels"),
+        ("abc", "train.csv"),
+    ])
+    def test_bad_dataset_label_is_schema_error(self, workspace, capsys,
+                                               tmp_path, bad_label, message):
+        _, data_dir, _ = workspace
+        bad_dir = tmp_path / "data"
+        shutil.copytree(data_dir, bad_dir)
+        train = bad_dir / "train.csv"
+        lines = train.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + bad_label
+        train.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.json"
+        code, _, err = run_cli(
+            capsys, "train-teacher", "--data-dir", str(bad_dir),
+            "--arch", "6,16,3", "--epochs", "1", "--out", str(out))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and message in err
         assert not out.exists()
 
 

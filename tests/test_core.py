@@ -3,10 +3,8 @@ import pytest
 
 from ptdistill.core import (
     InvalidInputError,
-    LogitVector,
     ProbVector,
-    entropy,
-    softmax,
+    entropy_rows,
     softmax_rows,
 )
 
@@ -38,56 +36,46 @@ class TestProbVector:
             p.values[0] = 0.9
 
 
-class TestLogitVector:
-    def test_rejects_nonfinite(self):
-        with pytest.raises(InvalidInputError):
-            LogitVector([np.inf, 0.0])
-
-    def test_rejects_matrix(self):
-        with pytest.raises(InvalidInputError):
-            LogitVector(np.zeros((2, 2)))
-
-
 class TestSoftmax:
     def test_symmetry(self):
-        p = softmax(LogitVector([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(p.values, [1 / 3, 1 / 3, 1 / 3])
+        p = softmax_rows([0.0, 0.0, 0.0])
+        np.testing.assert_allclose(p, [1 / 3, 1 / 3, 1 / 3])
 
     def test_analytic_ratio(self):
-        p = softmax(LogitVector([np.log(2.0), 0.0]))
-        np.testing.assert_allclose(p.values, [2 / 3, 1 / 3], atol=1e-15)
+        p = softmax_rows([np.log(2.0), 0.0])
+        np.testing.assert_allclose(p, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_large_logit_stable(self):
-        p = softmax(LogitVector([1000.0, 0.0]))
-        assert np.all(np.isfinite(p.values))
-        assert p.values[0] == pytest.approx(1.0)
-        assert p.values[1] == pytest.approx(0.0, abs=1e-300)
+        p = softmax_rows([1000.0, 0.0])
+        assert np.all(np.isfinite(p))
+        assert p[0] == pytest.approx(1.0)
+        assert p[1] == pytest.approx(0.0, abs=1e-300)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             z = rng.uniform(-50, 50, size=rng.integers(2, 8))
             c = rng.uniform(-100, 100)
-            a = softmax(LogitVector(z)).values
-            b = softmax(LogitVector(z + c)).values
+            a = softmax_rows(z)
+            b = softmax_rows(z + c)
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_output_always_valid(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             z = rng.uniform(-50, 50, size=int(rng.integers(2, 12)))
-            softmax(LogitVector(z))  # constructor enforces invariants
+            ProbVector(softmax_rows(z))  # constructor enforces invariants
 
 
 class TestEntropy:
     def test_degenerate(self):
-        assert entropy(ProbVector([1.0, 0.0, 0.0])) == 0.0
+        assert entropy_rows([1.0, 0.0, 0.0]) == 0.0
 
     def test_uniform_maximum(self):
-        assert entropy(ProbVector([0.25] * 4)) == pytest.approx(np.log(4.0))
+        assert entropy_rows([0.25] * 4) == pytest.approx(np.log(4.0))
 
     def test_direct_summation(self):
-        assert entropy(ProbVector([0.8, 0.2])) == pytest.approx(
+        assert entropy_rows([0.8, 0.2]) == pytest.approx(
             0.5004024235381879, abs=1e-12)
 
     def test_permutation_invariant(self):
@@ -95,23 +83,22 @@ class TestEntropy:
         for _ in range(50):
             p = rng.dirichlet(np.ones(5))
             shuffled = rng.permutation(p)
-            assert entropy(ProbVector(p)) == pytest.approx(
-                entropy(ProbVector(shuffled)), abs=1e-12)
+            assert entropy_rows(p) == pytest.approx(
+                entropy_rows(shuffled), abs=1e-12)
 
     def test_range(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             c = int(rng.integers(2, 10))
-            h = entropy(ProbVector(rng.dirichlet(np.ones(c))))
+            h = entropy_rows(rng.dirichlet(np.ones(c)))
             assert 0.0 <= h <= np.log(c) + 1e-12
 
     def test_rows_helper_matches(self):
         rng = np.random.default_rng(9)
         rows = rng.dirichlet(np.ones(4), size=10)
-        from ptdistill.core import entropy_rows
         hs = entropy_rows(rows)
         for row, h in zip(rows, hs):
-            assert h == pytest.approx(entropy(ProbVector(row)), abs=1e-12)
+            assert h == pytest.approx(entropy_rows(row), abs=1e-12)
 
 
 def test_softmax_rows_batched():

@@ -9,7 +9,6 @@ from ptdistill.data import (
     generate,
     load_dataset,
     save_dataset,
-    true_posterior,
     true_posterior_rows,
 )
 
@@ -128,8 +127,8 @@ class TestTruePosterior:
         # at mu_k the squared distance to mu_k is minimal, so class k wins
         spec = default_spec(seed=7)
         for k in range(3):
-            p = true_posterior(spec, spec.means[k])
-            assert int(np.argmax(p.values)) == k
+            p = true_posterior_rows(spec, spec.means[k])[0]
+            assert int(np.argmax(p)) == k
 
     def test_analytic_binary_case(self):
         means = np.array([[1.0, 0.0], [-1.0, 0.0]])
@@ -139,7 +138,7 @@ class TestTruePosterior:
         d0 = np.sum((x - means[0]) ** 2)
         d1 = np.sum((x - means[1]) ** 2)
         expect = 1.0 / (1.0 + np.exp((d0 - d1) / 2.0))
-        assert true_posterior(spec, x).values[0] == pytest.approx(
+        assert true_posterior_rows(spec, x)[0, 0] == pytest.approx(
             expect, abs=1e-12)
 
     def test_bayes_accuracy_beats_chance(self):

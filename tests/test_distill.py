@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -63,8 +65,9 @@ class TestDistillStudent:
         assert 0.0 <= report.student_test_accuracy <= 1.0
         assert report.teacher_vs_truth is not None
         assert len(report.student_history) == 10
-        d = report.to_dict()
+        d = asdict(report)
         assert d["seeds"]["student_init"] == 1
+        assert d["student_history"] == report.student_history
 
     def test_pt_with_fixed_config(self, small_setup):
         _, data, teacher, _ = small_setup

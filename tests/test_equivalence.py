@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from ptdistill.core import (
     DegenerateTeacherError,
     InvalidInputError,
     ProbVector,
+    entropy_rows,
 )
 from ptdistill.equivalence import (
     EquivalenceReport,
@@ -14,12 +17,7 @@ from ptdistill.equivalence import (
     required_order,
     verify_equivalence,
 )
-from ptdistill.losses import (
-    focal_kd_loss,
-    kl_loss,
-    pt_loss,
-    smoothed_kl_loss,
-)
+from ptdistill.losses import focal_rows, kl_rows, pt_rows, smooth_rows
 
 
 class TestLsCoefficients:
@@ -90,14 +88,12 @@ class TestPointwiseEquivalence:
             t /= t.sum()
             q = rng.uniform(0.3, 0.7, size=3)
             q /= q.sum()
-            tv, qv = ProbVector(t), ProbVector(q)
             delta = rng.uniform(0.0, 0.3)
-            cfg = ls_coefficients(tv, delta, 200)
+            cfg = ls_coefficients(ProbVector(t), delta, 200)
             smoothed = (1 - delta) * t + delta / 3
-            from ptdistill.core import entropy_rows
             const = float(entropy_rows(smoothed) - entropy_rows(t))
-            lhs = pt_loss(tv, qv, cfg)
-            rhs = smoothed_kl_loss(tv, qv, delta) + const
+            lhs = pt_rows(t, q, cfg)
+            rhs = kl_rows(smooth_rows(t, delta), q) + const
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_focal_matches_exactly(self):
@@ -109,8 +105,8 @@ class TestPointwiseEquivalence:
             q /= q.sum()
             gamma = rng.uniform(0.0, 4.0)
             cfg = focal_coefficients(ProbVector(q), gamma, 200)
-            lhs = pt_loss(ProbVector(t), ProbVector(q), cfg)
-            rhs = focal_kd_loss(ProbVector(t), ProbVector(q), gamma)
+            lhs = pt_rows(t, q, cfg)
+            rhs = focal_rows(t, q, gamma)
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -155,9 +151,9 @@ class TestVerifyEquivalence:
 
 
 class TestEquivalenceReport:
-    def test_to_dict_round_trip(self):
+    def test_asdict_round_trip(self):
         rep = EquivalenceReport("focal", 1e-9, 0.0, 10)
-        d = rep.to_dict()
+        d = asdict(rep)
         assert d["method"] == "focal"
         assert d["samples_checked"] == 10
 

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from ptdistill.core import InvalidInputError, LogitVector, ProbVector, softmax_rows
+from ptdistill.core import InvalidInputError, softmax_rows
 from ptdistill.losses import (
+    CrossEntropyLoss,
     PerturbationConfig,
-    focal_kd_loss,
-    kl_loss,
+    SmoothedKLLoss,
+    TemperatureKLLoss,
+    focal_rows,
+    kl_rows,
     make_loss,
     pt_grad_rows,
-    pt_loss,
-    smoothed_kl_loss,
-    temperature_kl_loss,
+    pt_rows,
+    smooth_rows,
 )
 
 
@@ -27,33 +29,33 @@ def random_config(rng, c, max_order=5, scale=10.0):
 
 class TestKlLoss:
     def test_identity(self):
-        p = ProbVector([0.5, 0.5])
-        assert kl_loss(p, p) == 0.0
+        p = np.array([0.5, 0.5])
+        assert kl_rows(p, p) == 0.0
 
     def test_direct_evaluation(self):
-        got = kl_loss(ProbVector([0.8, 0.2]), ProbVector([0.7, 0.3]))
+        got = kl_rows([0.8, 0.2], [0.7, 0.3])
         assert got == pytest.approx(0.025732092477985358, abs=1e-15)
 
     def test_asymmetry_witness(self):
-        got = kl_loss(ProbVector([0.7, 0.3]), ProbVector([0.8, 0.2]))
+        got = kl_rows([0.7, 0.3], [0.8, 0.2])
         assert got == pytest.approx(0.02816755759528336, abs=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
-            kl_loss(ProbVector([0.5, 0.5]), ProbVector([0.4, 0.3, 0.3]))
+            kl_rows([0.5, 0.5], [0.4, 0.3, 0.3])
 
     def test_gibbs_inequality(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
             c = int(rng.integers(2, 8))
-            p = ProbVector(random_simplex(rng, c))
-            q = ProbVector(random_simplex(rng, c))
-            v = kl_loss(p, q)
+            p = random_simplex(rng, c)
+            q = random_simplex(rng, c)
+            v = kl_rows(p, q)
             assert v >= 0.0
-            if np.allclose(p.values, q.values, atol=1e-12):
+            if np.allclose(p, q, atol=1e-12):
                 assert v == pytest.approx(0.0, abs=1e-10)
             if v == 0.0:
-                np.testing.assert_allclose(p.values, q.values, atol=1e-9)
+                np.testing.assert_allclose(p, q, atol=1e-9)
 
 
 class TestPtLoss:
@@ -61,43 +63,43 @@ class TestPtLoss:
         rng = np.random.default_rng(8)
         for c in (2, 3, 10):
             for _ in range(50):
-                t = ProbVector(random_simplex(rng, c))
-                s = ProbVector(random_simplex(rng, c))
+                t = random_simplex(rng, c)
+                s = random_simplex(rng, c)
                 m = int(rng.integers(0, 5))
                 cfg = PerturbationConfig.zero(c, m)
-                assert abs(pt_loss(t, s, cfg) - kl_loss(t, s)) <= 1e-12
+                assert abs(pt_rows(t, s, cfg) - kl_rows(t, s)) <= 1e-12
 
     def test_direct_evaluation(self):
-        t = ProbVector([0.8, 0.2])
-        s = ProbVector([0.7, 0.3])
+        t = np.array([0.8, 0.2])
+        s = np.array([0.7, 0.3])
         cfg = PerturbationConfig.tied([1.0], 2)
         # kl + 0.8*0.3 + 0.2*0.7
-        assert pt_loss(t, s, cfg) == pytest.approx(
+        assert pt_rows(t, s, cfg) == pytest.approx(
             0.025732092477985358 + 0.38, abs=1e-15)
 
     def test_equal_distributions_pure_perturbation(self):
-        t = ProbVector([0.8, 0.2])
+        t = np.array([0.8, 0.2])
         cfg = PerturbationConfig.tied([1.0], 2)
-        assert pt_loss(t, t, cfg) == pytest.approx(0.32, abs=1e-15)
+        assert pt_rows(t, t, cfg) == pytest.approx(0.32, abs=1e-15)
 
     def test_shape_mismatch(self):
         cfg = PerturbationConfig.tied([1.0], 3)
         with pytest.raises(InvalidInputError):
-            pt_loss(ProbVector([0.5, 0.5]), ProbVector([0.5, 0.5]), cfg)
+            pt_rows(np.array([0.5, 0.5]), np.array([0.5, 0.5]), cfg)
 
     def test_affine_in_coefficients(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
             c = int(rng.integers(2, 6))
             m = int(rng.integers(1, 5))
-            t = ProbVector(random_simplex(rng, c))
-            s = ProbVector(random_simplex(rng, c))
+            t = random_simplex(rng, c)
+            s = random_simplex(rng, c)
             a = rng.uniform(-5, 5, size=(c, m))
             b = rng.uniform(-5, 5, size=(c, m))
-            kl = kl_loss(t, s)
-            lhs = (pt_loss(t, s, PerturbationConfig(m, a))
-                   + pt_loss(t, s, PerturbationConfig(m, b)) - kl)
-            rhs = pt_loss(t, s, PerturbationConfig(m, a + b))
+            kl = kl_rows(t, s)
+            lhs = (pt_rows(t, s, PerturbationConfig(m, a))
+                   + pt_rows(t, s, PerturbationConfig(m, b)) - kl)
+            rhs = pt_rows(t, s, PerturbationConfig(m, a + b))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -124,13 +126,13 @@ class TestPtLossGrad:
         np.testing.assert_allclose(grad, [-0.226, 0.226], atol=1e-12)
         assert abs(grad.sum()) <= 1e-9
 
-    def test_value_matches_pt_loss(self):
-        t = ProbVector([0.6, 0.4])
+    def test_value_matches_pt_rows(self):
+        t = np.array([0.6, 0.4])
         z = np.array([1.0, -0.5])
         cfg = PerturbationConfig(2, np.array([[0.5, -0.3], [1.2, 0.7]]))
-        value, grad = pt_grad_rows(t.values, z, cfg)
-        s = ProbVector(softmax_rows(z))
-        assert float(value) == pytest.approx(pt_loss(t, s, cfg), abs=1e-14)
+        value, grad = pt_grad_rows(t, z, cfg)
+        s = softmax_rows(z)
+        assert float(value) == pytest.approx(pt_rows(t, s, cfg), abs=1e-14)
         assert abs(grad.sum()) <= 1e-9
 
     def test_matches_finite_differences(self):
@@ -163,85 +165,88 @@ class TestPtLossGrad:
             assert abs(grad.sum()) <= 1e-9
 
 
+def temperature_kl(zt, zs, tau):
+    """KL between the temperature-scaled softmaxes of two logit vectors."""
+    value, _ = make_loss("temperature", tau=tau).values_and_grads(zt, zs)
+    return value
+
+
 class TestTemperatureKl:
     def test_tau_one_is_identity_scaling(self):
-        zt = LogitVector([2.0, -1.0, 0.5])
-        zs = LogitVector([0.3, 0.1, -0.2])
-        t = ProbVector(softmax_rows(zt.values))
-        s = ProbVector(softmax_rows(zs.values))
-        assert temperature_kl_loss(zt, zs, 1.0) == pytest.approx(
-            kl_loss(t, s), abs=1e-15)
+        zt = np.array([2.0, -1.0, 0.5])
+        zs = np.array([0.3, 0.1, -0.2])
+        t = softmax_rows(zt)
+        s = softmax_rows(zs)
+        assert temperature_kl(zt, zs, 1.0) == pytest.approx(
+            kl_rows(t, s), abs=1e-15)
 
     def test_tau_two_teacher_probs(self):
-        # softmax([1, 0]) feeds the KL
-        zt = LogitVector([2.0, 0.0])
-        zs = LogitVector([0.0, 0.0])
+        # softmax_rows([1, 0]) feeds the KL
+        zt = np.array([2.0, 0.0])
+        zs = np.array([0.0, 0.0])
         expect_t = softmax_rows(np.array([1.0, 0.0]))
         np.testing.assert_allclose(expect_t, [0.731059, 0.268941], atol=1e-6)
-        got = temperature_kl_loss(zt, zs, 2.0)
+        got = temperature_kl(zt, zs, 2.0)
         manual = float(np.sum(expect_t * np.log(expect_t / 0.5)))
         assert got == pytest.approx(manual, abs=1e-12)
 
     def test_infinite_temperature_limit(self):
-        zt = LogitVector([5.0, -3.0, 1.0])
-        zs = LogitVector([2.0, 2.0, 2.0])
-        t = softmax_rows(zt.values / 1e6)
+        zt = np.array([5.0, -3.0, 1.0])
+        zs = np.array([2.0, 2.0, 2.0])
+        t = softmax_rows(zt / 1e6)
         np.testing.assert_allclose(t, 1 / 3, atol=1e-5)
-        assert temperature_kl_loss(zt, zs, 1e6) == pytest.approx(0.0, abs=1e-5)
+        assert temperature_kl(zt, zs, 1e6) == pytest.approx(0.0, abs=1e-5)
 
     def test_bad_tau(self):
-        z = LogitVector([0.0, 1.0])
         with pytest.raises(InvalidInputError):
-            temperature_kl_loss(z, z, 0.0)
+            make_loss("temperature", tau=0.0)
 
 
 class TestSmoothedKl:
     def test_delta_zero(self):
-        t = ProbVector([0.8, 0.2])
-        s = ProbVector([0.6, 0.4])
-        assert smoothed_kl_loss(t, s, 0.0) == pytest.approx(
-            kl_loss(t, s), abs=1e-15)
+        t = np.array([0.8, 0.2])
+        s = np.array([0.6, 0.4])
+        assert kl_rows(smooth_rows(t, 0.0), s) == pytest.approx(
+            kl_rows(t, s), abs=1e-15)
 
     def test_smoothed_teacher(self):
-        t = ProbVector([1.0, 0.0])
-        s = ProbVector([0.6, 0.4])
-        got = smoothed_kl_loss(t, s, 0.1)
-        expect = kl_loss(ProbVector([0.95, 0.05]), s)
+        t = np.array([1.0, 0.0])
+        s = np.array([0.6, 0.4])
+        got = kl_rows(smooth_rows(t, 0.1), s)
+        expect = kl_rows([0.95, 0.05], s)
         assert got == pytest.approx(expect, abs=1e-15)
 
     def test_uniform_fixed_point(self):
-        t = ProbVector([0.5, 0.5])
-        s = ProbVector([0.7, 0.3])
+        t = np.array([0.5, 0.5])
+        s = np.array([0.7, 0.3])
         for delta in (0.0, 0.3, 0.9):
-            assert smoothed_kl_loss(t, s, delta) == pytest.approx(
-                kl_loss(t, s), abs=1e-15)
+            assert kl_rows(smooth_rows(t, delta), s) == pytest.approx(
+                kl_rows(t, s), abs=1e-15)
 
     def test_bad_delta(self):
-        t = ProbVector([0.5, 0.5])
         with pytest.raises(InvalidInputError):
-            smoothed_kl_loss(t, t, 1.0)
+            make_loss("label_smoothing", delta=1.0)
 
 
 class TestFocalKd:
     def test_gamma_zero_is_kl(self):
-        t = ProbVector([0.7, 0.3])
-        s = ProbVector([0.4, 0.6])
-        assert focal_kd_loss(t, s, 0.0) == pytest.approx(
-            kl_loss(t, s), abs=1e-12)
+        t = np.array([0.7, 0.3])
+        s = np.array([0.4, 0.6])
+        assert focal_rows(t, s, 0.0) == pytest.approx(
+            kl_rows(t, s), abs=1e-12)
 
     def test_direct_evaluation(self):
-        got = focal_kd_loss(ProbVector([1.0, 0.0]), ProbVector([0.5, 0.5]), 2.0)
+        got = focal_rows([1.0, 0.0], [0.5, 0.5], 2.0)
         assert got == pytest.approx(0.25 * np.log(2.0), abs=1e-12)
 
     def test_perfect_match(self):
-        t = ProbVector([1.0, 0.0])
+        t = np.array([1.0, 0.0])
         for gamma in (0.0, 1.0, 5.0):
-            assert focal_kd_loss(t, t, gamma) == pytest.approx(0.0, abs=1e-10)
+            assert focal_rows(t, t, gamma) == pytest.approx(0.0, abs=1e-10)
 
     def test_bad_gamma(self):
-        t = ProbVector([0.5, 0.5])
         with pytest.raises(InvalidInputError):
-            focal_kd_loss(t, t, -1.0)
+            make_loss("focal", gamma=-1.0)
 
 
 class TestTrainingLosses:
@@ -293,3 +298,13 @@ class TestTrainingLosses:
     def test_unknown_name(self):
         with pytest.raises(InvalidInputError):
             make_loss("nope")
+
+    @pytest.mark.parametrize("alias,params,cls,targets", [
+        ("onehot", {}, CrossEntropyLoss, "labels"),
+        ("temp", {"tau": 2.0}, TemperatureKLLoss, "logits"),
+        ("ls", {"delta": 0.1}, SmoothedKLLoss, "probs"),
+    ])
+    def test_alias(self, alias, params, cls, targets):
+        loss = make_loss(alias, **params)
+        assert type(loss) is cls
+        assert loss.targets == targets

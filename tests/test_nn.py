@@ -59,7 +59,7 @@ class TestForward:
         x = rng.normal(size=(6, 5))
         rows = nn.forward_rows(model, x)
         for i in range(6):
-            np.testing.assert_allclose(rows[i], nn.forward(model, x[i]).values,
+            np.testing.assert_allclose(rows[i], nn.forward_rows(model, x[i])[0],
                                        atol=1e-15)
 
     def test_dim_mismatch(self):
