@@ -16,7 +16,6 @@ file/schema error.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import sys
@@ -42,6 +41,7 @@ from .data import (
     generate,
     load_dataset,
     one_hot,
+    read_json,
     save_dataset,
     true_posterior_rows,
 )
@@ -99,9 +99,7 @@ def read_labels_csv(path) -> np.ndarray:
 
 
 def read_coeffs_json(path) -> PerturbationConfig:
-    path = Path(path)
-    with open(path) as f:
-        return coeffs_from_dict(json.load(f), path)
+    return coeffs_from_dict(read_json(path), path)
 
 
 def coeffs_to_dict(cfg: PerturbationConfig) -> dict:
@@ -165,21 +163,41 @@ def write_manifest(command: str, config: dict, seeds: dict,
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flags override --config file values, which override built-in defaults."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        with open(args.config) as f:
-            file_values = json.load(f)
-        unknown = set(file_values) - set(defaults)
+def _merge_config(args: argparse.Namespace) -> dict:
+    """The command's options: table defaults, then --config values, then flags."""
+    options = COMMANDS[args.command][2]
+    cfg = {key: default for key, (_, default) in options.items()}
+    if args.config:
+        doc = read_json(args.config)
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{args.config}: expected a JSON object of options")
+        unknown = set(doc) - set(options)
         if unknown:
             raise SchemaError(f"--config has unknown keys: {sorted(unknown)}")
-        merged.update(file_values)
-    for key in defaults:
-        value = getattr(args, key.replace("-", "_"), None)
+        for key, value in doc.items():
+            cfg[key] = _file_value(args.config, key, options[key][0], value)
+    for key in options:
+        value = getattr(args, key.replace("-", "_"))
         if value is not None:
-            merged[key] = value
-    return merged
+            cfg[key] = value
+    missing = [key for key, value in cfg.items() if value is REQUIRED]
+    if missing:
+        raise SchemaError(f"--{missing[0]} is required")
+    return cfg
+
+
+def _file_value(source, key: str, kind, value):
+    """A --config value, accepted only where the same flag value would be."""
+    if kind is float and type(value) is int:
+        value = float(value)
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise SchemaError(f"{source}: {key!r} must be one of "
+                              f"{', '.join(kind)}, got {value!r}")
+    elif type(value) is not kind:
+        raise SchemaError(f"{source}: {key!r} must be of type {kind.__name__}, "
+                          f"got {value!r}")
+    return value
 
 
 def _parse_numbers(text: str, kind=float, count: int | None = None) -> list:
@@ -193,44 +211,37 @@ def _parse_numbers(text: str, kind=float, count: int | None = None) -> list:
     return parts
 
 
-def _train_config(cfg: dict, seed_key: str = "seed") -> TrainConfig:
+def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(learning_rate=cfg["lr"], batch_size=cfg["batch-size"],
-                       epochs=cfg["epochs"], seed=int(cfg[seed_key]))
+                       epochs=cfg["epochs"], seed=cfg["seed"])
+
+
+def _search_spec(cfg: dict, seed_key: str) -> SearchSpec:
+    return SearchSpec(max_order=cfg["max-order"], trials_per_order=cfg["trials"],
+                      coefficient_range=tuple(_parse_numbers(cfg["range"], count=2)),
+                      tie_classes=cfg["tie-classes"], seed=cfg[seed_key])
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_generate_data(args) -> int:
+def cmd_generate_data(cfg: dict) -> int:
     started = time.time()
-    cfg = _merge_config(args, {
-        "classes": 3, "dim": 30, "sigma": 2.0, "n": 10000,
-        "split": "0.9,0.05,0.05", "seed": 0, "out-dir": None,
-    })
-    if cfg["out-dir"] is None:
-        raise SchemaError("--out-dir is required")
-    spec = GaussianMixtureSpec.sample(seed=int(cfg["seed"]),
-                                     num_classes=int(cfg["classes"]),
-                                     dim=int(cfg["dim"]),
-                                     sigma=float(cfg["sigma"]))
-    ds = generate(spec, int(cfg["n"]), _parse_numbers(cfg["split"], count=3))
+    spec = GaussianMixtureSpec.sample(
+        seed=cfg["seed"], num_classes=cfg["classes"], dim=cfg["dim"],
+        sigma=cfg["sigma"])
+    ds = generate(spec, cfg["n"], _parse_numbers(cfg["split"], count=3))
     written = save_dataset(ds, cfg["out-dir"])
-    write_manifest("generate-data", cfg, {"seed": int(cfg["seed"])},
+    write_manifest("generate-data", cfg, {"seed": cfg["seed"]},
                    [], written, started)
     print(json.dumps({"out_dir": str(cfg["out-dir"]),
                       "split_sizes": ds.split_sizes}))
     return 0
 
 
-def cmd_train_teacher(args) -> int:
+def cmd_train_teacher(cfg: dict) -> int:
     started = time.time()
-    cfg = _merge_config(args, {
-        "data-dir": None, "arch": "30,128,128,3", "lr": 5e-4,
-        "batch-size": 32, "epochs": 100, "seed": 0, "out": None,
-    })
-    if cfg["data-dir"] is None or cfg["out"] is None:
-        raise SchemaError("--data-dir and --out are required")
     ds = load_dataset(cfg["data-dir"])
     tc = _train_config(cfg)
     model, val_acc = train_teacher(ds, _parse_numbers(cfg["arch"], int), tc)
@@ -243,18 +254,8 @@ def cmd_train_teacher(args) -> int:
     return 0
 
 
-def cmd_distill(args, parser: argparse.ArgumentParser) -> int:
+def cmd_distill(cfg: dict) -> int:
     started = time.time()
-    cfg = _merge_config(args, {
-        "data-dir": None, "teacher": None, "method": None, "lr": 5e-4,
-        "batch-size": 32, "epochs": 100, "seed": 0, "out": None,
-        "max-order": None, "trials": 100, "range": "-1,10",
-        "tie-classes": False, "search-seed": 0, "coeffs": None,
-        "tau": None, "delta": None, "gamma": None,
-    })
-    for flag in ("data-dir", "teacher", "method", "out"):
-        if cfg[flag] is None:
-            raise SchemaError(f"--{flag} is required")
     loss_cls = loss_class(cfg["method"])
 
     params: dict = {}
@@ -263,19 +264,13 @@ def cmd_distill(args, parser: argparse.ArgumentParser) -> int:
         if cfg["coeffs"] is not None:
             params["cfg"] = read_coeffs_json(cfg["coeffs"])
         elif cfg["max-order"] is None:
-            parser.error("--method pt requires --max-order (or --coeffs)")
+            raise SchemaError("--method pt requires --max-order (or --coeffs)")
         else:
-            search_spec = SearchSpec(
-                max_order=int(cfg["max-order"]),
-                trials_per_order=int(cfg["trials"]),
-                coefficient_range=tuple(_parse_numbers(cfg["range"], count=2)),
-                tie_classes=bool(cfg["tie-classes"]),
-                seed=int(cfg["search-seed"]),
-            )
+            search_spec = _search_spec(cfg, "search-seed")
     elif loss_cls.param is not None:
         if cfg[loss_cls.param] is None:
-            parser.error(f"--method {cfg['method']} requires --{loss_cls.param}")
-        params[loss_cls.param] = float(cfg[loss_cls.param])
+            raise SchemaError(f"--method {cfg['method']} requires --{loss_cls.param}")
+        params[loss_cls.param] = cfg[loss_cls.param]
 
     ds = load_dataset(cfg["data-dir"])
     teacher = nn.load_model(cfg["teacher"])
@@ -285,31 +280,16 @@ def cmd_distill(args, parser: argparse.ArgumentParser) -> int:
     doc = asdict(report)
     write_json(cfg["out"], doc)
     inputs = sorted(Path(cfg["data-dir"]).glob("*.csv")) + [cfg["teacher"]]
-    write_manifest("distill", {k: v for k, v in cfg.items() if k != "coeffs"}
-                   | {"coeffs": cfg["coeffs"]},
-                   report.seeds, inputs, [cfg["out"]], started)
+    write_manifest("distill", cfg, report.seeds, inputs, [cfg["out"]], started)
     print(json.dumps(doc))
     return 0
 
 
-def cmd_search_coeffs(args) -> int:
+def cmd_search_coeffs(cfg: dict) -> int:
     started = time.time()
-    cfg = _merge_config(args, {
-        "teacher-probs": None, "labels": None, "max-order": 3,
-        "trials": 100, "range": "-1,10", "tie-classes": False,
-        "seed": 0, "out": None,
-    })
-    for flag in ("teacher-probs", "labels", "out"):
-        if cfg[flag] is None:
-            raise SchemaError(f"--{flag} is required")
     probs = read_probs_csv(cfg["teacher-probs"])
     labels = one_hot(read_labels_csv(cfg["labels"]), probs.shape[1])
-    spec = SearchSpec(max_order=int(cfg["max-order"]),
-                      trials_per_order=int(cfg["trials"]),
-                      coefficient_range=tuple(_parse_numbers(cfg["range"], count=2)),
-                      tie_classes=bool(cfg["tie-classes"]),
-                      seed=int(cfg["seed"]))
-    trials = run_search(probs, labels, spec)
+    trials = run_search(probs, labels, _search_spec(cfg, "seed"))
     best = best_trial(trials)
     doc = {
         "best": coeffs_to_dict(best.config),
@@ -321,25 +301,18 @@ def cmd_search_coeffs(args) -> int:
         },
     }
     write_json(cfg["out"], doc)
-    write_manifest("search-coeffs", cfg, {"seed": int(cfg["seed"])},
+    write_manifest("search-coeffs", cfg, {"seed": cfg["seed"]},
                    [cfg["teacher-probs"], cfg["labels"]], [cfg["out"]], started)
     print(json.dumps(doc))
     return 0
 
 
-def cmd_solve_proxy(args) -> int:
+def cmd_solve_proxy(cfg: dict) -> int:
     started = time.time()
-    cfg = _merge_config(args, {
-        "teacher-probs": None, "coeffs": None, "out": None,
-        "tolerance": 1e-8, "max-iterations": 100,
-    })
-    for flag in ("teacher-probs", "coeffs", "out"):
-        if cfg[flag] is None:
-            raise SchemaError(f"--{flag} is required")
     probs = read_probs_csv(cfg["teacher-probs"])
     pcfg = read_coeffs_json(cfg["coeffs"])
-    solver = SolverConfig(tolerance=float(cfg["tolerance"]),
-                          max_iterations=int(cfg["max-iterations"]))
+    solver = SolverConfig(tolerance=cfg["tolerance"],
+                          max_iterations=cfg["max-iterations"])
     proxies, norms, iterations, converged = _solve_rows(probs, pcfg, solver)
     c = probs.shape[1]
     header = ",".join([f"p_{i}" for i in range(c)]
@@ -356,30 +329,16 @@ def cmd_solve_proxy(args) -> int:
     return 0
 
 
-def cmd_verify_equivalence(args) -> int:
-    cfg = _merge_config(args, {
-        "method": None, "param": None, "order": 200, "trials": 100, "seed": 0,
-    })
-    if cfg["method"] is None or cfg["param"] is None:
-        raise SchemaError("--method and --param are required")
-    report = verify_equivalence(loss_class(cfg["method"]).method,
-                                float(cfg["param"]), int(cfg["order"]),
-                                int(cfg["trials"]), int(cfg["seed"]))
+def cmd_verify_equivalence(cfg: dict) -> int:
+    report = verify_equivalence(loss_class(cfg["method"]).method, cfg["param"],
+                                cfg["order"], cfg["trials"], cfg["seed"])
     print(json.dumps(asdict(report)))
     return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(cfg: dict) -> int:
     started = time.time()
-    cfg = _merge_config(args, {
-        "data-dir": None, "teacher": None, "configs": None, "lr": 5e-4,
-        "batch-size": 32, "epochs": 100, "seed": 0, "out": None,
-    })
-    for flag in ("data-dir", "teacher", "configs", "out"):
-        if cfg[flag] is None:
-            raise SchemaError(f"--{flag} is required")
-    with open(cfg["configs"]) as f:
-        doc = json.load(f)
+    doc = read_json(cfg["configs"])
     if not isinstance(doc, list):
         raise SchemaError(f"{cfg['configs']}: expected a JSON list of configs")
     configs = [coeffs_from_dict(d, f"{cfg['configs']}[{i}]")
@@ -398,18 +357,13 @@ def cmd_sweep(args) -> int:
         comments="", fmt="%.17g")
     inputs = sorted(Path(cfg["data-dir"]).glob("*.csv")) + [cfg["teacher"],
                                                             cfg["configs"]]
-    write_manifest("sweep", cfg, {"seed": int(cfg["seed"])}, inputs,
+    write_manifest("sweep", cfg, {"seed": cfg["seed"]}, inputs,
                    [cfg["out"], csv_path], started)
     print(json.dumps(out_doc))
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _merge_config(args, {
-        "data-dir": None, "model": None, "split": "test",
-    })
-    if cfg["data-dir"] is None or cfg["model"] is None:
-        raise SchemaError("--data-dir and --model are required")
+def cmd_eval(cfg: dict) -> int:
     ds = load_dataset(cfg["data-dir"])
     model = nn.load_model(cfg["model"])
     x, y = ds.split(cfg["split"])
@@ -425,8 +379,57 @@ def cmd_eval(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command table: the one declaration of every command and option
 # ---------------------------------------------------------------------------
+
+# Each option maps to (kind, default). A kind is a type (int, float, str, or
+# bool for a switch) or a tuple of choices. Option order is the order of the
+# flags in --help and of the keys in a manifest's config.
+REQUIRED = object()  # the default of an option that must be given
+TRAINING = {"lr": (float, 5e-4), "batch-size": (int, 32), "epochs": (int, 100),
+            "seed": (int, 0)}
+SEARCH = {"trials": (int, 100), "range": (str, "-1,10"),
+          "tie-classes": (bool, False)}
+
+COMMANDS = {
+    "generate-data": (cmd_generate_data, "sample a Gaussian-mixture dataset", {
+        "classes": (int, 3), "dim": (int, 30), "sigma": (float, 2.0),
+        "n": (int, 10000), "split": (str, "0.9,0.05,0.05"), "seed": (int, 0),
+        "out-dir": (str, REQUIRED)}),
+    "train-teacher": (cmd_train_teacher, "train the cross-entropy teacher", {
+        "data-dir": (str, REQUIRED), "arch": (str, "30,128,128,3"),
+        **TRAINING, "out": (str, REQUIRED)}),
+    "distill": (cmd_distill, "distill a student under a chosen loss", {
+        "data-dir": (str, REQUIRED), "teacher": (str, REQUIRED),
+        "method": (("kl", "pt", "temp", "temperature", "ls",
+                    "label_smoothing", "focal", "onehot"), REQUIRED),
+        **TRAINING, "out": (str, REQUIRED), "max-order": (int, None),
+        **SEARCH, "search-seed": (int, 0), "tau": (float, None),
+        "delta": (float, None), "gamma": (float, None),
+        "coeffs": (str, None)}),
+    "search-coeffs": (cmd_search_coeffs,
+                      "random search for perturbation coefficients", {
+        "teacher-probs": (str, REQUIRED), "labels": (str, REQUIRED),
+        "max-order": (int, 3), **SEARCH, "seed": (int, 0),
+        "out": (str, REQUIRED)}),
+    "solve-proxy": (cmd_solve_proxy, "solve proxy-teacher distributions", {
+        "teacher-probs": (str, REQUIRED), "coeffs": (str, REQUIRED),
+        "out": (str, REQUIRED), "tolerance": (float, 1e-8),
+        "max-iterations": (int, 100)}),
+    "verify-equivalence": (cmd_verify_equivalence,
+                           "check a loss-equivalence claim", {
+        "method": (("ls", "label_smoothing", "focal", "temperature"),
+                   REQUIRED),
+        "param": (float, REQUIRED), "order": (int, 200), "trials": (int, 100),
+        "seed": (int, 0)}),
+    "sweep": (cmd_sweep, "sweep proxy-teacher configurations", {
+        "data-dir": (str, REQUIRED), "teacher": (str, REQUIRED),
+        "configs": (str, REQUIRED), **TRAINING, "out": (str, REQUIRED)}),
+    "eval": (cmd_eval, "evaluate a saved model on a dataset split", {
+        "data-dir": (str, REQUIRED), "model": (str, REQUIRED),
+        "split": (("train", "validation", "test"), "test")}),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -436,105 +439,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (_, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file of defaults; flags override")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("generate-data", cmd_generate_data,
-            help="sample a Gaussian-mixture dataset")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--split")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out-dir")
-
-    p = add("train-teacher", cmd_train_teacher,
-            help="train the cross-entropy teacher")
-    p.add_argument("--data-dir")
-    p.add_argument("--arch")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = add("distill", functools.partial(cmd_distill, parser=parser),
-            help="distill a student under a chosen loss")
-    p.add_argument("--data-dir")
-    p.add_argument("--teacher")
-    p.add_argument("--method",
-                   choices=["kl", "pt", "temp", "temperature", "ls",
-                            "label_smoothing", "focal", "onehot"])
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--max-order", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--range")
-    p.add_argument("--tie-classes", action="store_const", const=True)
-    p.add_argument("--search-seed", type=int)
-    p.add_argument("--coeffs")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--gamma", type=float)
-
-    p = add("search-coeffs", cmd_search_coeffs,
-            help="random search for perturbation coefficients")
-    p.add_argument("--teacher-probs")
-    p.add_argument("--labels")
-    p.add_argument("--max-order", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--range")
-    p.add_argument("--tie-classes", action="store_const", const=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = add("solve-proxy", cmd_solve_proxy,
-            help="solve proxy-teacher distributions")
-    p.add_argument("--teacher-probs")
-    p.add_argument("--coeffs")
-    p.add_argument("--out")
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--max-iterations", type=int)
-
-    p = add("verify-equivalence", cmd_verify_equivalence,
-            help="check a loss-equivalence claim")
-    p.add_argument("--method", choices=["ls", "label_smoothing", "focal",
-                                        "temperature"])
-    p.add_argument("--param", type=float)
-    p.add_argument("--order", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = add("sweep", cmd_sweep, help="sweep proxy-teacher configurations")
-    p.add_argument("--data-dir")
-    p.add_argument("--teacher")
-    p.add_argument("--configs")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = add("eval", cmd_eval, help="evaluate a saved model on a dataset split")
-    p.add_argument("--data-dir")
-    p.add_argument("--model")
-    p.add_argument("--split", choices=["train", "validation", "test"])
-
+        for key, (kind, _) in options.items():
+            if kind is bool:
+                p.add_argument(f"--{key}", action="store_const", const=True)
+            elif isinstance(kind, tuple):
+                p.add_argument(f"--{key}", choices=kind)
+            else:
+                p.add_argument(f"--{key}", type=kind)
     return parser
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](_merge_config(args))
     except (SchemaError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

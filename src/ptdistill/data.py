@@ -148,11 +148,21 @@ def csv_rows(path, ndmin: int) -> np.ndarray:
         raise SchemaError(f"{path}: {exc}") from None
 
 
+def read_json(path):
+    """The document in a JSON file; text that is not JSON is a SchemaError."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:  # a syntax error, or bytes that are not text
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+
+
 def one_hot(labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
     """One-hot rows for class indices, which must be integers in [0, C)."""
+    whole = np.isfinite(labels) & (labels == np.floor(labels))
     if num_classes is None:
-        num_classes = int(labels.max()) + 1
-    if not np.all(np.isin(labels, np.arange(num_classes))):
+        num_classes = int(labels[whole].max(initial=0)) + 1
+    if not np.all(whole & (labels >= 0) & (labels < num_classes)):
         raise SchemaError(f"labels must be integers in [0, {num_classes})")
     out = np.zeros((labels.size, num_classes))
     out[np.arange(labels.size), labels.astype(int)] = 1.0
@@ -181,8 +191,7 @@ def save_dataset(ds: LabeledDataset, out_dir) -> list[Path]:
 
 def load_dataset(in_dir) -> LabeledDataset:
     in_dir = Path(in_dir)
-    with open(in_dir / "spec.json") as f:
-        meta = json.load(f)
+    meta = read_json(in_dir / "spec.json")
     spec = (GaussianMixtureSpec.from_dict(meta["spec"])
             if meta.get("spec") else None)
     splits = [csv_rows(in_dir / f"{name}.csv", ndmin=2) for name in SPLIT_NAMES]

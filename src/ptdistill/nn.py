@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import InvalidInputError, TrainingDivergenceError
+from .core import InvalidInputError, SchemaError, TrainingDivergenceError
+from .data import read_json
 from .losses import TrainingLoss
 from .rng import derive_rng
 
@@ -172,11 +172,13 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    with open(Path(path)) as f:
-        doc = json.load(f)
-    return MlpModel(
-        layer_dims=[int(d) for d in doc["layer_dims"]],
-        weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
-        seed=int(doc["seed"]),
-    )
+    doc = read_json(path)
+    try:
+        return MlpModel(
+            layer_dims=[int(d) for d in doc["layer_dims"]],
+            weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
+            biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
+            seed=int(doc["seed"]),
+        )
+    except (KeyError, TypeError, ValueError):
+        raise SchemaError(f"{path}: not a model file") from None

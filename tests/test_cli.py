@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 
@@ -141,15 +142,24 @@ class TestTrainTeacher:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("bad_label,message", [
-        ("-1", "labels"), ("1.5", "labels"), ("7", "labels"),
-        ("abc", "train.csv"),
+    @pytest.mark.parametrize("bad_label,message,spec", [
+        pytest.param("-1", "labels", True, id="-1-labels"),
+        pytest.param("1.5", "labels", True, id="1.5-labels"),
+        pytest.param("7", "labels", True, id="7-labels"),
+        pytest.param("abc", "train.csv", True, id="abc-train.csv"),
+        # without a spec the class count comes from the labels themselves
+        pytest.param("nan", "labels", False, id="nan-labels-no-spec"),
     ])
     def test_bad_dataset_label_is_schema_error(self, workspace, capsys,
-                                               tmp_path, bad_label, message):
+                                               tmp_path, bad_label, message,
+                                               spec):
         _, data_dir, _ = workspace
         bad_dir = tmp_path / "data"
         shutil.copytree(data_dir, bad_dir)
+        if not spec:
+            meta = json.loads((bad_dir / "spec.json").read_text())
+            (bad_dir / "spec.json").write_text(
+                json.dumps(dict(meta, spec=None)))
         train = bad_dir / "train.csv"
         lines = train.read_text().splitlines()
         lines[1] = lines[1].rsplit(",", 1)[0] + "," + bad_label
@@ -204,23 +214,24 @@ class TestDistill:
         doc = json.loads(out.read_text())
         assert "search_score" in doc["chosen_config"]
 
-    def test_pt_without_order_is_usage_error(self, workspace, tmp_path):
+    def test_pt_without_order_is_usage_error(self, workspace, capsys,
+                                             tmp_path):
         _, data_dir, teacher = workspace
-        with pytest.raises(SystemExit) as e:
-            cli.run([
-                "distill", "--data-dir", str(data_dir),
-                "--teacher", str(teacher), "--method", "pt",
-                "--out", str(tmp_path / "r.json")])
-        assert e.value.code == 2
+        code, _, err = run_cli(
+            capsys, "distill", "--data-dir", str(data_dir),
+            "--teacher", str(teacher), "--method", "pt",
+            "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert err == "error: --method pt requires --max-order (or --coeffs)\n"
 
-    def test_temp_requires_tau(self, workspace, tmp_path):
+    def test_temp_requires_tau(self, workspace, capsys, tmp_path):
         _, data_dir, teacher = workspace
-        with pytest.raises(SystemExit) as e:
-            cli.run([
-                "distill", "--data-dir", str(data_dir),
-                "--teacher", str(teacher), "--method", "temp",
-                "--out", str(tmp_path / "r.json")])
-        assert e.value.code == 2
+        code, _, err = run_cli(
+            capsys, "distill", "--data-dir", str(data_dir),
+            "--teacher", str(teacher), "--method", "temp",
+            "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert err == "error: --method temp requires --tau\n"
 
 
 def write_search_inputs(tmp_path, labels, probs):
@@ -410,6 +421,125 @@ class TestConfigFile:
             "--out-dir", str(tmp_path / "d"))
         assert code == 2
         assert "unknown keys" in err
+
+    @pytest.mark.parametrize("argv,doc,message", [
+        ("distill --data-dir {data} --teacher {teacher} --method temp "
+         "--out {out}", {"tau": "abc"}, "'tau'"),
+        ("distill --data-dir {data} --teacher {teacher} --out {out}",
+         {"method": "banana"}, "'method'"),
+        ("generate-data --out-dir {out}", {"seed": "x"}, "'seed'"),
+        ("generate-data --out-dir {out}", {"n": 300.7}, "'n'"),
+        ("generate-data --out-dir {out}", {"sigma": None}, "'sigma'"),
+        ("generate-data --out-dir {out}", {"split": [0.5, 0.25, 0.25]},
+         "'split'"),
+        ("train-teacher --data-dir {data} --out {out}", {"epochs": "2"},
+         "'epochs'"),
+        ("search-coeffs --teacher-probs {out} --labels {out} --out {out}",
+         {"tie-classes": 1}, "'tie-classes'"),
+        ("eval --data-dir {data} --model {teacher}", {"split": "bogus"},
+         "'split'"),
+        ("generate-data --out-dir {out}", [1, 2], "JSON object"),
+    ], ids=["tau", "method", "seed", "n", "sigma-null", "split-list",
+            "epochs", "tie-classes", "eval-split", "list"])
+    def test_bad_value_is_schema_error(self, workspace, capsys, tmp_path,
+                                       argv, doc, message):
+        """A file value passes only where the same flag value would."""
+        _, data_dir, teacher = workspace
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, *argv.format(data=data_dir, teacher=teacher,
+                                 out=out).split(), "--config", str(config))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and message in err
+        assert not out.exists()
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("argv,culprit", [
+        ("generate-data --config {bad} --out-dir {out}", "{bad}"),
+        ("distill --data-dir {data} --teacher {teacher} --method pt "
+         "--coeffs {bad} --out {out}", "{bad}"),
+        ("sweep --data-dir {data} --teacher {teacher} --configs {bad} "
+         "--out {out}", "{bad}"),
+        ("distill --data-dir {data} --teacher {bad} --method kl --out {out}",
+         "{bad}"),
+        ("eval --data-dir {data} --model {bad}", "{bad}"),
+        ("eval --data-dir {bad_data} --model {teacher}",
+         "{bad_data}/spec.json"),
+        # valid JSON, but a coefficient file rather than a model
+        ("eval --data-dir {data} --model {coeffs}", "{coeffs}"),
+    ], ids=["config", "coeffs", "configs", "teacher", "model", "spec",
+            "model-not-a-model"])
+    def test_is_schema_error_naming_the_file(self, workspace, capsys,
+                                             tmp_path, argv, culprit):
+        _, data_dir, teacher = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"order": 1,')
+        bad_data = tmp_path / "data"
+        shutil.copytree(data_dir, bad_data)
+        (bad_data / "spec.json").write_text("{not json")
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps(
+            {"order": 1, "tie_classes": True, "matrix": [[1.0]] * 3}))
+        names = {"bad": bad, "bad_data": bad_data, "data": data_dir,
+                 "teacher": teacher, "coeffs": coeffs,
+                 "out": tmp_path / "out"}
+        code, _, err = run_cli(capsys, *argv.format(**names).split())
+        assert code == 2
+        assert len(err.splitlines()) == 1 and culprit.format(**names) in err
+        assert not (tmp_path / "out").exists()
+
+
+def _flags(parser: argparse.ArgumentParser) -> dict:
+    """Each long flag of a parser and the kind of value it takes."""
+    return {flag: tuple(a.choices) if a.choices else
+            bool if isinstance(a, argparse._StoreConstAction) else
+            a.type or str
+            for a in parser._actions for flag in a.option_strings
+            if flag.startswith("--") and flag != "--help"}
+
+
+class TestParserSurface:
+    def test_flags_of_every_command(self):
+        train = {"--lr": float, "--batch-size": int, "--epochs": int,
+                 "--seed": int}
+        search = {"--trials": int, "--range": str, "--tie-classes": bool}
+        expected = {
+            "generate-data": {"--classes": int, "--dim": int,
+                              "--sigma": float, "--n": int, "--split": str,
+                              "--seed": int, "--out-dir": str},
+            "train-teacher": {"--data-dir": str, "--arch": str, **train,
+                              "--out": str},
+            "distill": {"--data-dir": str, "--teacher": str,
+                        "--method": ("kl", "pt", "temp", "temperature", "ls",
+                                     "label_smoothing", "focal", "onehot"),
+                        **train, "--out": str, "--max-order": int, **search,
+                        "--search-seed": int, "--coeffs": str,
+                        "--tau": float, "--delta": float, "--gamma": float},
+            "search-coeffs": {"--teacher-probs": str, "--labels": str,
+                              "--max-order": int, **search, "--seed": int,
+                              "--out": str},
+            "solve-proxy": {"--teacher-probs": str, "--coeffs": str,
+                            "--out": str, "--tolerance": float,
+                            "--max-iterations": int},
+            "verify-equivalence": {"--method": ("ls", "label_smoothing",
+                                                "focal", "temperature"),
+                                   "--param": float, "--order": int,
+                                   "--trials": int, "--seed": int},
+            "sweep": {"--data-dir": str, "--teacher": str, "--configs": str,
+                      **train, "--out": str},
+            "eval": {"--data-dir": str, "--model": str,
+                     "--split": ("train", "validation", "test")},
+        }
+        parser = cli.build_parser()
+        assert set(_flags(parser)) == {"--version"}
+        sub, = (a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(expected)
+        for name, flags in expected.items():
+            assert _flags(sub.choices[name]) == {"--config": str, **flags}, name
 
 
 class TestDeterminism:
