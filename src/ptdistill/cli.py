@@ -4,7 +4,8 @@ Owns the interchange file formats:
   * probability CSV: one row per example, header ``p_0..p_{C-1}``; every
     row finite, in [0, 1], and summing to 1 within ``SIMPLEX_ATOL``
   * label CSV: single ``label`` column of class indices in [0, C)
-  * coefficient JSON: ``{"order": M, "tie_classes": bool, "matrix": [[..]]}``
+  * coefficient JSON: ``{"order": M, "tie_classes": bool, "matrix": [[..]]}``,
+    or a search-coeffs result, whose ``best`` entry is read
 
 Every command that writes files also writes a ``<name>.manifest.json``
 recording the resolved configuration, seeds, input digests, and output
@@ -44,6 +45,7 @@ from .data import (
     read_json,
     save_dataset,
     true_posterior_rows,
+    write_csv,
 )
 from .distill import (
     distill_student,
@@ -81,13 +83,6 @@ def read_probs_csv(path) -> np.ndarray:
     return rows
 
 
-def write_probs_csv(path, rows: np.ndarray) -> None:
-    rows = np.atleast_2d(rows)
-    header = ",".join(f"p_{i}" for i in range(rows.shape[1]))
-    np.savetxt(path, rows, delimiter=",", header=header, comments="",
-               fmt="%.17g")
-
-
 def read_labels_csv(path) -> np.ndarray:
     path = Path(path)
     with open(path) as f:
@@ -99,7 +94,11 @@ def read_labels_csv(path) -> np.ndarray:
 
 
 def read_coeffs_json(path) -> PerturbationConfig:
-    return coeffs_from_dict(read_json(path), path)
+    """A coefficient file, or the ``best`` entry of a search-coeffs result."""
+    doc = read_json(path)
+    if isinstance(doc, dict) and "best" in doc:
+        doc = doc["best"]
+    return coeffs_from_dict(doc, path)
 
 
 def coeffs_to_dict(cfg: PerturbationConfig) -> dict:
@@ -314,12 +313,10 @@ def cmd_solve_proxy(cfg: dict) -> int:
     solver = SolverConfig(tolerance=cfg["tolerance"],
                           max_iterations=cfg["max-iterations"])
     proxies, norms, iterations, converged = _solve_rows(probs, pcfg, solver)
-    c = probs.shape[1]
-    header = ",".join([f"p_{i}" for i in range(c)]
-                      + ["residual_norm", "iterations", "converged"])
-    rows = np.column_stack([proxies, norms, iterations, converged])
-    np.savetxt(cfg["out"], rows, delimiter=",", header=header, comments="",
-               fmt="%.17g")
+    header = ([f"p_{i}" for i in range(probs.shape[1])]
+              + ["residual_norm", "iterations", "converged"])
+    write_csv(cfg["out"], header,
+              np.column_stack([proxies, norms, iterations, converged]))
     write_manifest("solve-proxy", cfg, {},
                    [cfg["teacher-probs"], cfg["coeffs"]], [cfg["out"]], started)
     print(json.dumps({
@@ -350,11 +347,10 @@ def cmd_sweep(cfg: dict) -> int:
     out_doc = [asdict(p) for p in points]
     write_json(cfg["out"], out_doc)
     csv_path = Path(cfg["out"]).with_suffix(".csv")
-    np.savetxt(csv_path, np.array([
-        [p.l2_distance_to_truth, p.tvd_to_truth, p.student_test_accuracy]
-        for p in points]), delimiter=",",
-        header="l2_distance_to_truth,tvd_to_truth,student_test_accuracy",
-        comments="", fmt="%.17g")
+    write_csv(csv_path, ["l2_distance_to_truth", "tvd_to_truth",
+                         "student_test_accuracy"],
+              [[p.l2_distance_to_truth, p.tvd_to_truth, p.student_test_accuracy]
+               for p in points])
     inputs = sorted(Path(cfg["data-dir"]).glob("*.csv")) + [cfg["teacher"],
                                                             cfg["configs"]]
     write_manifest("sweep", cfg, {"seed": cfg["seed"]}, inputs,

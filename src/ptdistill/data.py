@@ -169,17 +169,21 @@ def one_hot(labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
     return out
 
 
+def write_csv(path, header, rows) -> None:
+    """Rows of numbers under a header of column names, at full precision."""
+    np.savetxt(path, rows, delimiter=",", header=",".join(header),
+               comments="", fmt="%.17g")
+
+
 def save_dataset(ds: LabeledDataset, out_dir) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    header = ",".join([f"x_{i}" for i in range(ds.inputs.shape[1])] + ["label"])
+    header = [f"x_{i}" for i in range(ds.inputs.shape[1])] + ["label"]
     for name in SPLIT_NAMES:
         x, y = ds.split(name)
         path = out_dir / f"{name}.csv"
-        rows = np.column_stack([x, np.argmax(y, axis=1)])
-        np.savetxt(path, rows, delimiter=",", header=header, comments="",
-                   fmt="%.17g")
+        write_csv(path, header, np.column_stack([x, np.argmax(y, axis=1)]))
         written.append(path)
     sidecar = out_dir / "spec.json"
     with open(sidecar, "w") as f:
@@ -191,12 +195,19 @@ def save_dataset(ds: LabeledDataset, out_dir) -> list[Path]:
 
 def load_dataset(in_dir) -> LabeledDataset:
     in_dir = Path(in_dir)
-    meta = read_json(in_dir / "spec.json")
-    spec = (GaussianMixtureSpec.from_dict(meta["spec"])
-            if meta.get("spec") else None)
+    sidecar = in_dir / "spec.json"
+    meta = read_json(sidecar)
+    try:
+        spec = (None if meta["spec"] is None
+                else GaussianMixtureSpec.from_dict(meta["spec"]))
+        sizes = {name: int(meta["split_sizes"][name]) for name in SPLIT_NAMES}
+    except (KeyError, TypeError, ValueError):  # ValueError: bad spec values
+        raise SchemaError(f"{sidecar}: expected an object with a split_sizes "
+                          f"object and a spec that is null or a spec object"
+                          ) from None
     splits = [csv_rows(in_dir / f"{name}.csv", ndmin=2) for name in SPLIT_NAMES]
     inputs = np.concatenate([rows[:, :-1] for rows in splits])
     labels = one_hot(np.concatenate([rows[:, -1] for rows in splits]),
                      spec.num_classes if spec else None)
-    return LabeledDataset(inputs=inputs, labels=labels,
-                          split_sizes=dict(meta["split_sizes"]), spec=spec)
+    return LabeledDataset(inputs=inputs, labels=labels, split_sizes=sizes,
+                          spec=spec)

@@ -77,37 +77,34 @@ def kl_rows(teacher: np.ndarray, student: np.ndarray) -> np.ndarray:
     return np.sum(terms, axis=-1)
 
 
-def _perturbation_rows(teacher: np.ndarray, student: np.ndarray,
-                       cfg: PerturbationConfig) -> np.ndarray:
-    """Row-wise sum_c t_c sum_m eps_{c,m} (1 - s_c)^m."""
-    if cfg.order == 0:
-        return np.zeros(np.asarray(teacher).shape[:-1])
-    if cfg.num_classes != teacher.shape[-1]:
+def perturbation_terms(teacher: np.ndarray, q: np.ndarray,
+                       cfg: PerturbationConfig):
+    """Per-class t P(u), t P'(u) and t P''(u), u = 1 - q.
+
+    P(u) = sum_m eps_{c,m} u^m is the perturbation series; one Horner pass,
+    highest order first, carries its value and both derivatives in u.
+    """
+    teacher = np.asarray(teacher, dtype=float)
+    if cfg.order and cfg.num_classes != teacher.shape[-1]:
         raise InvalidInputError(
             f"coefficients are for {cfg.num_classes} classes, inputs have "
             f"{teacher.shape[-1]}"
         )
-    u = 1.0 - student                               # (..., C)
-    # powers[..., c, m] = u_c^(m+1)
-    powers = u[..., :, None] ** np.arange(1, cfg.order + 1)
-    return np.sum(teacher[..., :, None] * cfg.coefficients * powers, axis=(-2, -1))
+    u = 1.0 - np.asarray(q, dtype=float)
+    value = slope = curv = np.zeros_like(u)
+    # the series has no constant term, so the last step adds eps_{c,0} = 0
+    for eps in (*cfg.coefficients.T[::-1], 0.0):
+        curv = curv * u + 2.0 * slope
+        slope = slope * u + value
+        value = value * u + eps
+    return teacher * value, teacher * slope, teacher * curv
 
 
 def pt_rows(teacher: np.ndarray, student: np.ndarray,
             cfg: PerturbationConfig) -> np.ndarray:
     """Row-wise perturbed distillation loss (KL plus the polynomial shift)."""
-    return kl_rows(teacher, student) + _perturbation_rows(teacher, student, cfg)
-
-
-def _perturbation_slope(teacher: np.ndarray, student: np.ndarray,
-                        cfg: PerturbationConfig) -> np.ndarray:
-    """s_c = t_c sum_m m eps_{c,m} (1 - s_c)^{m-1}, row-wise."""
-    if cfg.order == 0:
-        return np.zeros_like(np.asarray(teacher, dtype=float))
-    u = 1.0 - student
-    m = np.arange(1, cfg.order + 1)
-    powers = u[..., :, None] ** (m - 1)
-    return teacher * np.sum(m * cfg.coefficients * powers, axis=-1)
+    value = perturbation_terms(teacher, student, cfg)[0]
+    return kl_rows(teacher, student) + np.sum(value, axis=-1)
 
 
 def pt_grad_rows(teacher: np.ndarray, student_logits: np.ndarray,
@@ -121,8 +118,8 @@ def pt_grad_rows(teacher: np.ndarray, student_logits: np.ndarray,
     student_logits = np.asarray(student_logits, dtype=float)
     _check_same_classes(teacher, student_logits)
     q = softmax_rows(student_logits)
-    values = pt_rows(teacher, q, cfg)
-    s = _perturbation_slope(teacher, q, cfg)
+    value, s, _ = perturbation_terms(teacher, q, cfg)
+    values = kl_rows(teacher, q) + np.sum(value, axis=-1)
     qs = np.sum(q * s, axis=-1, keepdims=True)
     grads = (q - teacher) - (q * s - q * qs)
     return values, grads

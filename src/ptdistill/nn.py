@@ -174,7 +174,7 @@ def save_model(model: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     doc = read_json(path)
     try:
-        return MlpModel(
+        model = MlpModel(
             layer_dims=[int(d) for d in doc["layer_dims"]],
             weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
             biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
@@ -182,3 +182,9 @@ def load_model(path) -> MlpModel:
         )
     except (KeyError, TypeError, ValueError):
         raise SchemaError(f"{path}: not a model file") from None
+    shapes = list(zip(model.layer_dims[:-1], model.layer_dims[1:]))
+    if (not shapes or [w.shape for w in model.weights] != shapes
+            or [b.shape for b in model.biases] != [(o,) for _, o in shapes]):
+        raise SchemaError(f"{path}: weight and bias shapes do not match "
+                          f"layer_dims {model.layer_dims}")
+    return model

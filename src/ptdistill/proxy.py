@@ -5,7 +5,9 @@ proxy teacher q minimizes
 
     g(q) = KL(t || q) + sum_c t_c sum_m eps_{c,m} (1 - q_c)^m
 
-over the simplex. g is one term per class under the single constraint
+over the simplex. The series term and its first two derivatives come from
+``losses.perturbation_terms``, the kernel the PT loss itself evaluates, in
+one call per iterate. g is one term per class under the single constraint
 sum(q) = 1, so the Newton step on q itself has a closed form: with the
 per-class slope g'_c and curvature h_c, d_c = (nu - g'_c) / h_c and the
 scalar nu makes sum(d) = 0. That is O(C) per row, with no C x C Hessian.
@@ -26,11 +28,7 @@ from .core import (
     clamp_probs,
     softmax_rows,
 )
-from .losses import (
-    PerturbationConfig,
-    _perturbation_rows,
-    _perturbation_slope,
-)
+from .losses import PerturbationConfig, perturbation_terms
 
 # A step goes at most this fraction of the way to the q > 0 boundary.
 BOUNDARY_FRACTION = 0.99
@@ -49,38 +47,26 @@ class SolverConfig:
             raise InvalidInputError("max_iterations must be >= 1")
 
 
-def _curvature_rows(teacher: np.ndarray, q: np.ndarray,
-                    cfg: PerturbationConfig) -> np.ndarray:
-    """h_c = d^2 g / d q_c^2; t is clamped so exact zeros keep h finite."""
-    h = clamp_probs(teacher) / q ** 2
-    if cfg.order == 0:
-        return h
-    u = 1.0 - q
-    m = np.arange(1, cfg.order + 1)
-    powers = u[..., :, None] ** np.clip(m - 2, 0, None)
-    # the m = 1 term is linear in q_c, so its second derivative vanishes
-    coeff = m * (m - 1) * cfg.coefficients
-    return h + teacher * np.sum(coeff * powers, axis=-1)
+def _local_model(teacher: np.ndarray, q: np.ndarray,
+                 cfg: PerturbationConfig):
+    """g less its constant sum t log t, dg/dq, the curvature h = d^2 g / dq^2
+    and the norm of the logit gradient q * (dg - q.dg), from one series
+    evaluation.
 
-
-def _objective_rows(teacher: np.ndarray, q: np.ndarray,
-                    cfg: PerturbationConfig) -> np.ndarray:
-    """g(q) less its constant sum t log t; q > 0, so log q needs no clamp."""
-    return _perturbation_rows(teacher, q, cfg) - np.sum(teacher * np.log(q),
-                                                        axis=-1)
-
-
-def _slope_rows(teacher: np.ndarray, q: np.ndarray, cfg: PerturbationConfig):
-    """dg/dq and the norm of the logit gradient q * (dg - q.dg)."""
-    dg = -teacher / q - _perturbation_slope(teacher, q, cfg)
+    q > 0, so log q needs no clamp; t is clamped in h so exact zeros keep h
+    finite.
+    """
+    value, slope, curv = perturbation_terms(teacher, q, cfg)
+    obj = np.sum(value - teacher * np.log(q), axis=-1)
+    dg = -teacher / q - slope
+    h = clamp_probs(teacher) / q ** 2 + curv
     qdg = np.sum(q * dg, axis=-1, keepdims=True)
-    return dg, np.linalg.norm(q * (dg - qdg), axis=-1)
+    return obj, dg, h, np.linalg.norm(q * (dg - qdg), axis=-1)
 
 
 def _newton_step(teacher: np.ndarray, q: np.ndarray, dg: np.ndarray,
-                 cfg: PerturbationConfig):
+                 h: np.ndarray):
     """Newton direction on q under sum(d) = 0, and its largest step size."""
-    h = _curvature_rows(teacher, q, cfg)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / h
         # diag(h) is positive definite on sum(d) = 0 iff every h_c > 0, or
@@ -105,15 +91,12 @@ def _solve_rows(teacher: np.ndarray, cfg: PerturbationConfig,
     teacher = np.atleast_2d(np.asarray(teacher, dtype=float))
     if teacher.size == 0:
         raise InvalidInputError("empty teacher batch")
-    n, c = teacher.shape
-    if cfg.order > 0 and cfg.num_classes != c:
-        raise InvalidInputError("coefficient matrix does not match class count")
+    n = teacher.shape[0]
 
     q = softmax_rows(np.log(clamp_probs(teacher)))
-    dg, norm = _slope_rows(teacher, q, cfg)
+    obj, dg, h, norm = _local_model(teacher, q, cfg)
     if not np.all(np.isfinite(norm)):
         raise SolverDivergenceError("non-finite gradient at the start point")
-    obj = _objective_rows(teacher, q, cfg)
 
     scale = np.ones(n)
     iterations = np.zeros(n, dtype=int)
@@ -125,12 +108,11 @@ def _solve_rows(teacher: np.ndarray, cfg: PerturbationConfig,
         iterations[act] += 1
 
         t = teacher[act]
-        d, alpha = _newton_step(t, q[act], dg[act], cfg)
+        d, alpha = _newton_step(t, q[act], dg[act], h[act])
         q_trial = q[act] + (scale[act] * alpha)[:, None] * d
         # sum(d) = 0 holds only up to cancellation, so project back
         q_trial /= np.sum(q_trial, axis=-1, keepdims=True)
-        dg_trial, norm_trial = _slope_rows(t, q_trial, cfg)
-        obj_trial = _objective_rows(t, q_trial, cfg)
+        obj_trial, dg_trial, h_trial, norm_trial = _local_model(t, q_trial, cfg)
         # Accept on objective decrease, or on a tie at rounding level that
         # shrinks the residual; otherwise halve this row's next step.
         tie = obj_trial <= obj[act] + 4.0 * EPS * np.abs(obj[act])
@@ -140,6 +122,7 @@ def _solve_rows(teacher: np.ndarray, cfg: PerturbationConfig,
         good, bad = act[ok], act[~ok]
         q[good] = q_trial[ok]
         dg[good] = dg_trial[ok]
+        h[good] = h_trial[ok]
         norm[good] = norm_trial[ok]
         obj[good] = obj_trial[ok]
         scale[good] = 1.0

@@ -12,7 +12,8 @@ from scipy.stats import spearmanr
 
 from ptdistill import cli, nn
 from ptdistill.core import softmax_rows
-from ptdistill.data import GaussianMixtureSpec, generate, load_dataset
+from ptdistill.data import GaussianMixtureSpec, generate, load_dataset, \
+    write_csv
 from ptdistill.distill import _train_student, teacher_probs, train_teacher, \
     sweep_proxy_teachers
 from ptdistill.equivalence import verify_equivalence
@@ -278,7 +279,8 @@ def test_criterion_8_determinism(tmp_path, capsys):
         probs = root / "probs.csv"
         model = nn.load_model(teacher)
         x_val, _ = load_dataset(data_dir).split("validation")
-        cli.write_probs_csv(probs, softmax_rows(nn.forward_rows(model, x_val)))
+        write_csv(probs, ["p_0", "p_1", "p_2"],
+                  softmax_rows(nn.forward_rows(model, x_val)))
         coeffs = root / "coeffs.json"
         coeffs.write_text(json.dumps(
             {"order": 1, "tie_classes": True, "matrix": [[1.0]] * 3}))

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from ptdistill import cli
+from ptdistill.data import write_csv
+from ptdistill.proxy import solve_proxy_rows
 from ptdistill.selection import SearchSpec, search_coefficients
+
+
+def write_probs(path, rows):
+    write_csv(path, [f"p_{i}" for i in range(rows.shape[1])], rows)
 
 
 def run_cli(capsys, *argv):
@@ -38,7 +44,7 @@ class TestFileFormats:
     def test_probs_round_trip(self, tmp_path):
         path = tmp_path / "probs.csv"
         rows = np.array([[0.25, 0.75], [0.5, 0.5]])
-        cli.write_probs_csv(path, rows)
+        write_probs(path, rows)
         np.testing.assert_allclose(cli.read_probs_csv(path), rows, atol=0)
 
     def test_probs_bad_header(self, tmp_path):
@@ -235,7 +241,7 @@ class TestDistill:
 
 
 def write_search_inputs(tmp_path, labels, probs):
-    cli.write_probs_csv(tmp_path / "probs.csv", probs)
+    write_probs(tmp_path / "probs.csv", probs)
     (tmp_path / "labels.csv").write_text(
         "label\n" + "\n".join(map(str, labels)) + "\n")
 
@@ -304,8 +310,7 @@ class TestSearchCoeffs:
 
 class TestSolveProxy:
     def test_end_to_end(self, capsys, tmp_path):
-        cli.write_probs_csv(tmp_path / "probs.csv",
-                            np.array([[0.8, 0.2], [0.6, 0.4]]))
+        write_probs(tmp_path / "probs.csv", np.array([[0.8, 0.2], [0.6, 0.4]]))
         (tmp_path / "coeffs.json").write_text(json.dumps(
             {"order": 1, "tie_classes": True, "matrix": [[1.0], [1.0]]}))
         out = tmp_path / "proxies.csv"
@@ -319,6 +324,24 @@ class TestSolveProxy:
         assert rows[0, 0] == pytest.approx(0.8685170917577956, abs=1e-8)
         header = out.read_text().splitlines()[0]
         assert header == "p_0,p_1,residual_norm,iterations,converged"
+
+    def test_reads_search_coeffs_result(self, capsys, tmp_path, monkeypatch):
+        # the README's chain, verbatim: solve-proxy takes search-coeffs' best
+        rng = np.random.default_rng(7)
+        write_search_inputs(tmp_path, rng.integers(0, 3, size=20),
+                            rng.dirichlet(np.ones(3), size=20))
+        monkeypatch.chdir(tmp_path)
+        for argv in ("search-coeffs --teacher-probs probs.csv --labels "
+                     "labels.csv --max-order 3 --out best.json",
+                     "solve-proxy --teacher-probs probs.csv --coeffs best.json "
+                     "--out proxies.csv"):
+            code, _, err = run_cli(capsys, *argv.split())
+            assert code == 0, err
+        best = json.loads((tmp_path / "best.json").read_text())["best"]
+        proxies, _ = solve_proxy_rows(cli.read_probs_csv("probs.csv"),
+                                      cli.coeffs_from_dict(best, "best"))
+        rows = np.loadtxt("proxies.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(rows[:, :3], proxies)
 
     @pytest.mark.parametrize("row", ["0.9,0.9,0.2", "nan,0.5,0.5",
                                      "-0.1,0.6,0.5", "inf,0,0", "0.5,abc,0.5"])
@@ -470,8 +493,13 @@ class TestMalformedJson:
          "{bad_data}/spec.json"),
         # valid JSON, but a coefficient file rather than a model
         ("eval --data-dir {data} --model {coeffs}", "{coeffs}"),
+        # a weight matrix whose shape disagrees with layer_dims
+        ("eval --data-dir {data} --model {misshapen}", "{misshapen}"),
+        # valid JSON, but a list rather than the spec.json object
+        ("eval --data-dir {list_data} --model {teacher}",
+         "{list_data}/spec.json"),
     ], ids=["config", "coeffs", "configs", "teacher", "model", "spec",
-            "model-not-a-model"])
+            "model-not-a-model", "model-shapes", "spec-list"])
     def test_is_schema_error_naming_the_file(self, workspace, capsys,
                                              tmp_path, argv, culprit):
         _, data_dir, teacher = workspace
@@ -480,11 +508,19 @@ class TestMalformedJson:
         bad_data = tmp_path / "data"
         shutil.copytree(data_dir, bad_data)
         (bad_data / "spec.json").write_text("{not json")
+        list_data = tmp_path / "list_data"
+        shutil.copytree(data_dir, list_data)
+        (list_data / "spec.json").write_text("[1, 2]")
+        model = json.loads(teacher.read_text())
+        model["weights"][0] = model["weights"][0][:5]
+        misshapen = tmp_path / "misshapen.json"
+        misshapen.write_text(json.dumps(model))
         coeffs = tmp_path / "coeffs.json"
         coeffs.write_text(json.dumps(
             {"order": 1, "tie_classes": True, "matrix": [[1.0]] * 3}))
         names = {"bad": bad, "bad_data": bad_data, "data": data_dir,
                  "teacher": teacher, "coeffs": coeffs,
+                 "list_data": list_data, "misshapen": misshapen,
                  "out": tmp_path / "out"}
         code, _, err = run_cli(capsys, *argv.format(**names).split())
         assert code == 2

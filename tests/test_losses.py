@@ -10,6 +10,7 @@ from ptdistill.losses import (
     focal_rows,
     kl_rows,
     make_loss,
+    perturbation_terms,
     pt_grad_rows,
     pt_rows,
     smooth_rows,
@@ -101,6 +102,25 @@ class TestPtLoss:
                    + pt_rows(t, s, PerturbationConfig(m, b)) - kl)
             rhs = pt_rows(t, s, PerturbationConfig(m, a + b))
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+class TestPerturbationTerms:
+    @pytest.mark.parametrize("c", [2, 3, 10])
+    @pytest.mark.parametrize("order", range(7))
+    def test_matches_power_sums(self, order, c):
+        rng = np.random.default_rng(10 * order + c)
+        t = rng.dirichlet(np.ones(c), size=50)
+        q = rng.dirichlet(np.ones(c), size=50)
+        # positive terms do not cancel, so a relative bound holds everywhere
+        eps = rng.uniform(0.1, 10.0, size=(c, order))
+        u = (1.0 - q)[..., None]
+        m = np.arange(1, order + 1)
+        expected = (t * np.sum(eps * u ** m, axis=-1),
+                    t * np.sum(m * eps * u ** (m - 1), axis=-1),
+                    t * np.sum(m * (m - 1) * eps * u ** (m - 2), axis=-1))
+        got = perturbation_terms(t, q, PerturbationConfig(order, eps))
+        for g, e in zip(got, expected):
+            np.testing.assert_allclose(g, e, rtol=1e-12, atol=0)
 
 
 class TestPtLossGrad:

@@ -5,8 +5,7 @@ from ptdistill.core import SIMPLEX_ATOL, InvalidInputError, softmax_rows
 from ptdistill.losses import PerturbationConfig, pt_grad_rows, pt_rows
 from ptdistill.proxy import (
     SolverConfig,
-    _curvature_rows,
-    _slope_rows,
+    _local_model,
     _solve_rows,
     solve_proxy_rows,
 )
@@ -38,12 +37,12 @@ class TestCurvature:
             q = softmax_rows(rng.uniform(-2, 2, size=c))
             m = int(rng.integers(1, 4))
             cfg = PerturbationConfig(m, rng.uniform(-2, 2, size=(c, m)))
-            h = _curvature_rows(t[None], q[None], cfg)[0]
+            h = _local_model(t[None], q[None], cfg)[2][0]
             for j in range(c):
                 e = np.zeros(c)
                 e[j] = 1e-6 * q[j]
-                up = _slope_rows(t[None], (q + e)[None], cfg)[0][0]
-                dn = _slope_rows(t[None], (q - e)[None], cfg)[0][0]
+                up = _local_model(t[None], (q + e)[None], cfg)[1][0]
+                dn = _local_model(t[None], (q - e)[None], cfg)[1][0]
                 fd = (up - dn) / (2 * e[j])
                 np.testing.assert_allclose(fd, h[j] * np.eye(c)[j], atol=5e-6)
 
@@ -127,7 +126,7 @@ class TestSolveProxyExample:
             proxy, norm, _, converged = solve_one(t, cfg)
             assert converged and norm <= 1e-8
             if i == 0:
-                assert _curvature_rows(t[None], proxy[None], cfg)[0, 2] < 0.0
+                assert _local_model(t[None], proxy[None], cfg)[2][0, 2] < 0.0
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(0)
