@@ -205,7 +205,20 @@ def load_dataset(in_dir) -> LabeledDataset:
         raise SchemaError(f"{sidecar}: expected an object with a split_sizes "
                           f"object and a spec that is null or a spec object"
                           ) from None
-    splits = [csv_rows(in_dir / f"{name}.csv", ndmin=2) for name in SPLIT_NAMES]
+    n = sum(sizes.values())
+    splits = []
+    for name in SPLIT_NAMES:
+        path = in_dir / f"{name}.csv"
+        rows = csv_rows(path, ndmin=2)
+        if rows.shape[0] != sizes[name]:
+            raise SchemaError(f"{sidecar}: split_sizes gives {name} "
+                              f"{sizes[name]} rows, {path} has {rows.shape[0]}")
+        # without a spec the largest label sets the class count
+        top = np.max(rows[:, -1], initial=0)
+        if spec is None and top >= n:
+            raise SchemaError(f"{path}: label {top:g} implies more classes "
+                              f"than the dataset's {n} rows")
+        splits.append(rows)
     inputs = np.concatenate([rows[:, :-1] for rows in splits])
     labels = one_hot(np.concatenate([rows[:, -1] for rows in splits]),
                      spec.num_classes if spec else None)

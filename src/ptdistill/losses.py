@@ -91,9 +91,12 @@ def perturbation_terms(teacher: np.ndarray, q: np.ndarray,
             f"{teacher.shape[-1]}"
         )
     u = 1.0 - np.asarray(q, dtype=float)
-    value = slope = curv = np.zeros_like(u)
-    # the series has no constant term, so the last step adds eps_{c,0} = 0
-    for eps in (*cfg.coefficients.T[::-1], 0.0):
+    # the series has no constant term, so the last step adds eps_{c,0} = 0;
+    # the first step from an all-zero start leaves value = eps_{c,M}
+    *rest, top = (0.0, *cfg.coefficients.T)
+    slope = curv = np.zeros_like(u)
+    value = slope + top
+    for eps in rest[::-1]:
         curv = curv * u + 2.0 * slope
         slope = slope * u + value
         value = value * u + eps

@@ -12,9 +12,18 @@ sum(q) = 1, so the Newton step on q itself has a closed form: with the
 per-class slope g'_c and curvature h_c, d_c = (nu - g'_c) / h_c and the
 scalar nu makes sum(d) = 0. That is O(C) per row, with no C x C Hessian.
 Where the exact curvature is not positive definite on sum(d) = 0 (a class
-term is nonconvex there), the KL curvature t / q^2 stands in. Steps stop
-short of the q > 0 boundary and are halved until g does not rise, so each
-row reaches the local minimum nearest the teacher.
+term is nonconvex there), the KL curvature t / q^2 stands in. A step goes at
+most halfway to the q > 0 boundary (the fraction-to-boundary rule of
+interior-point methods): a full Newton step from the teacher often
+overshoots a small class past 0, and a step to 0.99 of the way would leave
+that class at 1 % of its value, from where it climbs back about one
+doubling per iteration. Rejected steps are halved until g does not rise,
+so each row reaches the local minimum nearest the teacher.
+
+The loop keeps compacted arrays of the rows still above the tolerance. A
+row that meets it is written back once and dropped; the arrays are
+compacted again only on iterations where some row finished. Rows share no
+arithmetic, so a row takes the same iterations in any batch.
 """
 from __future__ import annotations
 
@@ -31,7 +40,7 @@ from .core import (
 from .losses import PerturbationConfig, perturbation_terms
 
 # A step goes at most this fraction of the way to the q > 0 boundary.
-BOUNDARY_FRACTION = 0.99
+BOUNDARY_FRACTION = 0.5
 EPS = np.finfo(float).eps
 
 
@@ -47,24 +56,24 @@ class SolverConfig:
             raise InvalidInputError("max_iterations must be >= 1")
 
 
-def _local_model(teacher: np.ndarray, q: np.ndarray,
+def _local_model(teacher: np.ndarray, floor: np.ndarray, q: np.ndarray,
                  cfg: PerturbationConfig):
     """g less its constant sum t log t, dg/dq, the curvature h = d^2 g / dq^2
     and the norm of the logit gradient q * (dg - q.dg), from one series
     evaluation.
 
-    q > 0, so log q needs no clamp; t is clamped in h so exact zeros keep h
-    finite.
+    q > 0, so log q needs no clamp; h takes t from ``floor``, the teacher
+    clamped by ``clamp_probs``, so exact zeros keep h finite.
     """
     value, slope, curv = perturbation_terms(teacher, q, cfg)
     obj = np.sum(value - teacher * np.log(q), axis=-1)
     dg = -teacher / q - slope
-    h = clamp_probs(teacher) / q ** 2 + curv
+    h = floor / q ** 2 + curv
     qdg = np.sum(q * dg, axis=-1, keepdims=True)
     return obj, dg, h, np.linalg.norm(q * (dg - qdg), axis=-1)
 
 
-def _newton_step(teacher: np.ndarray, q: np.ndarray, dg: np.ndarray,
+def _newton_step(floor: np.ndarray, q: np.ndarray, dg: np.ndarray,
                  h: np.ndarray):
     """Newton direction on q under sum(d) = 0, and its largest step size."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -73,7 +82,8 @@ def _newton_step(teacher: np.ndarray, q: np.ndarray, dg: np.ndarray,
         # exactly one h_c < 0 and sum(1 / h) < 0
         nonpos = np.sum(h <= 0.0, axis=-1)
         exact = (nonpos == 0) | ((nonpos == 1) & (np.sum(inv, axis=-1) < 0.0))
-        inv = np.where(exact[:, None], inv, q ** 2 / clamp_probs(teacher))
+        if not np.all(exact):
+            inv = np.where(exact[:, None], inv, q ** 2 / floor)
         nu = np.sum(dg * inv, axis=-1, keepdims=True) / np.sum(
             inv, axis=-1, keepdims=True)
         d = (nu - dg) * inv
@@ -93,45 +103,49 @@ def _solve_rows(teacher: np.ndarray, cfg: PerturbationConfig,
         raise InvalidInputError("empty teacher batch")
     n = teacher.shape[0]
 
-    q = softmax_rows(np.log(clamp_probs(teacher)))
-    obj, dg, h, norm = _local_model(teacher, q, cfg)
+    floor = clamp_probs(teacher)
+    q = softmax_rows(np.log(floor))
+    obj, dg, h, norm = _local_model(teacher, floor, q, cfg)
     if not np.all(np.isfinite(norm)):
         raise SolverDivergenceError("non-finite gradient at the start point")
 
-    scale = np.ones(n)
-    iterations = np.zeros(n, dtype=int)
+    proxies, norms = np.empty_like(q), np.empty(n)
+    iterations = np.full(n, solver.max_iterations)
+    rows, t, scale = np.arange(n), teacher, np.ones(n)
+    for step in range(solver.max_iterations):
+        live = norm > solver.tolerance
+        if not np.all(live):
+            # a row within the tolerance is final: write it back, drop it
+            done = rows[~live]
+            proxies[done], norms[done] = q[~live], norm[~live]
+            iterations[done] = step
+            rows, t, floor, q, dg, h, obj, norm, scale = (
+                a[live] for a in (rows, t, floor, q, dg, h, obj, norm, scale))
+            if rows.size == 0:
+                break
 
-    for _ in range(solver.max_iterations):
-        act = np.flatnonzero(norm > solver.tolerance)
-        if act.size == 0:
-            break
-        iterations[act] += 1
-
-        t = teacher[act]
-        d, alpha = _newton_step(t, q[act], dg[act], h[act])
-        q_trial = q[act] + (scale[act] * alpha)[:, None] * d
+        d, alpha = _newton_step(floor, q, dg, h)
+        q_trial = q + (scale * alpha)[:, None] * d
         # sum(d) = 0 holds only up to cancellation, so project back
         q_trial /= np.sum(q_trial, axis=-1, keepdims=True)
-        obj_trial, dg_trial, h_trial, norm_trial = _local_model(t, q_trial, cfg)
+        obj_trial, dg_trial, h_trial, norm_trial = _local_model(
+            t, floor, q_trial, cfg)
         # Accept on objective decrease, or on a tie at rounding level that
         # shrinks the residual; otherwise halve this row's next step.
-        tie = obj_trial <= obj[act] + 4.0 * EPS * np.abs(obj[act])
+        tie = obj_trial <= obj + 4.0 * EPS * np.abs(obj)
         ok = (np.isfinite(norm_trial) & np.isfinite(obj_trial)
-              & ((obj_trial < obj[act]) | (tie & (norm_trial < norm[act]))))
+              & ((obj_trial < obj) | (tie & (norm_trial < norm))))
 
-        good, bad = act[ok], act[~ok]
-        q[good] = q_trial[ok]
-        dg[good] = dg_trial[ok]
-        h[good] = h_trial[ok]
-        norm[good] = norm_trial[ok]
-        obj[good] = obj_trial[ok]
-        scale[good] = 1.0
-        scale[bad] *= 0.5
+        q, dg, h = (np.where(ok[:, None], new, old) for new, old in
+                    ((q_trial, q), (dg_trial, dg), (h_trial, h)))
+        obj = np.where(ok, obj_trial, obj)
+        norm = np.where(ok, norm_trial, norm)
+        scale = np.where(ok, 1.0, 0.5 * scale)
+    proxies[rows], norms[rows] = q, norm
 
-    if not np.all(np.isfinite(q)):
+    if not np.all(np.isfinite(proxies)):
         raise SolverDivergenceError("solver produced a non-finite proxy")
-    converged = norm <= solver.tolerance
-    return q, norm, iterations, converged
+    return proxies, norms, iterations, norms <= solver.tolerance
 
 
 def solve_proxy_rows(teacher_rows: np.ndarray, cfg: PerturbationConfig,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from ptdistill import cli, nn
+from ptdistill import cli, equivalence, nn
 from ptdistill.core import softmax_rows
 from ptdistill.data import GaussianMixtureSpec, generate, load_dataset, \
     write_csv
@@ -123,7 +123,19 @@ def test_criterion_3_series_bound():
         f"{violations} violations", ok)
 
 
-def test_criterion_4_equivalence_suite():
+def test_criterion_4_equivalence_suite(monkeypatch):
+    # the temperature leg holds by construction, so the range of its fitted
+    # eps is what it has to show
+    fitted = []
+    fit = equivalence._fit_temperature_coefficient
+
+    def recording_fit(*args):
+        cfg = fit(*args)
+        fitted.append(float(cfg.coefficients[0, 0]))
+        return cfg
+
+    monkeypatch.setattr(equivalence, "_fit_temperature_coefficient",
+                        recording_fit)
     ls = verify_equivalence("label_smoothing", 0.1, order=200, trials=100,
                             seed=0)
     fo = verify_equivalence("focal", 2.0, order=200, trials=100, seed=0)
@@ -134,7 +146,9 @@ def test_criterion_4_equivalence_suite():
         f"criterion 4: equivalence suite, deviations "
         f"ls {ls.max_abs_deviation:.2e} focal {fo.max_abs_deviation:.2e} "
         f"temperature {te.max_abs_deviation:.2e} (holds by construction: "
-        f"eps is fitted to the value it is compared against)", ok)
+        f"eps is fitted to the value it is compared against; fitted eps in "
+        f"[{min(fitted):.3g}, {max(fitted):.3g}] over {len(fitted)} pairs)",
+        ok)
 
 
 def test_criterion_5_proxy_solver_oracle():

@@ -155,6 +155,8 @@ class TestTrainTeacher:
         pytest.param("abc", "train.csv", True, id="abc-train.csv"),
         # without a spec the class count comes from the labels themselves
         pytest.param("nan", "labels", False, id="nan-labels-no-spec"),
+        # a label that would need a (N, 10^12 + 1) one-hot array
+        pytest.param("1e12", "train.csv", False, id="1e12-train.csv-no-spec"),
     ])
     def test_bad_dataset_label_is_schema_error(self, workspace, capsys,
                                                tmp_path, bad_label, message,
@@ -498,8 +500,11 @@ class TestMalformedJson:
         # valid JSON, but a list rather than the spec.json object
         ("eval --data-dir {list_data} --model {teacher}",
          "{list_data}/spec.json"),
+        # split_sizes that do not match the rows of the split CSVs
+        ("eval --data-dir {sizes_data} --model {teacher}",
+         "{sizes_data}/spec.json"),
     ], ids=["config", "coeffs", "configs", "teacher", "model", "spec",
-            "model-not-a-model", "model-shapes", "spec-list"])
+            "model-not-a-model", "model-shapes", "spec-list", "split-sizes"])
     def test_is_schema_error_naming_the_file(self, workspace, capsys,
                                              tmp_path, argv, culprit):
         _, data_dir, teacher = workspace
@@ -511,6 +516,12 @@ class TestMalformedJson:
         list_data = tmp_path / "list_data"
         shutil.copytree(data_dir, list_data)
         (list_data / "spec.json").write_text("[1, 2]")
+        sizes_data = tmp_path / "sizes_data"
+        shutil.copytree(data_dir, sizes_data)
+        meta = json.loads((sizes_data / "spec.json").read_text())
+        meta["split_sizes"]["train"] += 1
+        meta["split_sizes"]["test"] -= 1
+        (sizes_data / "spec.json").write_text(json.dumps(meta))
         model = json.loads(teacher.read_text())
         model["weights"][0] = model["weights"][0][:5]
         misshapen = tmp_path / "misshapen.json"
@@ -520,7 +531,8 @@ class TestMalformedJson:
             {"order": 1, "tie_classes": True, "matrix": [[1.0]] * 3}))
         names = {"bad": bad, "bad_data": bad_data, "data": data_dir,
                  "teacher": teacher, "coeffs": coeffs,
-                 "list_data": list_data, "misshapen": misshapen,
+                 "list_data": list_data, "sizes_data": sizes_data,
+                 "misshapen": misshapen,
                  "out": tmp_path / "out"}
         code, _, err = run_cli(capsys, *argv.format(**names).split())
         assert code == 2

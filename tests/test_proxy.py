@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from ptdistill.core import SIMPLEX_ATOL, InvalidInputError, softmax_rows
+from ptdistill.core import (
+    SIMPLEX_ATOL,
+    InvalidInputError,
+    clamp_probs,
+    softmax_rows,
+)
 from ptdistill.losses import PerturbationConfig, pt_grad_rows, pt_rows
 from ptdistill.proxy import (
     SolverConfig,
@@ -37,12 +42,13 @@ class TestCurvature:
             q = softmax_rows(rng.uniform(-2, 2, size=c))
             m = int(rng.integers(1, 4))
             cfg = PerturbationConfig(m, rng.uniform(-2, 2, size=(c, m)))
-            h = _local_model(t[None], q[None], cfg)[2][0]
+            t = t[None]
+            h = _local_model(t, clamp_probs(t), q[None], cfg)[2][0]
             for j in range(c):
                 e = np.zeros(c)
                 e[j] = 1e-6 * q[j]
-                up = _local_model(t[None], (q + e)[None], cfg)[1][0]
-                dn = _local_model(t[None], (q - e)[None], cfg)[1][0]
+                up = _local_model(t, clamp_probs(t), (q + e)[None], cfg)[1][0]
+                dn = _local_model(t, clamp_probs(t), (q - e)[None], cfg)[1][0]
                 fd = (up - dn) / (2 * e[j])
                 np.testing.assert_allclose(fd, h[j] * np.eye(c)[j], atol=5e-6)
 
@@ -126,7 +132,22 @@ class TestSolveProxyExample:
             proxy, norm, _, converged = solve_one(t, cfg)
             assert converged and norm <= 1e-8
             if i == 0:
-                assert _local_model(t[None], proxy[None], cfg)[2][0, 2] < 0.0
+                t = t[None]
+                assert _local_model(t, clamp_probs(t), proxy[None],
+                                    cfg)[2][0, 2] < 0.0
+
+    def test_step_stops_halfway_to_the_boundary(self):
+        # a full Newton step from the teacher overshoots a class past q = 0;
+        # a step capped at 0.99 of the way there leaves it at 1 % of its
+        # value and the row needs 10 and 9 iterations, one capped halfway
+        # 7 and 5
+        t = np.array([0.14, 0.26, 0.60])
+        for eps, most in (([0.0, 0.0, 8.0], 7), ([10.0, 10.0, -1.0], 5)):
+            cfg = PerturbationConfig(1, np.array(eps)[:, None])
+            proxy, _, iterations, converged = solve_one(t, cfg)
+            assert converged and iterations <= most
+            grad = pt_grad_rows(t, np.log(proxy), cfg)[1]
+            assert np.linalg.norm(grad) <= SolverConfig().tolerance
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(0)
@@ -184,6 +205,36 @@ class TestBatchSolvers:
         assert np.all(conv) and np.all(proxies > 0.0)
         np.testing.assert_allclose(proxies.sum(axis=1), 1.0, rtol=0,
                                    atol=SIMPLEX_ATOL)
+
+    @pytest.mark.parametrize("c", [3, 100])
+    def test_rows_keep_their_own_bookkeeping(self, c):
+        # the batch loop drops each row once it meets the tolerance; every
+        # row must still report what it reports when solved alone
+        rng = np.random.default_rng(77)
+        eps = rng.uniform(-1, 10, size=(c, 3))
+        eps[c // 2:] = 0.0
+        cfg = PerturbationConfig(3, eps)
+        # rows with no teacher mass on a perturbed class are stationary
+        still = np.zeros((4, c))
+        still[:, c // 2:] = rng.dirichlet(np.ones(c - c // 2), size=4)
+        teachers = np.concatenate(
+            [rng.dirichlet(np.full(c, 0.5), size=12), still])
+        teachers = teachers[rng.permutation(len(teachers))]
+        for solver in (SolverConfig(), SolverConfig(max_iterations=2)):
+            proxies, norms, iterations, converged = _solve_rows(
+                teachers, cfg, solver)
+            for i, row in enumerate(teachers):
+                proxy, norm, iters, conv = solve_one(row, cfg, solver)
+                assert iterations[i] == iters and converged[i] == conv
+                np.testing.assert_allclose(proxies[i], proxy, atol=1e-9)
+                np.testing.assert_allclose(norms[i], norm, atol=1e-9)
+            # stationary rows, then rows that finish at different
+            # iterations or, at two iterations, rows stopped short
+            assert np.sum(iterations == 0) == 4
+            if solver.max_iterations == 2:
+                assert not np.all(converged)
+            else:
+                assert np.all(converged) and len(set(iterations)) >= 3
 
     def test_rows_matches_batch(self):
         # the pipelines' entry point returns the full solve's arrays unchanged
