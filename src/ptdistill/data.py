@@ -94,8 +94,10 @@ class LabeledDataset:
         raise InvalidInputError(f"unknown split {name!r}")
 
     def split(self, name: str):
-        """(inputs, labels) for one named partition."""
+        """(inputs, labels) for one named partition, which must hold rows."""
         lo, hi = self._bounds(name)
+        if lo == hi:
+            raise InvalidInputError(f"the {name} split is empty")
         return self.inputs[lo:hi], self.labels[lo:hi]
 
 
@@ -141,7 +143,11 @@ def true_posterior_rows(spec: GaussianMixtureSpec, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def csv_rows(path, ndmin: int) -> np.ndarray:
-    """The numbers below a CSV's header line."""
+    """The numbers below a CSV's header line; none for a header-only file."""
+    with open(path) as f:
+        columns = len(f.readline().split(","))
+        if not f.read(1):
+            return np.empty((0, columns) if ndmin == 2 else 0)
     try:
         return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=ndmin)
     except ValueError as exc:  # a cell that is not a number, or ragged rows
@@ -181,9 +187,10 @@ def save_dataset(ds: LabeledDataset, out_dir) -> list[Path]:
     written = []
     header = [f"x_{i}" for i in range(ds.inputs.shape[1])] + ["label"]
     for name in SPLIT_NAMES:
-        x, y = ds.split(name)
+        lo, hi = ds._bounds(name)
         path = out_dir / f"{name}.csv"
-        write_csv(path, header, np.column_stack([x, np.argmax(y, axis=1)]))
+        write_csv(path, header, np.column_stack(
+            [ds.inputs[lo:hi], np.argmax(ds.labels[lo:hi], axis=1)]))
         written.append(path)
     sidecar = out_dir / "spec.json"
     with open(sidecar, "w") as f:

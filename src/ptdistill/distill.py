@@ -47,15 +47,16 @@ def teacher_probs(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
 
 
 def train_teacher(data: LabeledDataset, arch, tc: TrainConfig):
-    """One-hot cross-entropy teacher; returns (model, validation accuracy)."""
+    """One-hot cross-entropy teacher; returns (model, validation accuracy).
+
+    The accuracy is None when the validation split is empty.
+    """
     x_train, y_train = data.split("train")
-    if x_train.shape[0] == 0:
-        raise InvalidInputError("empty train split")
     model = nn.init(arch, tc.seed)
     model, _ = nn.train(model, x_train, y_train, make_loss("cross_entropy"), tc)
-    x_val, y_val = data.split("validation")
-    val_acc = nn.accuracy(model, x_val, y_val) if x_val.shape[0] else float("nan")
-    return model, val_acc
+    if not data.split_sizes["validation"]:
+        return model, None
+    return model, nn.accuracy(model, *data.split("validation"))
 
 
 def _teacher_diagnostics(teacher: MlpModel, data: LabeledDataset):
@@ -95,6 +96,10 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
     """
     params = dict(params or {})
     method = loss_class(method).method
+    # every split is needed; an empty one fails before any training
+    data.split("train")
+    x_val, y_val = data.split("validation")
+    x_test, y_test = data.split("test")
     chosen: dict = {"method": method, **params}
     if method == "pt":
         if "cfg" in params:
@@ -104,7 +109,6 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
                 raise InvalidInputError(
                     "method 'pt' needs either a fixed cfg or a SearchSpec"
                 )
-            x_val, y_val = data.split("validation")
             cfg, score = search_coefficients(
                 teacher_probs(teacher, x_val), y_val, search_spec, solver)
             chosen["search_score"] = asdict(score)
@@ -116,10 +120,8 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
     loss = make_loss(method, **params)
     student, history = _train_student(teacher, data, loss, tc)
 
-    x_test, y_test = data.split("test")
     test_acc = nn.accuracy(student, x_test, y_test)
     vs_labels, vs_truth = _teacher_diagnostics(teacher, data)
-    x_val, y_val = data.split("validation")
     teacher_val_acc = nn.accuracy(teacher, x_val, y_val)
     seeds = {
         "teacher_init": teacher.seed,

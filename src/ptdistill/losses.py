@@ -59,6 +59,14 @@ class PerturbationConfig:
         matrix = np.tile(row, (num_classes, 1))
         return cls(order=row.size, coefficients=matrix, tie_classes=True)
 
+    def check_classes(self, num_classes: int) -> None:
+        """Raise unless the coefficients are for ``num_classes`` classes."""
+        if self.order and self.num_classes != num_classes:
+            raise InvalidInputError(
+                f"coefficients are for {self.num_classes} classes, inputs have "
+                f"{num_classes}"
+            )
+
 
 def _check_same_classes(a: np.ndarray, b: np.ndarray):
     if a.shape[-1] != b.shape[-1]:
@@ -78,35 +86,41 @@ def kl_rows(teacher: np.ndarray, student: np.ndarray) -> np.ndarray:
 
 
 def perturbation_terms(teacher: np.ndarray, q: np.ndarray,
-                       cfg: PerturbationConfig):
+                       coefficients: np.ndarray):
     """Per-class t P(u), t P'(u) and t P''(u), u = 1 - q.
 
     P(u) = sum_m eps_{c,m} u^m is the perturbation series; one Horner pass,
     highest order first, carries its value and both derivatives in u.
+    ``coefficients`` is the stack eps_{., 1}, ..., eps_{., M}; each entry
+    broadcasts against q, so the caller picks the layout: (M, C) for (N, C)
+    rows, (M, C, 1) for class-major (C, n) columns. An empty stack (M = 0)
+    gives P = 0.
     """
-    teacher = np.asarray(teacher, dtype=float)
-    if cfg.order and cfg.num_classes != teacher.shape[-1]:
-        raise InvalidInputError(
-            f"coefficients are for {cfg.num_classes} classes, inputs have "
-            f"{teacher.shape[-1]}"
-        )
     u = 1.0 - np.asarray(q, dtype=float)
-    # the series has no constant term, so the last step adds eps_{c,0} = 0;
-    # the first step from an all-zero start leaves value = eps_{c,M}
-    *rest, top = (0.0, *cfg.coefficients.T)
-    slope = curv = np.zeros_like(u)
-    value = slope + top
-    for eps in rest[::-1]:
+    # the top step's closed form: P = eps_M with zero derivatives
+    value = coefficients[-1] if len(coefficients) else 0.0
+    slope = curv = 0.0
+    for eps in coefficients[-2::-1]:
         curv = curv * u + 2.0 * slope
         slope = slope * u + value
         value = value * u + eps
-    return teacher * value, teacher * slope, teacher * curv
+    # P has no constant term, so the last step adds nothing
+    curv = curv * u + 2.0 * slope
+    slope = slope * u + value
+    return teacher * (value * u), teacher * slope, teacher * curv
+
+
+def _row_terms(teacher: np.ndarray, q: np.ndarray, cfg: PerturbationConfig):
+    """``perturbation_terms`` on (N, C) rows."""
+    teacher = np.asarray(teacher, dtype=float)
+    cfg.check_classes(teacher.shape[-1])
+    return perturbation_terms(teacher, q, cfg.coefficients.T)
 
 
 def pt_rows(teacher: np.ndarray, student: np.ndarray,
             cfg: PerturbationConfig) -> np.ndarray:
     """Row-wise perturbed distillation loss (KL plus the polynomial shift)."""
-    value = perturbation_terms(teacher, student, cfg)[0]
+    value = _row_terms(teacher, student, cfg)[0]
     return kl_rows(teacher, student) + np.sum(value, axis=-1)
 
 
@@ -121,7 +135,7 @@ def pt_grad_rows(teacher: np.ndarray, student_logits: np.ndarray,
     student_logits = np.asarray(student_logits, dtype=float)
     _check_same_classes(teacher, student_logits)
     q = softmax_rows(student_logits)
-    value, s, _ = perturbation_terms(teacher, q, cfg)
+    value, s, _ = _row_terms(teacher, q, cfg)
     values = kl_rows(teacher, q) + np.sum(value, axis=-1)
     qs = np.sum(q * s, axis=-1, keepdims=True)
     grads = (q - teacher) - (q * s - q * qs)

@@ -20,10 +20,19 @@ that class at 1 % of its value, from where it climbs back about one
 doubling per iteration. Rejected steps are halved until g does not rise,
 so each row reaches the local minimum nearest the teacher.
 
-The loop keeps compacted arrays of the rows still above the tolerance. A
-row that meets it is written back once and dropped; the arrays are
-compacted again only on iterations where some row finished. Rows share no
-arithmetic, so a row takes the same iterations in any batch.
+The loop works class-major: the teacher and the iterate are transposed once
+on entry to (C, n), one column per row, so per-row sums are ``ones @ x``
+(one BLAS pass over contiguous classes) and the proxies are transposed back
+once on exit. It keeps compacted arrays of the rows still above the
+tolerance. A row that meets it is written back once and dropped; the
+columns are compacted again only on iterations where some row finished. A
+rejected trial is copied back from the previous iterate for that row alone.
+Rows share no arithmetic, though BLAS may round a row's class sums
+differently with the batch size (by a few units in the last place at C = 100,
+not at all at C = 3 in the searches checked).
+
+All-zero coefficients pose the same (KL) problem at every order, so
+``selection.run_search`` solves that baseline once per search.
 """
 from __future__ import annotations
 
@@ -46,6 +55,14 @@ EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Stopping rule of the proxy solve.
+
+    A row has converged once the norm of g's gradient w.r.t. the logits of q
+    is at most ``tolerance``. That bounds the gradient, not the distance to
+    the exact minimizer: where g is flat, converged rows can lie up to about
+    2e-6 from it at the default tolerance.
+    """
+
     tolerance: float = 1e-8
     max_iterations: int = 100
 
@@ -57,37 +74,43 @@ class SolverConfig:
 
 
 def _local_model(teacher: np.ndarray, floor: np.ndarray, q: np.ndarray,
-                 cfg: PerturbationConfig):
+                 coefficients: np.ndarray):
     """g less its constant sum t log t, dg/dq, the curvature h = d^2 g / dq^2
     and the norm of the logit gradient q * (dg - q.dg), from one series
     evaluation.
 
-    q > 0, so log q needs no clamp; h takes t from ``floor``, the teacher
-    clamped by ``clamp_probs``, so exact zeros keep h finite.
+    Arrays are class-major, (C, n), and ``coefficients`` is the (M, C, 1)
+    stack that ``perturbation_terms`` takes for that layout. q > 0, so log q
+    needs no clamp; h takes t from ``floor``, the teacher clamped by
+    ``clamp_probs``, so exact zeros keep h finite.
     """
-    value, slope, curv = perturbation_terms(teacher, q, cfg)
-    obj = np.sum(value - teacher * np.log(q), axis=-1)
+    value, slope, curv = perturbation_terms(teacher, q, coefficients)
+    ones = np.ones(len(q))
+    obj = ones @ (value - teacher * np.log(q))
     dg = -teacher / q - slope
     h = floor / q ** 2 + curv
-    qdg = np.sum(q * dg, axis=-1, keepdims=True)
-    return obj, dg, h, np.linalg.norm(q * (dg - qdg), axis=-1)
+    r = q * (dg - ones @ (q * dg))
+    return obj, dg, h, np.sqrt(ones @ (r * r))
 
 
 def _newton_step(floor: np.ndarray, q: np.ndarray, dg: np.ndarray,
                  h: np.ndarray):
-    """Newton direction on q under sum(d) = 0, and its largest step size."""
+    """Newton direction on q under sum(d) = 0, and its largest step size;
+    class-major arrays."""
+    ones = np.ones(len(q))
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / h
+        inv_sum = ones @ inv
         # diag(h) is positive definite on sum(d) = 0 iff every h_c > 0, or
         # exactly one h_c < 0 and sum(1 / h) < 0
-        nonpos = np.sum(h <= 0.0, axis=-1)
-        exact = (nonpos == 0) | ((nonpos == 1) & (np.sum(inv, axis=-1) < 0.0))
+        nonpos = ones @ (h <= 0.0)
+        exact = (nonpos == 0) | ((nonpos == 1) & (inv_sum < 0.0))
         if not np.all(exact):
-            inv = np.where(exact[:, None], inv, q ** 2 / floor)
-        nu = np.sum(dg * inv, axis=-1, keepdims=True) / np.sum(
-            inv, axis=-1, keepdims=True)
+            inv = np.where(exact, inv, q ** 2 / floor)
+            inv_sum = ones @ inv
+        nu = (ones @ (dg * inv)) / inv_sum
         d = (nu - dg) * inv
-        to_boundary = np.min(np.where(d < 0.0, -q / d, np.inf), axis=-1)
+        to_boundary = np.min(np.where(d < 0.0, -q / d, np.inf), axis=0)
     return d, np.minimum(1.0, BOUNDARY_FRACTION * to_boundary)
 
 
@@ -101,51 +124,59 @@ def _solve_rows(teacher: np.ndarray, cfg: PerturbationConfig,
     teacher = np.atleast_2d(np.asarray(teacher, dtype=float))
     if teacher.size == 0:
         raise InvalidInputError("empty teacher batch")
+    cfg.check_classes(teacher.shape[1])
     n = teacher.shape[0]
 
     floor = clamp_probs(teacher)
     q = softmax_rows(np.log(floor))
-    obj, dg, h, norm = _local_model(teacher, floor, q, cfg)
+    # class-major from here on: one column per row
+    t, floor, q = (np.ascontiguousarray(a.T) for a in (teacher, floor, q))
+    coefficients = cfg.coefficients.T[:, :, None]
+    obj, dg, h, norm = _local_model(t, floor, q, coefficients)
     if not np.all(np.isfinite(norm)):
         raise SolverDivergenceError("non-finite gradient at the start point")
 
     proxies, norms = np.empty_like(q), np.empty(n)
     iterations = np.full(n, solver.max_iterations)
-    rows, t, scale = np.arange(n), teacher, np.ones(n)
+    rows, scale = np.arange(n), np.ones(n)
     for step in range(solver.max_iterations):
         live = norm > solver.tolerance
         if not np.all(live):
             # a row within the tolerance is final: write it back, drop it
             done = rows[~live]
-            proxies[done], norms[done] = q[~live], norm[~live]
+            proxies[:, done], norms[done] = q[:, ~live], norm[~live]
             iterations[done] = step
-            rows, t, floor, q, dg, h, obj, norm, scale = (
-                a[live] for a in (rows, t, floor, q, dg, h, obj, norm, scale))
+            keep = np.flatnonzero(live)
+            rows, obj, norm, scale = (a[keep] for a in (rows, obj, norm, scale))
+            t, floor, q, dg, h = (a.take(keep, axis=1)
+                                  for a in (t, floor, q, dg, h))
             if rows.size == 0:
                 break
 
         d, alpha = _newton_step(floor, q, dg, h)
-        q_trial = q + (scale * alpha)[:, None] * d
+        q_trial = q + (scale * alpha) * d
         # sum(d) = 0 holds only up to cancellation, so project back
-        q_trial /= np.sum(q_trial, axis=-1, keepdims=True)
+        q_trial /= np.ones(len(q)) @ q_trial
         obj_trial, dg_trial, h_trial, norm_trial = _local_model(
-            t, floor, q_trial, cfg)
+            t, floor, q_trial, coefficients)
         # Accept on objective decrease, or on a tie at rounding level that
         # shrinks the residual; otherwise halve this row's next step.
         tie = obj_trial <= obj + 4.0 * EPS * np.abs(obj)
         ok = (np.isfinite(norm_trial) & np.isfinite(obj_trial)
               & ((obj_trial < obj) | (tie & (norm_trial < norm))))
 
-        q, dg, h = (np.where(ok[:, None], new, old) for new, old in
-                    ((q_trial, q), (dg_trial, dg), (h_trial, h)))
-        obj = np.where(ok, obj_trial, obj)
-        norm = np.where(ok, norm_trial, norm)
+        # few rows are rejected: copy them back into the trial arrays
+        back = np.flatnonzero(~ok)
+        for new, old in ((q_trial, q), (dg_trial, dg), (h_trial, h)):
+            new[:, back] = old[:, back]
+        obj_trial[back], norm_trial[back] = obj[back], norm[back]
+        q, dg, h, obj, norm = q_trial, dg_trial, h_trial, obj_trial, norm_trial
         scale = np.where(ok, 1.0, 0.5 * scale)
-    proxies[rows], norms[rows] = q, norm
+    proxies[:, rows], norms[rows] = q, norm
 
     if not np.all(np.isfinite(proxies)):
         raise SolverDivergenceError("solver produced a non-finite proxy")
-    return proxies, norms, iterations, norms <= solver.tolerance
+    return proxies.T.copy(), norms, iterations, norms <= solver.tolerance
 
 
 def solve_proxy_rows(teacher_rows: np.ndarray, cfg: PerturbationConfig,

@@ -145,7 +145,8 @@ def run_search(teacher_val, labels, spec: SearchSpec,
                solver: SolverConfig = SolverConfig()) -> list[SearchTrial]:
     """Evaluate every candidate and return the full trajectory.
 
-    Trial 0 of every order is the all-zero baseline; trials 1..N_k are drawn
+    Trial 0 of every order is the all-zero baseline, solved once and shared
+    by every order; trials 1..N_k are drawn
     uniformly from the coefficient range with per-trial seeds derived from
     (seed, order, trial), so results are order-independent and reproducible.
     """
@@ -156,18 +157,25 @@ def run_search(teacher_val, labels, spec: SearchSpec,
     _check_one_hot(y)
     num_classes = teachers.shape[1]
 
+    def evaluate(cfg):
+        proxies, converged = solve_proxy_rows(teachers, cfg, solver)
+        frac = float(np.mean(converged))
+        discarded = frac < MIN_CONVERGED_FRACTION
+        return (None if discarded else quality_score(proxies, y)), frac, discarded
+
+    # all-zero coefficients pose the same (KL) problem at every order, so
+    # the baseline is solved and scored once
+    baseline = evaluate(PerturbationConfig.zero(num_classes))
     trials = []
     for order in range(1, spec.max_order + 1):
         for k in range(spec.trials_per_order + 1):
             if k == 0:
-                cfg = PerturbationConfig.zero(num_classes, order)
+                cfg, result = PerturbationConfig.zero(num_classes, order), baseline
             else:
                 rng = derive_rng(spec.seed, "coeff-search", order, k)
                 cfg = _sample_config(rng, spec, num_classes, order)
-            proxies, converged = solve_proxy_rows(teachers, cfg, solver)
-            frac = float(np.mean(converged))
-            discarded = frac < MIN_CONVERGED_FRACTION
-            score = None if discarded else quality_score(proxies, y)
+                result = evaluate(cfg)
+            score, frac, discarded = result
             trials.append(SearchTrial(order=order, trial=k, config=cfg,
                                       score=score, converged_fraction=frac,
                                       discarded=discarded))

@@ -247,6 +247,7 @@ def desk_scale():
     return accs, points
 
 
+@pytest.mark.desk_scale
 def test_criterion_7a_pt_vs_kl(desk_scale):
     accs, _ = desk_scale
     deltas = [pt - kl for kl, pt in accs]
@@ -256,6 +257,7 @@ def test_criterion_7a_pt_vs_kl(desk_scale):
         + ", ".join(f"{d:+.4f}" for d in deltas), ok)
 
 
+@pytest.mark.desk_scale
 def test_criterion_7b_l2_correlation(desk_scale):
     _, points = desk_scale
     assert len(points) >= 10
@@ -266,6 +268,7 @@ def test_criterion_7b_l2_correlation(desk_scale):
         f"criterion 7b: Spearman(L2 distance, accuracy) = {rho:.3f}", ok)
 
 
+@pytest.mark.desk_scale
 def test_criterion_7c_tvd_correlation(desk_scale):
     _, points = desk_scale
     rho = float(spearmanr([p.tvd_to_truth for p in points],

@@ -425,6 +425,50 @@ class TestEval:
         assert set(doc) == {"split", "accuracy", "vs_labels", "vs_truth"}
 
 
+class TestEmptySplits:
+    """A dataset generated with --split 1,0,0: header-only validation and
+    test CSVs."""
+
+    @pytest.fixture(scope="class")
+    def train_only(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("train-only")
+        data_dir = root / "data"
+        assert cli.run(["generate-data", "--n", "60", "--dim", "6",
+                        "--split", "1,0,0", "--out-dir", str(data_dir)]) == 0
+        return root, data_dir
+
+    def test_train_teacher_reports_null_accuracy(self, train_only, capsys,
+                                                 recwarn):
+        root, data_dir = train_only
+        code, stdout, err = run_cli(
+            capsys, "train-teacher", "--data-dir", str(data_dir),
+            "--arch", "6,8,3", "--epochs", "1", "--out", str(root / "t.json"))
+        assert code == 0 and err == ""
+        assert json.loads(stdout)["validation_accuracy"] is None
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("argv,split", [
+        (["distill", "--teacher", "{t}", "--method", "kl", "--epochs", "1",
+          "--out", "{root}/kl.json"], "validation"),
+        (["eval", "--model", "{t}", "--split", "test"], "test"),
+    ], ids=["distill-kl", "eval-test"])
+    def test_command_needing_rows_is_domain_error(self, train_only, capsys,
+                                                  recwarn, argv, split):
+        root, data_dir = train_only
+        teacher = root / "t.json"
+        if not teacher.exists():
+            assert cli.run(["train-teacher", "--data-dir", str(data_dir),
+                            "--arch", "6,8,3", "--epochs", "1",
+                            "--out", str(teacher)]) == 0
+        argv = [a.format(t=teacher, root=root) for a in argv]
+        code, stdout, err = run_cli(capsys, argv[0], "--data-dir",
+                                    str(data_dir), *argv[1:])
+        assert code == 1 and stdout == ""
+        assert len(err.splitlines()) == 1
+        assert f"the {split} split is empty" in err
+        assert len(recwarn) == 0
+
+
 class TestConfigFile:
     def test_flags_override_config(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"

@@ -118,9 +118,30 @@ class TestPerturbationTerms:
         expected = (t * np.sum(eps * u ** m, axis=-1),
                     t * np.sum(m * eps * u ** (m - 1), axis=-1),
                     t * np.sum(m * (m - 1) * eps * u ** (m - 2), axis=-1))
-        got = perturbation_terms(t, q, PerturbationConfig(order, eps))
+        got = perturbation_terms(t, q, eps.T)
         for g, e in zip(got, expected):
             np.testing.assert_allclose(g, e, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_matches_horner_from_zero_in_both_layouts(self, order):
+        rng = np.random.default_rng(40 + order)
+        t = rng.dirichlet(np.ones(3), size=20)
+        q = rng.dirichlet(np.ones(3), size=20)
+        eps = rng.uniform(-1.0, 10.0, size=(3, order))
+        # plain Horner from zero: one step per coefficient, then the
+        # series' zero constant term
+        u = 1.0 - q
+        value = slope = curv = np.zeros_like(u)
+        for e in (*eps.T[::-1], 0.0):
+            curv = curv * u + 2.0 * slope
+            slope = slope * u + value
+            value = value * u + e
+        expected = (t * value, t * slope, t * curv)
+        rows = perturbation_terms(t, q, eps.T)
+        columns = perturbation_terms(t.T, q.T, eps.T[:, :, None])
+        for r, c, e in zip(rows, columns, expected):
+            assert np.array_equal(r, e)
+            assert np.array_equal(c.T, e)
 
 
 class TestPtLossGrad:

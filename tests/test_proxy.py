@@ -41,14 +41,17 @@ class TestCurvature:
             t = rng.dirichlet(np.ones(c))
             q = softmax_rows(rng.uniform(-2, 2, size=c))
             m = int(rng.integers(1, 4))
-            cfg = PerturbationConfig(m, rng.uniform(-2, 2, size=(c, m)))
-            t = t[None]
-            h = _local_model(t, clamp_probs(t), q[None], cfg)[2][0]
+            eps = rng.uniform(-2, 2, size=(c, m))
+            # _local_model works on class-major columns
+            t, stack = t[:, None], eps.T[:, :, None]
+            h = _local_model(t, clamp_probs(t), q[:, None], stack)[2][:, 0]
             for j in range(c):
                 e = np.zeros(c)
                 e[j] = 1e-6 * q[j]
-                up = _local_model(t, clamp_probs(t), (q + e)[None], cfg)[1][0]
-                dn = _local_model(t, clamp_probs(t), (q - e)[None], cfg)[1][0]
+                up = _local_model(t, clamp_probs(t), (q + e)[:, None],
+                                  stack)[1][:, 0]
+                dn = _local_model(t, clamp_probs(t), (q - e)[:, None],
+                                  stack)[1][:, 0]
                 fd = (up - dn) / (2 * e[j])
                 np.testing.assert_allclose(fd, h[j] * np.eye(c)[j], atol=5e-6)
 
@@ -132,9 +135,9 @@ class TestSolveProxyExample:
             proxy, norm, _, converged = solve_one(t, cfg)
             assert converged and norm <= 1e-8
             if i == 0:
-                t = t[None]
-                assert _local_model(t, clamp_probs(t), proxy[None],
-                                    cfg)[2][0, 2] < 0.0
+                t = t[:, None]
+                assert _local_model(t, clamp_probs(t), proxy[:, None],
+                                    cfg.coefficients.T[:, :, None])[2][2, 0] < 0.0
 
     def test_step_stops_halfway_to_the_boundary(self):
         # a full Newton step from the teacher overshoots a class past q = 0;

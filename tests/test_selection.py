@@ -4,6 +4,7 @@ import pytest
 from ptdistill.core import InvalidInputError, SearchFailureError
 from ptdistill.losses import PerturbationConfig
 from ptdistill import selection
+from ptdistill.proxy import solve_proxy_rows
 from ptdistill.selection import (
     QualityScore,
     RiskGapTerms,
@@ -100,6 +101,24 @@ class TestRunSearch:
         for order in (1, 2):
             first = next(t for t in traj if t.order == order and t.trial == 0)
             np.testing.assert_array_equal(first.config.coefficients, 0.0)
+
+    def test_baseline_is_solved_once(self, monkeypatch):
+        calls = []
+
+        def counted(teachers, cfg, solver):
+            calls.append(cfg)
+            return solve_proxy_rows(teachers, cfg, solver)
+
+        monkeypatch.setattr(selection, "solve_proxy_rows", counted)
+        teachers, labels = small_validation_set()
+        spec = SearchSpec(max_order=3, trials_per_order=4, seed=3)
+        traj = run_search(teachers, labels, spec)
+        assert len(calls) == 1 + spec.max_order * spec.trials_per_order
+        baselines = [t for t in traj if t.trial == 0]
+        assert [t.order for t in baselines] == [1, 2, 3]
+        for t in baselines[1:]:
+            assert t.score == baselines[0].score
+            assert t.converged_fraction == baselines[0].converged_fraction
 
     def test_deterministic_and_order_independent_draws(self):
         teachers, labels = small_validation_set()
