@@ -8,6 +8,7 @@ softmax_c(-||x - mu_c||^2 / (2 sigma^2)).
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -144,14 +145,17 @@ def true_posterior_rows(spec: GaussianMixtureSpec, x: np.ndarray) -> np.ndarray:
 
 def csv_rows(path, ndmin: int) -> np.ndarray:
     """The numbers below a CSV's header line; none for a header-only file."""
-    with open(path) as f:
-        columns = len(f.readline().split(","))
-        if not f.read(1):
-            return np.empty((0, columns) if ndmin == 2 else 0)
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=ndmin)
+        with warnings.catch_warnings():
+            # a file with no rows is an empty split, as generate-data writes
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=ndmin)
     except ValueError as exc:  # a cell that is not a number, or ragged rows
         raise SchemaError(f"{path}: {exc}") from None
+    if rows.size == 0 and ndmin == 2:
+        with open(path) as f:
+            return np.empty((0, len(f.readline().split(","))))
+    return rows
 
 
 def read_json(path):

@@ -1,8 +1,9 @@
 """Distillation losses and their analytic gradients w.r.t. student logits.
 
-Every function works row by row on (N, C) arrays (a 1-d vector is one row);
-batch risks are arithmetic means computed by callers. ``LOSSES`` is the one
-table of training losses by method name.
+Every function works row by row on (N, C) arrays (a 1-d vector is one row),
+except the series kernel ``perturbation_terms``, which also serves the proxy
+solver's class-major (C, N) arrays; batch risks are arithmetic means computed
+by callers. ``LOSSES`` is the one table of training losses by method name.
 """
 from __future__ import annotations
 
@@ -110,17 +111,12 @@ def perturbation_terms(teacher: np.ndarray, q: np.ndarray,
     return teacher * (value * u), teacher * slope, teacher * curv
 
 
-def _row_terms(teacher: np.ndarray, q: np.ndarray, cfg: PerturbationConfig):
-    """``perturbation_terms`` on (N, C) rows."""
-    teacher = np.asarray(teacher, dtype=float)
-    cfg.check_classes(teacher.shape[-1])
-    return perturbation_terms(teacher, q, cfg.coefficients.T)
-
-
 def pt_rows(teacher: np.ndarray, student: np.ndarray,
             cfg: PerturbationConfig) -> np.ndarray:
     """Row-wise perturbed distillation loss (KL plus the polynomial shift)."""
-    value = _row_terms(teacher, student, cfg)[0]
+    teacher = np.asarray(teacher, dtype=float)
+    cfg.check_classes(teacher.shape[-1])
+    value = perturbation_terms(teacher, student, cfg.coefficients.T)[0]
     return kl_rows(teacher, student) + np.sum(value, axis=-1)
 
 
@@ -135,7 +131,8 @@ def pt_grad_rows(teacher: np.ndarray, student_logits: np.ndarray,
     student_logits = np.asarray(student_logits, dtype=float)
     _check_same_classes(teacher, student_logits)
     q = softmax_rows(student_logits)
-    value, s, _ = _row_terms(teacher, q, cfg)
+    cfg.check_classes(teacher.shape[-1])
+    value, s, _ = perturbation_terms(teacher, q, cfg.coefficients.T)
     values = kl_rows(teacher, q) + np.sum(value, axis=-1)
     qs = np.sum(q * s, axis=-1, keepdims=True)
     grads = (q - teacher) - (q * s - q * qs)

@@ -146,9 +146,9 @@ def run_search(teacher_val, labels, spec: SearchSpec,
     """Evaluate every candidate and return the full trajectory.
 
     Trial 0 of every order is the all-zero baseline, solved once and shared
-    by every order; trials 1..N_k are drawn
-    uniformly from the coefficient range with per-trial seeds derived from
-    (seed, order, trial), so results are order-independent and reproducible.
+    by every order; trials 1..N_k are drawn uniformly from the coefficient
+    range with per-trial seeds derived from (seed, order, trial), so results
+    are order-independent and reproducible.
     """
     teachers = _as_rows(teacher_val, "teacher_val")
     y = _as_rows(labels, "labels")
@@ -158,10 +158,12 @@ def run_search(teacher_val, labels, spec: SearchSpec,
     num_classes = teachers.shape[1]
 
     def evaluate(cfg):
+        """(score, converged fraction, discarded) of one candidate."""
         proxies, converged = solve_proxy_rows(teachers, cfg, solver)
         frac = float(np.mean(converged))
-        discarded = frac < MIN_CONVERGED_FRACTION
-        return (None if discarded else quality_score(proxies, y)), frac, discarded
+        if frac < MIN_CONVERGED_FRACTION:
+            return None, frac, True
+        return quality_score(proxies, y), frac, False
 
     # all-zero coefficients pose the same (KL) problem at every order, so
     # the baseline is solved and scored once
@@ -170,12 +172,12 @@ def run_search(teacher_val, labels, spec: SearchSpec,
     for order in range(1, spec.max_order + 1):
         for k in range(spec.trials_per_order + 1):
             if k == 0:
-                cfg, result = PerturbationConfig.zero(num_classes, order), baseline
+                cfg = PerturbationConfig.zero(num_classes, order)
+                score, frac, discarded = baseline
             else:
                 rng = derive_rng(spec.seed, "coeff-search", order, k)
                 cfg = _sample_config(rng, spec, num_classes, order)
-                result = evaluate(cfg)
-            score, frac, discarded = result
+                score, frac, discarded = evaluate(cfg)
             trials.append(SearchTrial(order=order, trial=k, config=cfg,
                                       score=score, converged_fraction=frac,
                                       discarded=discarded))

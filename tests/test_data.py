@@ -6,6 +6,7 @@ from ptdistill.data import (
     GaussianMixtureSpec,
     LabeledDataset,
     _split_counts,
+    csv_rows,
     generate,
     load_dataset,
     save_dataset,
@@ -165,6 +166,14 @@ class TestSerialization:
         save_dataset(ds, tmp_path)
         first = (tmp_path / "train.csv").read_text().splitlines()[0]
         assert first == "x_0,x_1,x_2,label"
+
+    @pytest.mark.parametrize("body", ["", "\n"], ids=["header", "blank"])
+    def test_header_only_csv_is_empty(self, tmp_path, recwarn, body):
+        path = tmp_path / "test.csv"
+        path.write_text("x_0,x_1,label\n" + body)
+        assert csv_rows(path, ndmin=2).shape == (0, 3)
+        assert csv_rows(path, ndmin=1).shape == (0,)
+        assert len(recwarn) == 0
 
 
 class TestLabeledDataset:

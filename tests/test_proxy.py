@@ -122,12 +122,15 @@ class TestSolveProxyExample:
         # a class term that is concave at the solution (first row: h_3 < 0)
         # or where the iterates pass (second row: there diag(h) is indefinite
         # on sum(d) = 0, and without the KL curvature standing in the row
-        # does not converge within 100 iterations)
+        # does not converge within 100 iterations); the third row converges
+        # only if a rejected trial leaves the row where it was
         cases = [
             ([0.002, 0.002, 0.996],
              [[0.21, 1.72], [6.72, 0.19], [-0.91, -0.76]]),
             ([0.38, 0.5, 0.12],
              [[4.5, 4.4, 2.2], [4.7, 1.1, -6.3], [9.0, 1.9, 0.5]]),
+            ([0.0003, 0.0032, 0.9965],
+             [[0.21, 1.72], [6.72, 0.19], [-0.91, -0.76]]),
         ]
         for i, (t, eps) in enumerate(cases):
             t = np.array(t)
@@ -135,9 +138,9 @@ class TestSolveProxyExample:
             proxy, norm, _, converged = solve_one(t, cfg)
             assert converged and norm <= 1e-8
             if i == 0:
-                t = t[:, None]
-                assert _local_model(t, clamp_probs(t), proxy[:, None],
-                                    cfg.coefficients.T[:, :, None])[2][2, 0] < 0.0
+                t, stack = t[:, None], cfg.coefficients.T[:, :, None]
+                h = _local_model(t, clamp_probs(t), proxy[:, None], stack)[2]
+                assert h[2, 0] < 0.0
 
     def test_step_stops_halfway_to_the_boundary(self):
         # a full Newton step from the teacher overshoots a class past q = 0;
