@@ -96,19 +96,32 @@ def perturbation_terms(teacher: np.ndarray, q: np.ndarray,
     broadcasts against q, so the caller picks the layout: (M, C) for (N, C)
     rows, (M, C, 1) for class-major (C, n) columns. An empty stack (M = 0)
     gives P = 0.
+
+    The result equals Horner's rule started from zero arrays, but a term
+    that is still zero (None below) or still constant in u (a coefficient
+    entry, or twice one) is carried as such, so no pass over the arrays
+    multiplies a zero by u or broadcasts a constant.
     """
     u = 1.0 - np.asarray(q, dtype=float)
-    # the top step's closed form: P = eps_M with zero derivatives
-    value = coefficients[-1] if len(coefficients) else 0.0
-    slope = curv = 0.0
-    for eps in coefficients[-2::-1]:
-        curv = curv * u + 2.0 * slope
-        slope = slope * u + value
-        value = value * u + eps
-    # P has no constant term, so the last step adds nothing
-    curv = curv * u + 2.0 * slope
-    slope = slope * u + value
-    return teacher * (value * u), teacher * slope, teacher * curv
+    value = slope = curv = None
+    # P has no constant term, so the last step (eps None) adds nothing
+    for eps in (*coefficients[::-1], None):
+        curv = _horner_step(curv, u, None if slope is None else 2.0 * slope)
+        slope = _horner_step(slope, u, value)
+        value = _horner_step(value, u, eps)
+    shape = np.broadcast_shapes(np.shape(teacher), u.shape)
+    return tuple(np.zeros(shape) if term is None else teacher * term
+                 for term in (value, slope, curv))
+
+
+def _horner_step(term, u, add):
+    """term * u + add, where None stands for a zero term or addend."""
+    if term is None:
+        return add
+    out = term * u
+    if add is not None:
+        out += add
+    return out
 
 
 def pt_rows(teacher: np.ndarray, student: np.ndarray,

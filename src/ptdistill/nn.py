@@ -120,6 +120,10 @@ def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == np.argmax(labels, axis=1)))
 
 
+def _all_finite(model: MlpModel) -> bool:
+    return all(np.isfinite(p).all() for p in (*model.weights, *model.biases))
+
+
 def train(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
           loss: TrainingLoss, tc: TrainConfig):
     """Minibatch SGD; returns (trained copy, per-epoch history).
@@ -147,7 +151,7 @@ def train(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
             for w, b, dw, db in zip(model.weights, model.biases, dws, dbs):
                 w -= tc.learning_rate * dw
                 b -= tc.learning_rate * db
-            if not all(np.all(np.isfinite(w)) for w in model.weights):
+            if not _all_finite(model):
                 raise TrainingDivergenceError(
                     f"non-finite parameter at epoch {epoch}, batch start {start}"
                 )
@@ -187,4 +191,6 @@ def load_model(path) -> MlpModel:
             or [b.shape for b in model.biases] != [(o,) for _, o in shapes]):
         raise SchemaError(f"{path}: weight and bias shapes do not match "
                           f"layer_dims {model.layer_dims}")
+    if not _all_finite(model):
+        raise SchemaError(f"{path}: weights and biases must be finite")
     return model

@@ -12,13 +12,16 @@ sum(q) = 1, so the Newton step on q itself has a closed form: with the
 per-class slope g'_c and curvature h_c, d_c = (nu - g'_c) / h_c and the
 scalar nu makes sum(d) = 0. That is O(C) per row, with no C x C Hessian.
 Where the exact curvature is not positive definite on sum(d) = 0 (a class
-term is nonconvex there), the KL curvature t / q^2 stands in. A step goes at
-most halfway to the q > 0 boundary (the fraction-to-boundary rule of
-interior-point methods): a full Newton step from the teacher often
-overshoots a small class past 0, and a step to 0.99 of the way would leave
-that class at 1 % of its value, from where it climbs back about one
-doubling per iteration. Rejected steps are halved until g does not rise,
-so each row reaches the local minimum nearest the teacher.
+term is nonconvex there), the KL curvature t / q^2 stands in; a batch whose
+curvatures are all positive skips that test. A step goes at most halfway to
+the q > 0 boundary (the fraction-to-boundary rule of interior-point
+methods): its length is min(1, BOUNDARY_FRACTION * s_max), where s_max is
+the smallest -q_c / d_c over the classes with d_c < 0 (infinite if there is
+none). A full Newton step from the teacher often overshoots a small class
+past 0, and a step to 0.99 of the way would leave that class at 1 % of its
+value, from where it climbs back about one doubling per iteration. Rejected
+steps are halved until g does not rise, so each row reaches the local
+minimum nearest the teacher.
 
 The loop works class-major: the teacher and the iterate are transposed once
 on entry to (C, n), one column per row, so per-row sums are ``ones @ x``
@@ -30,6 +33,15 @@ rejected trial is copied back from the previous iterate for that row alone.
 Rows share no arithmetic, though BLAS may round a row's class sums
 differently with the batch size (by a few units in the last place at C = 100,
 not at all at C = 3 in the searches checked).
+
+At order 3 one iteration makes about 46 passes over the (C, n) arrays,
+counting each elementwise operation, class sum and reduction once: 16 in
+the series kernel, 16 in the rest of the local model (log q, the objective,
+slope and curvature, and the gradient norm with its two class sums), 10 in
+the Newton step (1 / h, its class sum, the convexity test, the direction
+with its class sum, and the step bound q / d with its minimum) and 4 in the
+update q + s d and its projection onto sum(q) = 1. Where an expression
+allows it, the arithmetic runs in place, so a pass writes no new array.
 
 All-zero coefficients pose the same (KL) problem at every order, so
 ``selection.run_search`` solves that baseline once per search.
@@ -86,11 +98,20 @@ def _local_model(teacher: np.ndarray, floor: np.ndarray, q: np.ndarray,
     """
     value, slope, curv = perturbation_terms(teacher, q, coefficients)
     ones = np.ones(len(q))
-    obj = ones @ (value - teacher * np.log(q))
-    dg = -teacher / q - slope
-    h = floor / q ** 2 + curv
-    r = q * (dg - ones @ (q * dg))
-    return obj, dg, h, np.sqrt(ones @ (r * r))
+    value -= teacher * np.log(q)
+    obj = ones @ value
+    # -(t/q + P') is -t/q - P' to the bit
+    dg = np.divide(teacher, q)
+    dg += slope
+    np.negative(dg, out=dg)
+    h = np.square(q)
+    np.divide(floor, h, out=h)
+    h += curv
+    r = q * dg
+    np.subtract(dg, ones @ r, out=r)
+    r *= q
+    np.square(r, out=r)
+    return obj, dg, h, np.sqrt(ones @ r)
 
 
 def _newton_step(floor: np.ndarray, q: np.ndarray, dg: np.ndarray,
@@ -101,16 +122,23 @@ def _newton_step(floor: np.ndarray, q: np.ndarray, dg: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / h
         inv_sum = ones @ inv
-        # diag(h) is positive definite on sum(d) = 0 iff every h_c > 0, or
-        # exactly one h_c < 0 and sum(1 / h) < 0
-        nonpos = ones @ (h <= 0.0)
-        exact = (nonpos == 0) | ((nonpos == 1) & (inv_sum < 0.0))
-        if not np.all(exact):
+        if not np.all(h > 0.0):
+            # diag(h) is positive definite on sum(d) = 0 iff every h_c > 0,
+            # or exactly one h_c < 0 and sum(1 / h) < 0
+            nonpos = ones @ (h <= 0.0)
+            exact = (nonpos == 0) | ((nonpos == 1) & (inv_sum < 0.0))
             inv = np.where(exact, inv, q ** 2 / floor)
             inv_sum = ones @ inv
-        nu = (ones @ (dg * inv)) / inv_sum
-        d = (nu - dg) * inv
-        to_boundary = np.min(np.where(d < 0.0, -q / d, np.inf), axis=0)
+        d = dg * inv
+        nu = (ones @ d) / inv_sum
+        np.subtract(nu, dg, out=d)
+        d *= inv
+        # q_c + s d_c reaches 0 at s = -q_c / d_c for d_c < 0, so the
+        # boundary is -(the negative q_c / d_c nearest zero). Read as int64,
+        # negative floats lie below all others, the nearer zero the lower,
+        # so one integer min over the classes finds it if there is one.
+        nearest = (q / d).view(np.int64).min(axis=0).view(float)
+        to_boundary = np.where(np.signbit(nearest), -nearest, np.inf)
     return d, np.minimum(1.0, BOUNDARY_FRACTION * to_boundary)
 
 
@@ -154,7 +182,8 @@ def _solve_rows(teacher: np.ndarray, cfg: PerturbationConfig,
                 break
 
         d, alpha = _newton_step(floor, q, dg, h)
-        q_trial = q + (scale * alpha) * d
+        q_trial = np.multiply(scale * alpha, d, out=d)
+        q_trial += q
         # sum(d) = 0 holds only up to cancellation, so project back
         q_trial /= np.ones(len(q)) @ q_trial
         obj_trial, dg_trial, h_trial, norm_trial = _local_model(

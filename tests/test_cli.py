@@ -541,6 +541,8 @@ class TestMalformedJson:
         ("eval --data-dir {data} --model {coeffs}", "{coeffs}"),
         # a weight matrix whose shape disagrees with layer_dims
         ("eval --data-dir {data} --model {misshapen}", "{misshapen}"),
+        # a weight written as Infinity, which Python's json reads back
+        ("eval --data-dir {data} --model {infinite}", "{infinite}"),
         # valid JSON, but a list rather than the spec.json object
         ("eval --data-dir {list_data} --model {teacher}",
          "{list_data}/spec.json"),
@@ -548,7 +550,8 @@ class TestMalformedJson:
         ("eval --data-dir {sizes_data} --model {teacher}",
          "{sizes_data}/spec.json"),
     ], ids=["config", "coeffs", "configs", "teacher", "model", "spec",
-            "model-not-a-model", "model-shapes", "spec-list", "split-sizes"])
+            "model-not-a-model", "model-shapes", "model-not-finite",
+            "spec-list", "split-sizes"])
     def test_is_schema_error_naming_the_file(self, workspace, capsys,
                                              tmp_path, argv, culprit):
         _, data_dir, teacher = workspace
@@ -570,13 +573,17 @@ class TestMalformedJson:
         model["weights"][0] = model["weights"][0][:5]
         misshapen = tmp_path / "misshapen.json"
         misshapen.write_text(json.dumps(model))
+        model = json.loads(teacher.read_text())
+        model["weights"][-1][0][0] = float("inf")
+        infinite = tmp_path / "infinite.json"
+        infinite.write_text(json.dumps(model))
         coeffs = tmp_path / "coeffs.json"
         coeffs.write_text(json.dumps(
             {"order": 1, "tie_classes": True, "matrix": [[1.0]] * 3}))
         names = {"bad": bad, "bad_data": bad_data, "data": data_dir,
                  "teacher": teacher, "coeffs": coeffs,
                  "list_data": list_data, "sizes_data": sizes_data,
-                 "misshapen": misshapen,
+                 "misshapen": misshapen, "infinite": infinite,
                  "out": tmp_path / "out"}
         code, _, err = run_cli(capsys, *argv.format(**names).split())
         assert code == 2

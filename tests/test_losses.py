@@ -122,26 +122,27 @@ class TestPerturbationTerms:
         for g, e in zip(got, expected):
             np.testing.assert_allclose(g, e, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("order", range(4))
+    @pytest.mark.parametrize("order", range(6))
     def test_matches_horner_from_zero_in_both_layouts(self, order):
         rng = np.random.default_rng(40 + order)
-        t = rng.dirichlet(np.ones(3), size=20)
-        q = rng.dirichlet(np.ones(3), size=20)
-        eps = rng.uniform(-1.0, 10.0, size=(3, order))
-        # plain Horner from zero: one step per coefficient, then the
-        # series' zero constant term
-        u = 1.0 - q
-        value = slope = curv = np.zeros_like(u)
-        for e in (*eps.T[::-1], 0.0):
-            curv = curv * u + 2.0 * slope
-            slope = slope * u + value
-            value = value * u + e
-        expected = (t * value, t * slope, t * curv)
-        rows = perturbation_terms(t, q, eps.T)
-        columns = perturbation_terms(t.T, q.T, eps.T[:, :, None])
-        for r, c, e in zip(rows, columns, expected):
-            assert np.array_equal(r, e)
-            assert np.array_equal(c.T, e)
+        for c in (3, 100):
+            t = rng.dirichlet(np.ones(c), size=20)
+            q = rng.dirichlet(np.ones(c), size=20)
+            eps = rng.uniform(-1.0, 10.0, size=(c, order))
+            # plain Horner from zero: one step per coefficient, then the
+            # series' zero constant term
+            u = 1.0 - q
+            value = slope = curv = np.zeros_like(u)
+            for e in (*eps.T[::-1], 0.0):
+                curv = curv * u + 2.0 * slope
+                slope = slope * u + value
+                value = value * u + e
+            expected = (t * value, t * slope, t * curv)
+            rows = perturbation_terms(t, q, eps.T)
+            columns = perturbation_terms(t.T, q.T, eps.T[:, :, None])
+            for r, col, e in zip(rows, columns, expected):
+                assert np.array_equal(r, e)
+                assert np.array_equal(col.T, e)
 
 
 class TestPtLossGrad:

@@ -3,7 +3,7 @@ import pytest
 
 from ptdistill import nn
 from ptdistill.core import InvalidInputError, TrainingDivergenceError
-from ptdistill.losses import PerturbationConfig, make_loss
+from ptdistill.losses import PerturbationConfig, TrainingLoss, make_loss
 
 
 def flat_params(model):
@@ -162,6 +162,19 @@ class TestTrain:
         tc = nn.TrainConfig(learning_rate=1e12, epochs=50, seed=0)
         with pytest.raises(TrainingDivergenceError):
             nn.train(model, x, labels, make_loss("cross_entropy"), tc)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergent_bias_detected(self):
+        # a zero input row gives every weight a zero gradient, so only the
+        # biases take the huge step and overflow
+        class HugeGradient(TrainingLoss):
+            def values_and_grads(self, targets, logits):
+                return np.zeros(len(logits)), np.full(logits.shape, 1e308)
+
+        model = nn.init([2, 4, 2], 0)
+        tc = nn.TrainConfig(learning_rate=5.0, batch_size=1, epochs=1)
+        with pytest.raises(TrainingDivergenceError):
+            nn.train(model, np.zeros((1, 2)), np.eye(2)[:1], HugeGradient(), tc)
 
     def test_zero_epochs_is_identity(self):
         x, labels = self.make_toy(n=8)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ptdistill import proxy
 from ptdistill.core import (
     SIMPLEX_ATOL,
     InvalidInputError,
@@ -241,6 +242,45 @@ class TestBatchSolvers:
                 assert not np.all(converged)
             else:
                 assert np.all(converged) and len(set(iterations)) >= 3
+
+    @pytest.mark.parametrize("eps,teachers", [
+        # h_3 < 0 near the first and third rows' solutions, where the exact
+        # step still holds
+        ([[0.21, 1.72], [6.72, 0.19], [-0.91, -0.76]],
+         [[0.002, 0.002, 0.996], [0.2, 0.3, 0.5], [0.0003, 0.0032, 0.9965],
+          [0.6, 0.1, 0.3], [0.1, 0.8, 0.1]]),
+        # diag(h) indefinite on sum(d) = 0 for the first and third rows: the
+        # KL curvature stands in
+        ([[4.5, 4.4, 2.2], [4.7, 1.1, -6.3], [9.0, 1.9, 0.5]],
+         [[0.38, 0.5, 0.12], [0.5, 0.001, 0.499], [0.2443, 0.549, 0.2067],
+          [0.3, 0.01, 0.69], [0.6, 0.05, 0.35]]),
+    ], ids=["indefinite-exact", "kl-fallback"])
+    def test_convexity_test_keeps_rows_apart(self, monkeypatch, eps,
+                                             teachers):
+        # a batch skips the all-h-positive shortcut if any row has some
+        # h_c <= 0; rows whose h stays positive must still step as they do
+        # alone, where the shortcut is taken
+        newton_step, saw_nonpositive = proxy._newton_step, []
+
+        def recording_step(floor, q, dg, h):
+            saw_nonpositive.append(bool(np.any(h <= 0.0)))
+            return newton_step(floor, q, dg, h)
+
+        monkeypatch.setattr(proxy, "_newton_step", recording_step)
+        eps = np.array(eps)
+        cfg = PerturbationConfig(eps.shape[1], eps)
+        alone, curved = [], []
+        for row in teachers:
+            saw_nonpositive.clear()
+            alone.append(solve_one(row, cfg))
+            curved.append(any(saw_nonpositive))
+        assert curved == [True, False, True, False, False]
+        proxies, norms, iterations, converged = _solve_rows(
+            np.array(teachers), cfg, SolverConfig())
+        assert np.all(converged)
+        for i, (proxy_, norm, iters, _) in enumerate(alone):
+            assert np.array_equal(proxies[i], proxy_)
+            assert norms[i] == norm and iterations[i] == iters
 
     def test_rows_matches_batch(self):
         # the pipelines' entry point returns the full solve's arrays unchanged
