@@ -7,9 +7,10 @@ Owns the interchange file formats:
   * coefficient JSON: ``{"order": M, "tie_classes": bool, "matrix": [[..]]}``,
     or a search-coeffs result, whose ``best`` entry is read
 
-Every command that writes files also writes a ``<name>.manifest.json``
-recording the resolved configuration, seeds, input digests, and output
-digests, so a run can be reproduced and checked bit-for-bit.
+Every command prints a one-line JSON summary. One that writes files also
+writes ``<first-output>.manifest.json`` recording the resolved
+configuration, seeds, input digests, and output digests, so a run can be
+reproduced and checked bit-for-bit.
 
 Exit codes: 0 success, 1 domain error (single line on stderr), 2 usage or
 file/schema error.
@@ -38,26 +39,26 @@ from .core import (
 )
 from .data import (
     GaussianMixtureSpec,
-    csv_rows,
+    dataset_files,
     generate,
     load_dataset,
     one_hot,
+    read_csv,
     read_json,
     save_dataset,
-    true_posterior_rows,
     write_csv,
 )
 from .distill import (
     distill_student,
     sweep_proxy_teachers,
-    teacher_probs,
+    teacher_diagnostics,
     train_teacher,
 )
 from .equivalence import verify_equivalence
 from .losses import PerturbationConfig, loss_class
 from .nn import TrainConfig
 from .proxy import SolverConfig, _solve_rows
-from .selection import SearchSpec, best_trial, risk_gap_terms, run_search
+from .selection import SearchSpec, best_trial, run_search
 
 DOMAIN_ERRORS = (InvalidInputError, ConfigurationError, SearchFailureError,
                  SolverDivergenceError, TrainingDivergenceError)
@@ -68,14 +69,9 @@ DOMAIN_ERRORS = (InvalidInputError, ConfigurationError, SearchFailureError,
 # ---------------------------------------------------------------------------
 
 def read_probs_csv(path) -> np.ndarray:
-    path = Path(path)
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-    if not header or not all(h == f"p_{i}" for i, h in enumerate(header)):
+    header, rows = read_csv(path)
+    if header != [f"p_{i}" for i in range(len(header))]:
         raise SchemaError(f"{path}: expected header p_0..p_{{C-1}}, got {header}")
-    rows = csv_rows(path, ndmin=2)
-    if rows.shape[1] != len(header):
-        raise SchemaError(f"{path}: row width does not match header")
     if not (np.all(np.isfinite(rows)) and np.all((rows >= 0.0) & (rows <= 1.0))):
         raise SchemaError(f"{path}: probabilities must be finite and in [0, 1]")
     if np.any(np.abs(rows.sum(axis=1) - 1.0) > SIMPLEX_ATOL):
@@ -84,13 +80,12 @@ def read_probs_csv(path) -> np.ndarray:
 
 
 def read_labels_csv(path) -> np.ndarray:
-    path = Path(path)
-    with open(path) as f:
-        header = f.readline().strip()
-    if header != "label":
-        raise SchemaError(f"{path}: expected header 'label', got {header!r}")
+    header, rows = read_csv(path)
+    if header != ["label"]:
+        raise SchemaError(f"{path}: expected header 'label', "
+                          f"got {','.join(header)!r}")
     # class indices as written; one_hot checks them against the class count
-    return csv_rows(path, ndmin=1)
+    return rows[:, 0]
 
 
 def read_coeffs_json(path) -> PerturbationConfig:
@@ -222,39 +217,30 @@ def _search_spec(cfg: dict, seed_key: str) -> SearchSpec:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each maps its options to (summary, seeds, inputs, outputs)
 # ---------------------------------------------------------------------------
 
-def cmd_generate_data(cfg: dict) -> int:
-    started = time.time()
+def cmd_generate_data(cfg: dict):
     spec = GaussianMixtureSpec.sample(
         seed=cfg["seed"], num_classes=cfg["classes"], dim=cfg["dim"],
         sigma=cfg["sigma"])
     ds = generate(spec, cfg["n"], _parse_numbers(cfg["split"], count=3))
     written = save_dataset(ds, cfg["out-dir"])
-    write_manifest("generate-data", cfg, {"seed": cfg["seed"]},
-                   [], written, started)
-    print(json.dumps({"out_dir": str(cfg["out-dir"]),
-                      "split_sizes": ds.split_sizes}))
-    return 0
+    summary = {"out_dir": str(cfg["out-dir"]), "split_sizes": ds.split_sizes}
+    return summary, {"seed": cfg["seed"]}, [], written
 
 
-def cmd_train_teacher(cfg: dict) -> int:
-    started = time.time()
+def cmd_train_teacher(cfg: dict):
     ds = load_dataset(cfg["data-dir"])
     tc = _train_config(cfg)
     model, val_acc = train_teacher(ds, _parse_numbers(cfg["arch"], int), tc)
     nn.save_model(model, cfg["out"])
-    inputs = sorted(Path(cfg["data-dir"]).glob("*.csv"))
-    write_manifest("train-teacher", cfg, {"seed": tc.seed}, inputs,
-                   [cfg["out"]], started)
-    print(json.dumps({"model": str(cfg["out"]),
-                      "validation_accuracy": val_acc}))
-    return 0
+    summary = {"model": str(cfg["out"]), "validation_accuracy": val_acc}
+    return (summary, {"seed": tc.seed}, dataset_files(cfg["data-dir"]),
+            [cfg["out"]])
 
 
-def cmd_distill(cfg: dict) -> int:
-    started = time.time()
+def cmd_distill(cfg: dict):
     loss_cls = loss_class(cfg["method"])
 
     params: dict = {}
@@ -273,19 +259,15 @@ def cmd_distill(cfg: dict) -> int:
 
     ds = load_dataset(cfg["data-dir"])
     teacher = nn.load_model(cfg["teacher"])
-    tc = _train_config(cfg)
-    report = distill_student(teacher, ds, loss_cls.method, tc, params=params,
-                             search_spec=search_spec)
+    report = distill_student(teacher, ds, loss_cls.method, _train_config(cfg),
+                             params=params, search_spec=search_spec)
     doc = asdict(report)
     write_json(cfg["out"], doc)
-    inputs = sorted(Path(cfg["data-dir"]).glob("*.csv")) + [cfg["teacher"]]
-    write_manifest("distill", cfg, report.seeds, inputs, [cfg["out"]], started)
-    print(json.dumps(doc))
-    return 0
+    return (doc, report.seeds,
+            dataset_files(cfg["data-dir"]) + [cfg["teacher"]], [cfg["out"]])
 
 
-def cmd_search_coeffs(cfg: dict) -> int:
-    started = time.time()
+def cmd_search_coeffs(cfg: dict):
     probs = read_probs_csv(cfg["teacher-probs"])
     labels = one_hot(read_labels_csv(cfg["labels"]), probs.shape[1])
     trials = run_search(probs, labels, _search_spec(cfg, "seed"))
@@ -300,14 +282,11 @@ def cmd_search_coeffs(cfg: dict) -> int:
         },
     }
     write_json(cfg["out"], doc)
-    write_manifest("search-coeffs", cfg, {"seed": cfg["seed"]},
-                   [cfg["teacher-probs"], cfg["labels"]], [cfg["out"]], started)
-    print(json.dumps(doc))
-    return 0
+    return (doc, {"seed": cfg["seed"]}, [cfg["teacher-probs"], cfg["labels"]],
+            [cfg["out"]])
 
 
-def cmd_solve_proxy(cfg: dict) -> int:
-    started = time.time()
+def cmd_solve_proxy(cfg: dict):
     probs = read_probs_csv(cfg["teacher-probs"])
     pcfg = read_coeffs_json(cfg["coeffs"])
     solver = SolverConfig(tolerance=cfg["tolerance"],
@@ -317,24 +296,18 @@ def cmd_solve_proxy(cfg: dict) -> int:
               + ["residual_norm", "iterations", "converged"])
     write_csv(cfg["out"], header,
               np.column_stack([proxies, norms, iterations, converged]))
-    write_manifest("solve-proxy", cfg, {},
-                   [cfg["teacher-probs"], cfg["coeffs"]], [cfg["out"]], started)
-    print(json.dumps({
-        "examples": len(proxies),
-        "converged_fraction": float(np.mean(converged)),
-    }))
-    return 0
+    summary = {"examples": len(proxies),
+               "converged_fraction": float(np.mean(converged))}
+    return summary, {}, [cfg["teacher-probs"], cfg["coeffs"]], [cfg["out"]]
 
 
-def cmd_verify_equivalence(cfg: dict) -> int:
+def cmd_verify_equivalence(cfg: dict):
     report = verify_equivalence(loss_class(cfg["method"]).method, cfg["param"],
                                 cfg["order"], cfg["trials"], cfg["seed"])
-    print(json.dumps(asdict(report)))
-    return 0
+    return asdict(report), {}, [], []
 
 
-def cmd_sweep(cfg: dict) -> int:
-    started = time.time()
+def cmd_sweep(cfg: dict):
     doc = read_json(cfg["configs"])
     if not isinstance(doc, list):
         raise SchemaError(f"{cfg['configs']}: expected a JSON list of configs")
@@ -342,8 +315,7 @@ def cmd_sweep(cfg: dict) -> int:
                for i, d in enumerate(doc)]
     ds = load_dataset(cfg["data-dir"])
     teacher = nn.load_model(cfg["teacher"])
-    tc = _train_config(cfg)
-    points = sweep_proxy_teachers(teacher, ds, configs, tc)
+    points = sweep_proxy_teachers(teacher, ds, configs, _train_config(cfg))
     out_doc = [asdict(p) for p in points]
     write_json(cfg["out"], out_doc)
     csv_path = Path(cfg["out"]).with_suffix(".csv")
@@ -351,27 +323,19 @@ def cmd_sweep(cfg: dict) -> int:
                          "student_test_accuracy"],
               [[p.l2_distance_to_truth, p.tvd_to_truth, p.student_test_accuracy]
                for p in points])
-    inputs = sorted(Path(cfg["data-dir"]).glob("*.csv")) + [cfg["teacher"],
-                                                            cfg["configs"]]
-    write_manifest("sweep", cfg, {"seed": cfg["seed"]}, inputs,
-                   [cfg["out"], csv_path], started)
-    print(json.dumps(out_doc))
-    return 0
+    inputs = dataset_files(cfg["data-dir"]) + [cfg["teacher"], cfg["configs"]]
+    return out_doc, {"seed": cfg["seed"]}, inputs, [cfg["out"], csv_path]
 
 
-def cmd_eval(cfg: dict) -> int:
+def cmd_eval(cfg: dict):
     ds = load_dataset(cfg["data-dir"])
-    model = nn.load_model(cfg["model"])
-    x, y = ds.split(cfg["split"])
-    probs = teacher_probs(model, x)
-    acc = float(np.mean(np.argmax(probs, 1) == np.argmax(y, 1)))
+    acc, vs_labels, vs_truth = teacher_diagnostics(
+        nn.load_model(cfg["model"]), ds, cfg["split"])
     doc = {"split": cfg["split"], "accuracy": acc,
-           "vs_labels": asdict(risk_gap_terms(probs, y))}
-    if ds.spec is not None:
-        doc["vs_truth"] = asdict(
-            risk_gap_terms(probs, true_posterior_rows(ds.spec, x)))
-    print(json.dumps(doc))
-    return 0
+           "vs_labels": asdict(vs_labels)}
+    if vs_truth is not None:
+        doc["vs_truth"] = asdict(vs_truth)
+    return doc, {}, [], []
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +413,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run one command; write its manifest, then print its summary."""
     args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return COMMANDS[args.command][0](_merge_config(args))
+        cfg = _merge_config(args)
+        summary, seeds, inputs, outputs = COMMANDS[args.command][0](cfg)
+        if outputs:
+            write_manifest(args.command, cfg, seeds, inputs, outputs, started)
     except (SchemaError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DOMAIN_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(summary))
+    return 0
 
 
 def main() -> None:

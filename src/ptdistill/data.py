@@ -143,19 +143,27 @@ def true_posterior_rows(spec: GaussianMixtureSpec, x: np.ndarray) -> np.ndarray:
 # Serialization: one CSV per split plus a JSON sidecar with the full spec.
 # ---------------------------------------------------------------------------
 
-def csv_rows(path, ndmin: int) -> np.ndarray:
-    """The numbers below a CSV's header line; none for a header-only file."""
+def read_csv(path) -> tuple[list[str], np.ndarray]:
+    """A CSV's header names and the (rows, columns) numbers below it.
+
+    Every row must hold one number per header name; a header-only file is
+    an empty table. The caller checks the names.
+    """
     try:
+        with open(path) as f:
+            header = f.readline().strip().split(",")
         with warnings.catch_warnings():
             # a file with no rows is an empty split, as generate-data writes
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=ndmin)
-    except ValueError as exc:  # a cell that is not a number, or ragged rows
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:  # not text, a cell not a number, ragged rows
         raise SchemaError(f"{path}: {exc}") from None
-    if rows.size == 0 and ndmin == 2:
-        with open(path) as f:
-            return np.empty((0, len(f.readline().split(","))))
-    return rows
+    if rows.size == 0:
+        rows = np.empty((0, len(header)))
+    elif rows.shape[1] != len(header):
+        raise SchemaError(f"{path}: rows have {rows.shape[1]} columns, "
+                          f"the header {len(header)}")
+    return header, rows
 
 
 def read_json(path):
@@ -204,9 +212,20 @@ def save_dataset(ds: LabeledDataset, out_dir) -> list[Path]:
     return written
 
 
-def load_dataset(in_dir) -> LabeledDataset:
+def dataset_files(in_dir) -> list[Path]:
+    """The files ``load_dataset`` reads: the spec sidecar, then each split."""
     in_dir = Path(in_dir)
-    sidecar = in_dir / "spec.json"
+    return [in_dir / "spec.json"] + [in_dir / f"{name}.csv"
+                                     for name in SPLIT_NAMES]
+
+
+def load_dataset(in_dir) -> LabeledDataset:
+    """The dataset ``save_dataset`` wrote to ``in_dir``.
+
+    Each split's header must be ``x_0..x_{d-1},label``, with d the spec's
+    dim, or the first split's when the spec is null.
+    """
+    sidecar, *paths = dataset_files(in_dir)
     meta = read_json(sidecar)
     try:
         spec = (None if meta["spec"] is None
@@ -217,10 +236,15 @@ def load_dataset(in_dir) -> LabeledDataset:
                           f"object and a spec that is null or a spec object"
                           ) from None
     n = sum(sizes.values())
+    dim = spec.dim if spec else None
     splits = []
-    for name in SPLIT_NAMES:
-        path = in_dir / f"{name}.csv"
-        rows = csv_rows(path, ndmin=2)
+    for name, path in zip(SPLIT_NAMES, paths):
+        header, rows = read_csv(path)
+        if dim is None:
+            dim = len(header) - 1
+        if header != [f"x_{i}" for i in range(dim)] + ["label"]:
+            raise SchemaError(f"{path}: expected header x_0..x_{dim - 1},label, "
+                              f"got {','.join(header)}")
         if rows.shape[0] != sizes[name]:
             raise SchemaError(f"{sidecar}: split_sizes gives {name} "
                               f"{sizes[name]} rows, {path} has {rows.shape[0]}")

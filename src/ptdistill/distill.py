@@ -15,7 +15,7 @@ from .core import InvalidInputError, softmax_rows
 from .data import LabeledDataset, true_posterior_rows
 from .losses import PerturbationConfig, loss_class, make_loss
 from .nn import MlpModel, TrainConfig
-from .proxy import SolverConfig, solve_proxy_rows
+from .proxy import solve_proxy_rows
 from .selection import (
     RiskGapTerms,
     SearchSpec,
@@ -59,14 +59,14 @@ def train_teacher(data: LabeledDataset, arch, tc: TrainConfig):
     return model, nn.accuracy(model, *data.split("validation"))
 
 
-def _teacher_diagnostics(teacher: MlpModel, data: LabeledDataset):
-    x_val, y_val = data.split("validation")
-    probs = teacher_probs(teacher, x_val)
-    vs_labels = risk_gap_terms(probs, y_val)
+def teacher_diagnostics(teacher: MlpModel, data: LabeledDataset, split: str):
+    """(accuracy, risk-gap terms vs labels, vs truth or None) on one split."""
+    x, y = data.split(split)
+    probs = teacher_probs(teacher, x)
     vs_truth = None
     if data.spec is not None:
-        vs_truth = risk_gap_terms(probs, true_posterior_rows(data.spec, x_val))
-    return vs_labels, vs_truth
+        vs_truth = risk_gap_terms(probs, true_posterior_rows(data.spec, x))
+    return nn.accuracy(teacher, x, y), risk_gap_terms(probs, y), vs_truth
 
 
 def _train_student(teacher: MlpModel, data: LabeledDataset, loss,
@@ -85,8 +85,7 @@ def _train_student(teacher: MlpModel, data: LabeledDataset, loss,
 
 def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
                     tc: TrainConfig, params: dict | None = None,
-                    search_spec: SearchSpec | None = None,
-                    solver: SolverConfig = SolverConfig()) -> DistillationReport:
+                    search_spec: SearchSpec | None = None) -> DistillationReport:
     """Distill one student under the chosen loss and report diagnostics.
 
     ``method`` is a name or alias in ``losses.LOSSES``; the report carries
@@ -110,7 +109,7 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
                     "method 'pt' needs either a fixed cfg or a SearchSpec"
                 )
             cfg, score = search_coefficients(
-                teacher_probs(teacher, x_val), y_val, search_spec, solver)
+                teacher_probs(teacher, x_val), y_val, search_spec)
             chosen["search_score"] = asdict(score)
         chosen["order"] = cfg.order
         chosen["coefficients"] = cfg.coefficients.tolist()
@@ -121,8 +120,8 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
     student, history = _train_student(teacher, data, loss, tc)
 
     test_acc = nn.accuracy(student, x_test, y_test)
-    vs_labels, vs_truth = _teacher_diagnostics(teacher, data)
-    teacher_val_acc = nn.accuracy(teacher, x_val, y_val)
+    teacher_val_acc, vs_labels, vs_truth = teacher_diagnostics(
+        teacher, data, "validation")
     seeds = {
         "teacher_init": teacher.seed,
         "student_init": tc.seed,
@@ -154,8 +153,8 @@ class SweepPoint:
 
 
 def sweep_proxy_teachers(teacher: MlpModel, data: LabeledDataset,
-                         configs: list[PerturbationConfig], tc: TrainConfig,
-                         solver: SolverConfig = SolverConfig()) -> list[SweepPoint]:
+                         configs: list[PerturbationConfig],
+                         tc: TrainConfig) -> list[SweepPoint]:
     """Pair each configuration's proxy-to-truth distance with student accuracy.
 
     Distances are measured on the validation split against the closed-form
@@ -172,7 +171,7 @@ def sweep_proxy_teachers(teacher: MlpModel, data: LabeledDataset,
 
     points = []
     for cfg in configs:
-        proxies, converged = solve_proxy_rows(probs_val, cfg, solver)
+        proxies, converged = solve_proxy_rows(probs_val, cfg)
         terms = risk_gap_terms(proxies, truth)
         student, _ = _train_student(teacher, data, make_loss("pt", cfg=cfg), tc)
         points.append(SweepPoint(

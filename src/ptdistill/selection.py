@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidInputError, SearchFailureError, clamp_probs
+from .core import InvalidInputError, SearchFailureError, entropy_rows
 from .losses import PerturbationConfig
-from .proxy import SolverConfig, solve_proxy_rows
+from .proxy import solve_proxy_rows
 from .rng import derive_rng
 
 # Candidate batches whose proxy-convergence fraction falls below this are
@@ -78,13 +78,6 @@ def _check_one_hot(labels: np.ndarray):
         raise InvalidInputError("labels must be one-hot")
 
 
-def neg_entropy_sq_rows(p: np.ndarray) -> np.ndarray:
-    """(p^T log p)^2 per row, with 0*log 0 = 0."""
-    logs = np.log(clamp_probs(p))
-    inner = np.sum(np.where(p > 0.0, p * logs, 0.0), axis=1)
-    return inner ** 2
-
-
 def quality_score(proxies, labels) -> QualityScore:
     """Score a proxy batch against one-hot validation labels (lower is better)."""
     p = _as_rows(proxies, "proxies")
@@ -95,7 +88,7 @@ def quality_score(proxies, labels) -> QualityScore:
         )
     _check_one_hot(y)
     distance = float(np.mean(np.linalg.norm(p - y, axis=1)) ** 2)
-    ent = float(np.mean(neg_entropy_sq_rows(p)))
+    ent = float(np.mean(entropy_rows(p) ** 2))
     return QualityScore(total=distance + ent, distance_term=distance,
                         entropy_term=ent)
 
@@ -113,7 +106,7 @@ def risk_gap_terms(model_probs, reference) -> RiskGapTerms:
         )
     return RiskGapTerms(
         l2_distance_mean=float(np.mean(np.linalg.norm(p - ref, axis=1))),
-        entropy_sq_mean=float(np.mean(neg_entropy_sq_rows(p))),
+        entropy_sq_mean=float(np.mean(entropy_rows(p) ** 2)),
         tvd_mean=float(np.mean(0.5 * np.sum(np.abs(p - ref), axis=1))),
     )
 
@@ -141,8 +134,7 @@ class SearchTrial:
     discarded: bool
 
 
-def run_search(teacher_val, labels, spec: SearchSpec,
-               solver: SolverConfig = SolverConfig()) -> list[SearchTrial]:
+def run_search(teacher_val, labels, spec: SearchSpec) -> list[SearchTrial]:
     """Evaluate every candidate and return the full trajectory.
 
     Trial 0 of every order is the all-zero baseline, solved once and shared
@@ -159,7 +151,7 @@ def run_search(teacher_val, labels, spec: SearchSpec,
 
     def evaluate(cfg):
         """(score, converged fraction, discarded) of one candidate."""
-        proxies, converged = solve_proxy_rows(teachers, cfg, solver)
+        proxies, converged = solve_proxy_rows(teachers, cfg)
         frac = float(np.mean(converged))
         if frac < MIN_CONVERGED_FRACTION:
             return None, frac, True
@@ -198,8 +190,7 @@ def best_trial(trials: list[SearchTrial]) -> SearchTrial:
     return min(kept, key=lambda t: (t.score.total, t.order, t.trial))
 
 
-def search_coefficients(teacher_val, labels, spec: SearchSpec,
-                        solver: SolverConfig = SolverConfig()):
+def search_coefficients(teacher_val, labels, spec: SearchSpec):
     """Random coefficient search; returns (best config, best score)."""
-    best = best_trial(run_search(teacher_val, labels, spec, solver))
+    best = best_trial(run_search(teacher_val, labels, spec))
     return best.config, best.score

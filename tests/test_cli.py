@@ -232,6 +232,22 @@ class TestDistill:
         assert code == 2
         assert err == "error: --method pt requires --max-order (or --coeffs)\n"
 
+    def test_manifest_digests_every_dataset_file(self, workspace, capsys,
+                                                 tmp_path):
+        _, data_dir, teacher = workspace
+        out = tmp_path / "report.json"
+        code, _, _ = run_cli(
+            capsys, "distill", "--data-dir", str(data_dir),
+            "--teacher", str(teacher), "--method", "kl", "--epochs", "1",
+            "--out", str(out))
+        assert code == 0
+        manifest = json.loads(
+            (tmp_path / "report.json.manifest.json").read_text())
+        assert set(manifest["input_digests"]) == {
+            str(data_dir / name) for name in
+            ("spec.json", "train.csv", "validation.csv", "test.csv")
+        } | {str(teacher)}
+
     def test_temp_requires_tau(self, workspace, capsys, tmp_path):
         _, data_dir, teacher = workspace
         code, _, err = run_cli(
@@ -423,6 +439,44 @@ class TestEval:
         assert code == 0
         doc = json.loads(stdout)
         assert set(doc) == {"split", "accuracy", "vs_labels", "vs_truth"}
+
+
+class TestMalformedDataset:
+    """Split CSVs whose header disagrees with the dataset's dim."""
+
+    @pytest.mark.parametrize("command", ["eval", "distill"])
+    @pytest.mark.parametrize("case,culprit", [
+        # spec.json says dim 30 (with 30-entry means); the CSVs hold 6 inputs
+        ("spec-dim", "train.csv"),
+        # no spec, so train.csv sets the dim; validation.csv lacks a column
+        ("dropped-column", "validation.csv"),
+    ])
+    def test_is_schema_error_naming_the_split(self, workspace, capsys,
+                                              tmp_path, command, case,
+                                              culprit):
+        _, data_dir, teacher = workspace
+        bad_dir = tmp_path / "data"
+        shutil.copytree(data_dir, bad_dir)
+        meta = json.loads((bad_dir / "spec.json").read_text())
+        if case == "spec-dim":
+            meta["spec"]["dim"] = 30
+            meta["spec"]["means"] = [row + [0.0] * 24
+                                     for row in meta["spec"]["means"]]
+        else:
+            meta["spec"] = None
+            val = bad_dir / "validation.csv"
+            val.write_text("".join(line.split(",", 1)[1] + "\n" for line
+                                   in val.read_text().splitlines()))
+        (bad_dir / "spec.json").write_text(json.dumps(meta))
+        out = tmp_path / "out.json"
+        argv = {"eval": ["--model", str(teacher)],
+                "distill": ["--teacher", str(teacher), "--method", "kl",
+                            "--epochs", "1", "--out", str(out)]}[command]
+        code, stdout, err = run_cli(capsys, command, "--data-dir",
+                                    str(bad_dir), *argv)
+        assert code == 2 and stdout == ""
+        assert len(err.splitlines()) == 1 and str(bad_dir / culprit) in err
+        assert not out.exists()
 
 
 class TestEmptySplits:

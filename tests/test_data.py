@@ -6,9 +6,9 @@ from ptdistill.data import (
     GaussianMixtureSpec,
     LabeledDataset,
     _split_counts,
-    csv_rows,
     generate,
     load_dataset,
+    read_csv,
     save_dataset,
     true_posterior_rows,
 )
@@ -171,8 +171,9 @@ class TestSerialization:
     def test_header_only_csv_is_empty(self, tmp_path, recwarn, body):
         path = tmp_path / "test.csv"
         path.write_text("x_0,x_1,label\n" + body)
-        assert csv_rows(path, ndmin=2).shape == (0, 3)
-        assert csv_rows(path, ndmin=1).shape == (0,)
+        header, rows = read_csv(path)
+        assert header == ["x_0", "x_1", "label"]
+        assert rows.shape == (0, 3)
         assert len(recwarn) == 0
 
 

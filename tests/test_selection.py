@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptdistill.core import InvalidInputError, SearchFailureError
+from ptdistill.core import InvalidInputError, SearchFailureError, entropy_rows
 from ptdistill.losses import PerturbationConfig
 from ptdistill import selection
 from ptdistill.proxy import solve_proxy_rows
@@ -9,7 +9,6 @@ from ptdistill.selection import (
     QualityScore,
     RiskGapTerms,
     SearchSpec,
-    neg_entropy_sq_rows,
     quality_score,
     risk_gap_terms,
     run_search,
@@ -52,11 +51,11 @@ class TestQualityScore:
 
 class TestNegEntropySq:
     def test_zero_log_zero(self):
-        out = neg_entropy_sq_rows(np.array([[1.0, 0.0]]))
+        out = entropy_rows(np.array([[1.0, 0.0]])) ** 2
         assert out[0] == 0.0
 
     def test_uniform(self):
-        out = neg_entropy_sq_rows(np.array([[0.25] * 4]))
+        out = entropy_rows(np.array([[0.25] * 4])) ** 2
         assert out[0] == pytest.approx(np.log(4.0) ** 2, abs=1e-12)
 
 
@@ -105,9 +104,9 @@ class TestRunSearch:
     def test_baseline_is_solved_once(self, monkeypatch):
         calls = []
 
-        def counted(teachers, cfg, solver):
+        def counted(teachers, cfg):
             calls.append(cfg)
-            return solve_proxy_rows(teachers, cfg, solver)
+            return solve_proxy_rows(teachers, cfg)
 
         monkeypatch.setattr(selection, "solve_proxy_rows", counted)
         teachers, labels = small_validation_set()
@@ -171,7 +170,7 @@ class TestSearchCoefficients:
 
     def test_all_discarded_raises(self, monkeypatch):
         # every solve reports no converged row, so every candidate is dropped
-        def unconverged(teachers, cfg, solver):
+        def unconverged(teachers, cfg):
             return teachers, np.zeros(len(teachers), dtype=bool)
 
         monkeypatch.setattr(selection, "solve_proxy_rows", unconverged)
