@@ -46,13 +46,23 @@ def teacher_probs(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     return softmax_rows(nn.forward_rows(model, inputs))
 
 
+def _check_outputs(model: MlpModel, data: LabeledDataset, role: str) -> None:
+    """Raise unless the model has one output per class of the dataset."""
+    outputs, classes = model.layer_dims[-1], data.labels.shape[1]
+    if outputs != classes:
+        raise InvalidInputError(f"the {role} has {outputs} outputs but the "
+                                f"dataset has {classes} classes")
+
+
 def train_teacher(data: LabeledDataset, arch, tc: TrainConfig):
     """One-hot cross-entropy teacher; returns (model, validation accuracy).
 
     The accuracy is None when the validation split is empty.
     """
     x_train, y_train = data.split("train")
+    # init validates the dims; the output check runs before any training
     model = nn.init(arch, tc.seed)
+    _check_outputs(model, data, "teacher architecture")
     model, _ = nn.train(model, x_train, y_train, make_loss("cross_entropy"), tc)
     if not data.split_sizes["validation"]:
         return model, None
@@ -99,6 +109,7 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
     data.split("train")
     x_val, y_val = data.split("validation")
     x_test, y_test = data.split("test")
+    _check_outputs(teacher, data, "teacher")
     chosen: dict = {"method": method, **params}
     if method == "pt":
         if "cfg" in params:
@@ -165,6 +176,7 @@ def sweep_proxy_teachers(teacher: MlpModel, data: LabeledDataset,
     if data.spec is None:
         raise InvalidInputError("sweep needs a dataset with a generating spec")
     x_val, _ = data.split("validation")
+    _check_outputs(teacher, data, "teacher")
     probs_val = teacher_probs(teacher, x_val)
     truth = true_posterior_rows(data.spec, x_val)
     x_test, y_test = data.split("test")

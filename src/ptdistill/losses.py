@@ -87,11 +87,12 @@ def kl_rows(teacher: np.ndarray, student: np.ndarray) -> np.ndarray:
 
 
 def perturbation_terms(teacher: np.ndarray, q: np.ndarray,
-                       coefficients: np.ndarray):
-    """Per-class t P(u), t P'(u) and t P''(u), u = 1 - q.
+                       coefficients: np.ndarray, derivatives: int = 2):
+    """Per-class t P(u), t P'(u) and t P''(u), u = 1 - q, truncated to the
+    first ``derivatives`` (0, 1 or 2) derivatives.
 
     P(u) = sum_m eps_{c,m} u^m is the perturbation series; one Horner pass,
-    highest order first, carries its value and both derivatives in u.
+    highest order first, carries its value and derivatives in u.
     ``coefficients`` is the stack eps_{., 1}, ..., eps_{., M}; each entry
     broadcasts against q, so the caller picks the layout: (M, C) for (N, C)
     rows, (M, C, 1) for class-major (C, n) columns. An empty stack (M = 0)
@@ -106,12 +107,14 @@ def perturbation_terms(teacher: np.ndarray, q: np.ndarray,
     value = slope = curv = None
     # P has no constant term, so the last step (eps None) adds nothing
     for eps in (*coefficients[::-1], None):
-        curv = _horner_step(curv, u, None if slope is None else 2.0 * slope)
-        slope = _horner_step(slope, u, value)
+        if derivatives > 1:
+            curv = _horner_step(curv, u, None if slope is None else 2.0 * slope)
+        if derivatives > 0:
+            slope = _horner_step(slope, u, value)
         value = _horner_step(value, u, eps)
     shape = np.broadcast_shapes(np.shape(teacher), u.shape)
     return tuple(np.zeros(shape) if term is None else teacher * term
-                 for term in (value, slope, curv))
+                 for term in (value, slope, curv)[:derivatives + 1])
 
 
 def _horner_step(term, u, add):
@@ -129,7 +132,7 @@ def pt_rows(teacher: np.ndarray, student: np.ndarray,
     """Row-wise perturbed distillation loss (KL plus the polynomial shift)."""
     teacher = np.asarray(teacher, dtype=float)
     cfg.check_classes(teacher.shape[-1])
-    value = perturbation_terms(teacher, student, cfg.coefficients.T)[0]
+    value, = perturbation_terms(teacher, student, cfg.coefficients.T, 0)
     return kl_rows(teacher, student) + np.sum(value, axis=-1)
 
 
@@ -145,7 +148,7 @@ def pt_grad_rows(teacher: np.ndarray, student_logits: np.ndarray,
     _check_same_classes(teacher, student_logits)
     q = softmax_rows(student_logits)
     cfg.check_classes(teacher.shape[-1])
-    value, s, _ = perturbation_terms(teacher, q, cfg.coefficients.T)
+    value, s = perturbation_terms(teacher, q, cfg.coefficients.T, 1)
     values = kl_rows(teacher, q) + np.sum(value, axis=-1)
     qs = np.sum(q * s, axis=-1, keepdims=True)
     grads = (q - teacher) - (q * s - q * qs)

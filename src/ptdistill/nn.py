@@ -3,6 +3,19 @@
 Hidden layers use ReLU, the output layer is linear (logits). Training is
 plain minibatch SGD; gradients flow through the analytic derivatives of the
 losses module, so the whole pipeline is finite-difference checkable.
+
+Memory layout:
+
+* ``train`` copies the weights and biases into one contiguous float64
+  buffer, laid out w_0, b_0, w_1, b_1, ...; the returned model's arrays are
+  views into it, and the gradients fill a second buffer with the same
+  layout. A step updates every parameter with one in-place multiply and one
+  subtract, and tests finiteness with one pass over the buffer.
+* The activations, back-propagated deltas and ReLU masks of a step live in
+  buffers allocated once per ``train`` call for a full batch; the last,
+  shorter batch uses their leading rows.
+* The forward pass adds the bias in place (``a = h @ w; a += b``), so a
+  layer costs one array of its output size, never a second temporary.
 """
 from __future__ import annotations
 
@@ -23,12 +36,6 @@ class MlpModel:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     seed: int = 0
-
-    def copy(self) -> "MlpModel":
-        return MlpModel(layer_dims=list(self.layer_dims),
-                        weights=[w.copy() for w in self.weights],
-                        biases=[b.copy() for b in self.biases],
-                        seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -57,21 +64,40 @@ def init(layer_dims, seed: int) -> MlpModel:
     return MlpModel(layer_dims=dims, weights=weights, biases=biases, seed=seed)
 
 
-def _forward_layers(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
-    """Every layer's output for an (N, d) input: the input first, logits last.
+def _param_views(layer_dims: list[int], flat: np.ndarray):
+    """Weight and bias views into a flat buffer laid out w_0, b_0, w_1, ..."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        stop = start + fan_in * fan_out
+        weights.append(flat[start:stop].reshape(fan_in, fan_out))
+        biases.append(flat[stop:stop + fan_out])
+        start = stop + fan_out
+    return weights, biases
 
-    Backprop reads the ReLU masks off the hidden outputs (> 0 where the
-    pre-activation is > 0), so one forward pass serves both.
-    """
+
+def _check_inputs(model: MlpModel, x) -> np.ndarray:
+    """The input as an (N, d) float array whose d is the model's input dim."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.layer_dims[0]:
         raise InvalidInputError(
             f"input dim {x.shape[1]} != model input dim {model.layer_dims[0]}"
         )
+    return x
+
+
+def _forward_layers(model: MlpModel, x: np.ndarray,
+                    outputs: list[np.ndarray] | None = None) -> list[np.ndarray]:
+    """Every layer's output for an (N, d) input: the input first, logits last.
+
+    Layer i writes into ``outputs[i]`` (N rows) when given, else into a new
+    array. Backprop reads the ReLU masks off the hidden outputs (> 0 where
+    the pre-activation is > 0), so one forward pass serves both.
+    """
     layers = [x]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = layers[-1] @ w + b
+        a = np.matmul(layers[-1], w, out=None if outputs is None else outputs[i])
+        a += b
         if i != last:
             np.maximum(a, 0.0, out=a)
         layers.append(a)
@@ -80,30 +106,49 @@ def _forward_layers(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
 
 def forward_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Batched logits for an (N, d) input matrix."""
-    return _forward_layers(model, x)[-1]
+    return _forward_layers(model, _check_inputs(model, x))[-1]
 
 
-def _backprop(model: MlpModel, layers: list[np.ndarray], dlogits: np.ndarray):
-    """Parameter gradients given the batch's layer outputs and
-    d(mean loss)/d(logits)."""
-    dws = [None] * len(model.weights)
-    dbs = [None] * len(model.biases)
-    delta = dlogits
-    for i in range(len(model.weights) - 1, -1, -1):
-        dws[i] = layers[i].T @ delta
-        dbs[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ model.weights[i].T) * (layers[i] > 0.0)
-    return dws, dbs
+class _Step:
+    """Forward and backprop buffers for batches of up to ``rows`` rows, and
+    the flat gradient buffer (``_param_views`` layout) a step fills."""
+
+    def __init__(self, layer_dims: list[int], rows: int):
+        hidden = layer_dims[1:-1]
+        self.outputs = [np.empty((rows, d)) for d in layer_dims[1:]]
+        self.deltas = [np.empty((rows, d)) for d in hidden]
+        self.masks = [np.empty((rows, d), dtype=bool) for d in hidden]
+        self.grad = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out
+                                 in zip(layer_dims[:-1], layer_dims[1:])))
+        self.dws, self.dbs = _param_views(layer_dims, self.grad)
+
+    def loss_and_grads(self, model: MlpModel, x: np.ndarray,
+                       targets: np.ndarray, loss: TrainingLoss) -> float:
+        """Mean loss over the batch; its exact parameter gradients land in
+        ``grad`` (``dws`` and ``dbs``)."""
+        m = x.shape[0]
+        layers = _forward_layers(model, x, [a[:m] for a in self.outputs])
+        values, delta = loss.values_and_grads(targets, layers[-1])
+        delta /= m
+        for i in range(len(model.weights) - 1, -1, -1):
+            np.matmul(layers[i].T, delta, out=self.dws[i])
+            np.sum(delta, axis=0, out=self.dbs[i])
+            if i > 0:
+                mask = np.greater(layers[i], 0.0, out=self.masks[i - 1][:m])
+                delta = np.matmul(delta, model.weights[i].T,
+                                  out=self.deltas[i - 1][:m])
+                delta *= mask
+        return float(np.mean(values))
 
 
 def loss_and_param_grads(model: MlpModel, x: np.ndarray, targets: np.ndarray,
                          loss: TrainingLoss):
-    """Mean loss over the batch and its exact parameter gradients."""
-    layers = _forward_layers(model, x)
-    values, dlogits = loss.values_and_grads(targets, layers[-1])
-    dws, dbs = _backprop(model, layers, dlogits / layers[0].shape[0])
-    return float(np.mean(values)), dws, dbs
+    """Mean loss over the batch and its exact parameter gradients, computed
+    by the step ``train`` takes."""
+    x = _check_inputs(model, x)
+    step = _Step(model.layer_dims, x.shape[0])
+    value = step.loss_and_grads(model, x, targets, loss)
+    return value, step.dws, step.dbs
 
 
 def evaluate(model: MlpModel, x: np.ndarray, targets: np.ndarray,
@@ -129,29 +174,35 @@ def train(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
     """Minibatch SGD; returns (trained copy, per-epoch history).
 
     History rows are dicts with full-dataset mean loss and accuracy evaluated
-    after each epoch; epoch shuffling is driven by (seed, epoch).
+    after each epoch; epoch shuffling is driven by (seed, epoch). The trained
+    copy's weights and biases are views into one flat parameter buffer.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    inputs = _check_inputs(model, inputs)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if inputs.shape[0] != targets.shape[0]:
         raise InvalidInputError("inputs and targets must have equal length")
-    model = model.copy()
+    dims = list(model.layer_dims)
+    params = np.concatenate([p.ravel() for layer in zip(model.weights,
+                                                        model.biases)
+                             for p in layer], dtype=float)
+    model = MlpModel(dims, *_param_views(dims, params), seed=model.seed)
     n = inputs.shape[0]
+    step = _Step(dims, min(tc.batch_size, n))
     history = []
     for epoch in range(tc.epochs):
         order = derive_rng(tc.seed, "epoch-shuffle", epoch).permutation(n)
+        epoch_inputs, epoch_targets = inputs[order], targets[order]
         for start in range(0, n, tc.batch_size):
-            idx = order[start:start + tc.batch_size]
-            value, dws, dbs = loss_and_param_grads(
-                model, inputs[idx], targets[idx], loss)
+            batch = slice(start, start + tc.batch_size)
+            value = step.loss_and_grads(model, epoch_inputs[batch],
+                                        epoch_targets[batch], loss)
             if not np.isfinite(value):
                 raise TrainingDivergenceError(
                     f"non-finite loss at epoch {epoch}, batch start {start}"
                 )
-            for w, b, dw, db in zip(model.weights, model.biases, dws, dbs):
-                w -= tc.learning_rate * dw
-                b -= tc.learning_rate * db
-            if not _all_finite(model):
+            step.grad *= tc.learning_rate
+            params -= step.grad
+            if not np.isfinite(params).all():
                 raise TrainingDivergenceError(
                     f"non-finite parameter at epoch {epoch}, batch start {start}"
                 )

@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line so the suite doubles as a checklist.
 The desk-scale reproduction (criterion 7) trains real teachers and students
 and takes several minutes; everything else runs in seconds.
 """
+import copy
 import json
 
 import numpy as np
@@ -90,7 +91,7 @@ def test_criterion_2_gradient_correctness():
         _, dws, dbs = nn.loss_and_param_grads(model, x, targets, loss)
         for li in range(len(model.weights)):
             i, j = 0, 0
-            pert = model.copy()
+            pert = copy.deepcopy(model)
             pert.weights[li][i, j] += h
             up, _, _ = nn.loss_and_param_grads(pert, x, targets, loss)
             pert.weights[li][i, j] -= 2 * h

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from ptdistill import cli
+from ptdistill import cli, nn
 from ptdistill.data import write_csv
 from ptdistill.proxy import solve_proxy_rows
 from ptdistill.selection import SearchSpec, search_coefficients
@@ -145,6 +145,18 @@ class TestTrainTeacher:
             "--arch", "30,x,3", "--epochs", "1", "--out", str(out))
         assert code == 2
         assert len(err.splitlines()) == 1 and "30,x,3" in err
+        assert not out.exists()
+
+    def test_last_arch_width_is_domain_error(self, workspace, capsys,
+                                             tmp_path):
+        _, data_dir, _ = workspace
+        out = tmp_path / "m.json"
+        code, stdout, err = run_cli(
+            capsys, "train-teacher", "--data-dir", str(data_dir),
+            "--arch", "6,8,4", "--epochs", "1", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == ("error: InvalidInputError: the teacher architecture "
+                       "has 4 outputs but the dataset has 3 classes\n")
         assert not out.exists()
 
 
@@ -521,6 +533,35 @@ class TestEmptySplits:
         assert len(err.splitlines()) == 1
         assert f"the {split} split is empty" in err
         assert len(recwarn) == 0
+
+
+class TestTeacherWidth:
+    @pytest.mark.parametrize("argv", [
+        ["distill", "--method", "kl"],
+        ["sweep", "--configs", "{configs}"],
+    ], ids=["distill", "sweep"])
+    def test_is_domain_error_before_training(self, workspace, capsys,
+                                             tmp_path, monkeypatch, argv):
+        _, data_dir, _ = workspace
+        teacher = tmp_path / "t4.json"
+        nn.save_model(nn.init([6, 8, 4], 0), teacher)
+        configs = tmp_path / "configs.json"
+        configs.write_text(json.dumps([
+            {"order": 1, "tie_classes": True, "matrix": [[c]] * 3}
+            for c in (0.0, 2.0)]))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the teacher")
+        monkeypatch.setattr(nn, "train", no_training)
+        out = tmp_path / "out.json"
+        code, stdout, err = run_cli(
+            capsys, argv[0], "--data-dir", str(data_dir), "--teacher",
+            str(teacher), *[a.format(configs=configs) for a in argv[1:]],
+            "--epochs", "1", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == ("error: InvalidInputError: the teacher has 4 outputs "
+                       "but the dataset has 3 classes\n")
+        assert not out.exists()
 
 
 class TestConfigFile:

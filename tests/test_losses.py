@@ -143,6 +143,12 @@ class TestPerturbationTerms:
             for r, col, e in zip(rows, columns, expected):
                 assert np.array_equal(r, e)
                 assert np.array_equal(col.T, e)
+            # fewer derivatives: the same leading terms, to the bit
+            for derivatives in (0, 1):
+                got = perturbation_terms(t, q, eps.T, derivatives)
+                assert len(got) == derivatives + 1
+                for g, e in zip(got, expected):
+                    assert np.array_equal(g, e)
 
 
 class TestPtLossGrad:

@@ -1,14 +1,59 @@
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ptdistill import nn
 from ptdistill.core import InvalidInputError, TrainingDivergenceError
 from ptdistill.losses import PerturbationConfig, TrainingLoss, make_loss
+from ptdistill.rng import derive_rng
 
 
 def flat_params(model):
     return np.concatenate([w.ravel() for w in model.weights]
                           + [b.ravel() for b in model.biases])
+
+
+def reference_train(model, inputs, targets, loss, tc):
+    """SGD as a plain loop with fresh arrays for every batch, layer,
+    gradient and update; returns (weights, biases, history)."""
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+
+    def forward(x):
+        layers = [x]
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            a = layers[-1] @ w + b
+            if i != len(weights) - 1:
+                np.maximum(a, 0.0, out=a)
+            layers.append(a)
+        return layers
+
+    n = inputs.shape[0]
+    history = []
+    for epoch in range(tc.epochs):
+        order = derive_rng(tc.seed, "epoch-shuffle", epoch).permutation(n)
+        for start in range(0, n, tc.batch_size):
+            idx = order[start:start + tc.batch_size]
+            layers = forward(inputs[idx])
+            _, dlogits = loss.values_and_grads(targets[idx], layers[-1])
+            delta = dlogits / len(idx)
+            dws, dbs = [None] * len(weights), [None] * len(weights)
+            for i in range(len(weights) - 1, -1, -1):
+                dws[i] = layers[i].T @ delta
+                dbs[i] = delta.sum(axis=0)
+                if i > 0:
+                    delta = (delta @ weights[i].T) * (layers[i] > 0.0)
+            for w, b, dw, db in zip(weights, biases, dws, dbs):
+                w -= tc.learning_rate * dw
+                b -= tc.learning_rate * db
+        logits = forward(inputs)[-1]
+        values, _ = loss.values_and_grads(targets, logits)
+        acc = np.mean(np.argmax(logits, axis=1) == np.argmax(targets, axis=1))
+        history.append({"epoch": epoch, "loss": float(np.mean(values)),
+                        "accuracy": float(acc)})
+    return weights, biases, history
 
 
 class TestInit:
@@ -67,6 +112,20 @@ class TestForward:
         with pytest.raises(InvalidInputError):
             nn.forward_rows(model, np.zeros((1, 4)))
 
+    def test_peak_memory_is_two_hidden_arrays(self):
+        # the bias is added in place: a layer costs one array of its output
+        # size, not a product plus a sum
+        model = nn.init([30, 128, 128, 3], seed=0)
+        x = np.random.default_rng(0).normal(size=(20_000, 30))
+        hidden_bytes = x.shape[0] * 128 * x.itemsize
+        tracemalloc.start()
+        try:
+            nn.forward_rows(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * hidden_bytes
+
 
 class TestBackprop:
     @pytest.mark.parametrize("loss_name,params,soft", [
@@ -92,7 +151,7 @@ class TestBackprop:
             idxs = [(0, 0), (model.weights[li].shape[0] - 1,
                              model.weights[li].shape[1] - 1)]
             for (i, j) in idxs:
-                pert = model.copy()
+                pert = copy.deepcopy(model)
                 pert.weights[li][i, j] += h
                 up, _, _ = nn.loss_and_param_grads(pert, x, targets, loss)
                 pert.weights[li][i, j] -= 2 * h
@@ -100,7 +159,7 @@ class TestBackprop:
                 fd = (up - dn) / (2 * h)
                 assert dws[li][i, j] == pytest.approx(fd, abs=2e-6, rel=1e-4)
                 checks += 1
-            pert = model.copy()
+            pert = copy.deepcopy(model)
             pert.biases[li][0] += h
             up, _, _ = nn.loss_and_param_grads(pert, x, targets, loss)
             pert.biases[li][0] -= 2 * h
@@ -155,26 +214,67 @@ class TestTrain:
         np.testing.assert_array_equal(flat_params(a), flat_params(b))
         assert ha == hb
 
+    @pytest.mark.parametrize("loss_name,params,soft", [
+        ("cross_entropy", {}, False),
+        ("kl", {}, True),
+        ("pt", {"cfg": PerturbationConfig(3, np.array(
+            [[0.5, -0.3, 0.2], [-0.4, 0.1, 0.3], [0.2, 0.2, -0.6]]))}, True),
+    ])
+    @pytest.mark.parametrize("n,batch_size", [(50, 16), (10, 32)],
+                             ids=["short-last-batch", "batch-above-n"])
+    def test_bit_identical_to_reference_loop(self, loss_name, params, soft,
+                                             n, batch_size):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(n, 4))
+        if soft:
+            targets = rng.dirichlet(np.ones(3), size=n)
+        else:
+            targets = np.eye(3)[rng.integers(0, 3, size=n)]
+        model = nn.init([4, 16, 8, 3], seed=2)
+        loss = make_loss(loss_name, **params)
+        tc = nn.TrainConfig(learning_rate=0.05, batch_size=batch_size,
+                            epochs=4, seed=1)
+        trained, history = nn.train(model, x, targets, loss, tc)
+        weights, biases, want = reference_train(model, x, targets, loss, tc)
+        for got, ref in zip(trained.weights + trained.biases,
+                            weights + biases):
+            assert got.tobytes() == ref.tobytes()
+        assert history == want
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self):
         x, labels = self.make_toy(n=32)
         model = nn.init([2, 4, 2], seed=0)
         tc = nn.TrainConfig(learning_rate=1e12, epochs=50, seed=0)
-        with pytest.raises(TrainingDivergenceError):
+        with pytest.raises(TrainingDivergenceError,
+                           match="^non-finite loss at epoch 13, batch start 0$"):
             nn.train(model, x, labels, make_loss("cross_entropy"), tc)
+
+    class HugeGradient(TrainingLoss):
+        def values_and_grads(self, targets, logits):
+            return np.zeros(len(logits)), np.full(logits.shape, 1e308)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergent_weight_detected(self):
+        model = nn.init([2, 4, 2], 0)
+        tc = nn.TrainConfig(learning_rate=5.0, batch_size=1, epochs=1)
+        with pytest.raises(TrainingDivergenceError,
+                           match="^non-finite parameter at epoch 0, "
+                                 "batch start 0$"):
+            nn.train(model, np.ones((2, 2)), np.eye(2), self.HugeGradient(),
+                     tc)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_bias_detected(self):
         # a zero input row gives every weight a zero gradient, so only the
         # biases take the huge step and overflow
-        class HugeGradient(TrainingLoss):
-            def values_and_grads(self, targets, logits):
-                return np.zeros(len(logits)), np.full(logits.shape, 1e308)
-
         model = nn.init([2, 4, 2], 0)
         tc = nn.TrainConfig(learning_rate=5.0, batch_size=1, epochs=1)
-        with pytest.raises(TrainingDivergenceError):
-            nn.train(model, np.zeros((1, 2)), np.eye(2)[:1], HugeGradient(), tc)
+        with pytest.raises(TrainingDivergenceError,
+                           match="^non-finite parameter at epoch 0, "
+                                 "batch start 0$"):
+            nn.train(model, np.zeros((1, 2)), np.eye(2)[:1],
+                     self.HugeGradient(), tc)
 
     def test_zero_epochs_is_identity(self):
         x, labels = self.make_toy(n=8)
