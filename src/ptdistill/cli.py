@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -28,15 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, nn
-from .core import (
-    SIMPLEX_ATOL,
-    ConfigurationError,
-    InvalidInputError,
-    SchemaError,
-    SearchFailureError,
-    SolverDivergenceError,
-    TrainingDivergenceError,
-)
+from .core import SIMPLEX_ATOL, DomainError, SchemaError
 from .data import (
     GaussianMixtureSpec,
     dataset_files,
@@ -59,9 +52,6 @@ from .losses import PerturbationConfig, loss_class
 from .nn import TrainConfig
 from .proxy import SolverConfig, _solve_rows
 from .selection import SearchSpec, best_trial, run_search
-
-DOMAIN_ERRORS = (InvalidInputError, ConfigurationError, SearchFailureError,
-                 SolverDivergenceError, TrainingDivergenceError)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +167,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
     missing = [key for key, value in cfg.items() if value is REQUIRED]
     if missing:
         raise SchemaError(f"--{missing[0]} is required")
+    for key, value in cfg.items():
+        if type(value) is float and not math.isfinite(value):
+            raise SchemaError(f"--{key} must be finite, got {value!r}")
     return cfg
 
 
@@ -194,14 +187,21 @@ def _file_value(source, key: str, kind, value):
     return value
 
 
-def _parse_numbers(text: str, kind=float, count: int | None = None) -> list:
-    """Comma-separated numbers from a flag; ``count``, if given, must match."""
+def _parse_numbers(cfg: dict, key: str, kind=float,
+                   count: int | None = None) -> list:
+    """Finite comma-separated numbers from option ``key``; ``count``, if
+    given, must match."""
+    text = cfg[key]
     try:
         parts = [kind(p) for p in text.split(",")]
     except ValueError:
-        raise SchemaError(f"expected comma-separated numbers, got {text!r}") from None
+        raise SchemaError(f"--{key}: expected comma-separated numbers, "
+                          f"got {text!r}") from None
     if count is not None and len(parts) != count:
-        raise SchemaError(f"expected {count} comma-separated values, got {text!r}")
+        raise SchemaError(f"--{key}: expected {count} comma-separated values, "
+                          f"got {text!r}")
+    if not all(map(math.isfinite, parts)):
+        raise SchemaError(f"--{key}: expected finite numbers, got {text!r}")
     return parts
 
 
@@ -212,7 +212,7 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 def _search_spec(cfg: dict, seed_key: str) -> SearchSpec:
     return SearchSpec(max_order=cfg["max-order"], trials_per_order=cfg["trials"],
-                      coefficient_range=tuple(_parse_numbers(cfg["range"], count=2)),
+                      coefficient_range=tuple(_parse_numbers(cfg, "range", count=2)),
                       tie_classes=cfg["tie-classes"], seed=cfg[seed_key])
 
 
@@ -224,7 +224,7 @@ def cmd_generate_data(cfg: dict):
     spec = GaussianMixtureSpec.sample(
         seed=cfg["seed"], num_classes=cfg["classes"], dim=cfg["dim"],
         sigma=cfg["sigma"])
-    ds = generate(spec, cfg["n"], _parse_numbers(cfg["split"], count=3))
+    ds = generate(spec, cfg["n"], _parse_numbers(cfg, "split", count=3))
     written = save_dataset(ds, cfg["out-dir"])
     summary = {"out_dir": str(cfg["out-dir"]), "split_sizes": ds.split_sizes}
     return summary, {"seed": cfg["seed"]}, [], written
@@ -233,7 +233,7 @@ def cmd_generate_data(cfg: dict):
 def cmd_train_teacher(cfg: dict):
     ds = load_dataset(cfg["data-dir"])
     tc = _train_config(cfg)
-    model, val_acc = train_teacher(ds, _parse_numbers(cfg["arch"], int), tc)
+    model, val_acc = train_teacher(ds, _parse_numbers(cfg, "arch", int), tc)
     nn.save_model(model, cfg["out"])
     summary = {"model": str(cfg["out"]), "validation_accuracy": val_acc}
     return (summary, {"seed": tc.seed}, dataset_files(cfg["data-dir"]),
@@ -342,19 +342,22 @@ def cmd_eval(cfg: dict):
 # Command table: the one declaration of every command and option
 # ---------------------------------------------------------------------------
 
-# Each option maps to (kind, default). A kind is a type (int, float, str, or
-# bool for a switch) or a tuple of choices. Option order is the order of the
-# flags in --help and of the keys in a manifest's config.
+# Each option maps to (kind, default); a default that a library field holds
+# is read from it. A kind is a type (int, float, str, or bool for a switch) or
+# a tuple of choices. Options keep their order in --help and in a manifest.
 REQUIRED = object()  # the default of an option that must be given
-TRAINING = {"lr": (float, 5e-4), "batch-size": (int, 32), "epochs": (int, 100),
-            "seed": (int, 0)}
-SEARCH = {"trials": (int, 100), "range": (str, "-1,10"),
-          "tie-classes": (bool, False)}
+TRAINING = {"lr": (float, TrainConfig.learning_rate),
+            "batch-size": (int, TrainConfig.batch_size),
+            "epochs": (int, TrainConfig.epochs), "seed": (int, TrainConfig.seed)}
+SEARCH = {"trials": (int, SearchSpec.trials_per_order), "range": (str, "-1,10"),
+          "tie-classes": (bool, SearchSpec.tie_classes)}
 
 COMMANDS = {
     "generate-data": (cmd_generate_data, "sample a Gaussian-mixture dataset", {
-        "classes": (int, 3), "dim": (int, 30), "sigma": (float, 2.0),
-        "n": (int, 10000), "split": (str, "0.9,0.05,0.05"), "seed": (int, 0),
+        "classes": (int, GaussianMixtureSpec.num_classes),
+        "dim": (int, GaussianMixtureSpec.dim),
+        "sigma": (float, GaussianMixtureSpec.sigma), "n": (int, 10000),
+        "split": (str, "0.9,0.05,0.05"), "seed": (int, GaussianMixtureSpec.seed),
         "out-dir": (str, REQUIRED)}),
     "train-teacher": (cmd_train_teacher, "train the cross-entropy teacher", {
         "data-dir": (str, REQUIRED), "arch": (str, "30,128,128,3"),
@@ -364,18 +367,18 @@ COMMANDS = {
         "method": (("kl", "pt", "temp", "temperature", "ls",
                     "label_smoothing", "focal", "onehot"), REQUIRED),
         **TRAINING, "out": (str, REQUIRED), "max-order": (int, None),
-        **SEARCH, "search-seed": (int, 0), "tau": (float, None),
+        **SEARCH, "search-seed": (int, SearchSpec.seed), "tau": (float, None),
         "delta": (float, None), "gamma": (float, None),
         "coeffs": (str, None)}),
     "search-coeffs": (cmd_search_coeffs,
                       "random search for perturbation coefficients", {
         "teacher-probs": (str, REQUIRED), "labels": (str, REQUIRED),
-        "max-order": (int, 3), **SEARCH, "seed": (int, 0),
-        "out": (str, REQUIRED)}),
+        "max-order": (int, SearchSpec.max_order), **SEARCH,
+        "seed": (int, SearchSpec.seed), "out": (str, REQUIRED)}),
     "solve-proxy": (cmd_solve_proxy, "solve proxy-teacher distributions", {
         "teacher-probs": (str, REQUIRED), "coeffs": (str, REQUIRED),
-        "out": (str, REQUIRED), "tolerance": (float, 1e-8),
-        "max-iterations": (int, 100)}),
+        "out": (str, REQUIRED), "tolerance": (float, SolverConfig.tolerance),
+        "max-iterations": (int, SolverConfig.max_iterations)}),
     "verify-equivalence": (cmd_verify_equivalence,
                            "check a loss-equivalence claim", {
         "method": (("ls", "label_smoothing", "focal", "temperature"),
@@ -417,14 +420,18 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     try:
-        cfg = _merge_config(args)
-        summary, seeds, inputs, outputs = COMMANDS[args.command][0](cfg)
-        if outputs:
-            write_manifest(args.command, cfg, seeds, inputs, outputs, started)
-    except (SchemaError, FileNotFoundError) as exc:
+        # a floating-point event surfaces as one of the errors below, if at
+        # all, not as numpy warnings ahead of the error line
+        with np.errstate(all="ignore"):
+            cfg = _merge_config(args)
+            summary, seeds, inputs, outputs = COMMANDS[args.command][0](cfg)
+            if outputs:
+                write_manifest(args.command, cfg, seeds, inputs, outputs,
+                               started)
+    except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(summary))

@@ -3,6 +3,9 @@
 All distributions are represented in natural-log units (nats). Probabilities
 are clamped to ``PROB_FLOOR`` before any logarithm so degenerate entries never
 produce -inf.
+
+Every argument or computation error raised here derives from ``DomainError``
+(CLI exit 1); ``SchemaError``, a malformed input file, does not (exit 2).
 """
 from __future__ import annotations
 
@@ -16,11 +19,15 @@ PROB_FLOOR = 1e-12
 SIMPLEX_ATOL = 1e-9
 
 
-class InvalidInputError(ValueError):
+class DomainError(Exception):
+    """Base of every argument or computation error the library raises."""
+
+
+class InvalidInputError(DomainError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(DomainError, ValueError):
     """A configuration is internally inconsistent or insufficient."""
 
 
@@ -28,15 +35,15 @@ class DegenerateTeacherError(InvalidInputError):
     """A teacher probability sits at the clamp floor where a mapping divides by it."""
 
 
-class SolverDivergenceError(RuntimeError):
+class SolverDivergenceError(DomainError, RuntimeError):
     """A nonlinear solve produced non-finite state."""
 
 
-class SearchFailureError(RuntimeError):
+class SearchFailureError(DomainError, RuntimeError):
     """Every candidate in a coefficient search was discarded."""
 
 
-class TrainingDivergenceError(RuntimeError):
+class TrainingDivergenceError(DomainError, RuntimeError):
     """Training produced a non-finite loss or parameter."""
 
 

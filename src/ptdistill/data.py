@@ -18,6 +18,21 @@ from .core import InvalidInputError, SchemaError, softmax_rows
 from .rng import derive_rng
 
 SPLIT_NAMES = ("train", "validation", "test")
+# GaussianMixtureSpec.sample gives up after this many draws of class means
+# that collide.
+MAX_MEAN_DRAWS = 100_000
+
+
+def _check_sizes(num_classes: int, dim: int) -> None:
+    """Raise unless dim >= 1 and 2 <= num_classes <= 3 ** dim, the number of
+    distinct means."""
+    # the exponent stops at the class count's bit length, past which 3 ** dim
+    # exceeds the count anyway
+    if num_classes < 2 or dim < 1 or num_classes > 3 ** min(
+            dim, int(num_classes).bit_length()):
+        raise InvalidInputError(f"need num_classes >= 2, dim >= 1 and "
+                                f"num_classes <= 3 ** dim, got {num_classes} "
+                                f"classes in dim {dim}")
 
 
 @dataclass(frozen=True)
@@ -29,10 +44,9 @@ class GaussianMixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise InvalidInputError("sigma must be > 0")
-        if self.num_classes < 2 or self.dim < 1:
-            raise InvalidInputError("need num_classes >= 2 and dim >= 1")
+        _check_sizes(self.num_classes, self.dim)
         means = np.asarray(self.means, dtype=float)
         if means.shape != (self.num_classes, self.dim):
             raise InvalidInputError(
@@ -46,15 +60,19 @@ class GaussianMixtureSpec:
         object.__setattr__(self, "means", means)
 
     @classmethod
-    def sample(cls, seed: int, num_classes: int = 3, dim: int = 30,
-               sigma: float = 2.0) -> "GaussianMixtureSpec":
-        """Draw class means from {-1, 0, 1}^dim, re-drawing on collisions."""
+    def sample(cls, seed: int, num_classes: int = num_classes, dim: int = dim,
+               sigma: float = sigma) -> "GaussianMixtureSpec":
+        """Draw class means from {-1, 0, 1}^dim, re-drawing on collisions
+        (the defaults are the fields')."""
+        _check_sizes(num_classes, dim)
         rng = derive_rng(seed, "gaussian-means")
-        while True:
+        for _ in range(MAX_MEAN_DRAWS):
             means = rng.integers(-1, 2, size=(num_classes, dim)).astype(float)
             if len({tuple(row) for row in means}) == num_classes:
                 return cls(num_classes=num_classes, dim=dim, sigma=sigma,
                            means=means, seed=seed)
+        raise InvalidInputError(f"no {num_classes} distinct class means in "
+                                f"{MAX_MEAN_DRAWS} draws")
 
     def to_dict(self) -> dict:
         return {
@@ -85,14 +103,11 @@ class LabeledDataset:
             raise InvalidInputError("split sizes must sum to N")
 
     def _bounds(self, name: str):
-        if name not in self.split_sizes:
+        if name not in SPLIT_NAMES or name not in self.split_sizes:
             raise InvalidInputError(f"unknown split {name!r}")
-        start = 0
-        for n in SPLIT_NAMES:
-            if n == name:
-                return start, start + self.split_sizes[n]
-            start += self.split_sizes[n]
-        raise InvalidInputError(f"unknown split {name!r}")
+        before = SPLIT_NAMES[:SPLIT_NAMES.index(name)]
+        start = sum(self.split_sizes[n] for n in before)
+        return start, start + self.split_sizes[name]
 
     def split(self, name: str):
         """(inputs, labels) for one named partition, which must hold rows."""
@@ -194,22 +209,18 @@ def write_csv(path, header, rows) -> None:
 
 
 def save_dataset(ds: LabeledDataset, out_dir) -> list[Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    """Write ``dataset_files(out_dir)``; returns the split CSVs, then the spec."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    sidecar, *paths = dataset_files(out_dir)
     header = [f"x_{i}" for i in range(ds.inputs.shape[1])] + ["label"]
-    for name in SPLIT_NAMES:
+    for name, path in zip(SPLIT_NAMES, paths):
         lo, hi = ds._bounds(name)
-        path = out_dir / f"{name}.csv"
         write_csv(path, header, np.column_stack(
             [ds.inputs[lo:hi], np.argmax(ds.labels[lo:hi], axis=1)]))
-        written.append(path)
-    sidecar = out_dir / "spec.json"
     with open(sidecar, "w") as f:
         json.dump({"spec": ds.spec.to_dict() if ds.spec else None,
                    "split_sizes": ds.split_sizes}, f, indent=2)
-    written.append(sidecar)
-    return written
+    return paths + [sidecar]
 
 
 def dataset_files(in_dir) -> list[Path]:
@@ -248,6 +259,8 @@ def load_dataset(in_dir) -> LabeledDataset:
         if rows.shape[0] != sizes[name]:
             raise SchemaError(f"{sidecar}: split_sizes gives {name} "
                               f"{sizes[name]} rows, {path} has {rows.shape[0]}")
+        if not np.isfinite(rows[:, :-1]).all():
+            raise SchemaError(f"{path}: feature cells must be finite")
         # without a spec the largest label sets the class count
         top = np.max(rows[:, -1], initial=0)
         if spec is None and top >= n:

@@ -23,6 +23,7 @@ from .core import (
 )
 from .losses import (
     PerturbationConfig,
+    check_param,
     focal_rows,
     kl_rows,
     make_loss,
@@ -62,8 +63,7 @@ def ls_coefficients(teacher: ProbVector, delta: float,
     dp_c = delta/C - delta p_c; the binary case reduces to
     (delta/m)(1/(2 p_c) - 1).
     """
-    if not 0.0 <= delta < 1.0:
-        raise InvalidInputError(f"delta must lie in [0, 1), got {delta!r}")
+    check_param("delta", delta)
     if order < 1:
         raise InvalidInputError("order must be >= 1")
     p = teacher.values
@@ -85,8 +85,7 @@ def focal_coefficients(student: ProbVector, gamma: float,
     eps_{c,m} = ((1 - p^s_c)^gamma - 1) / m; note the mapping is
     student-dependent and must be recomputed per student output.
     """
-    if gamma < 0:
-        raise InvalidInputError(f"gamma must be >= 0, got {gamma!r}")
+    check_param("gamma", gamma)
     if order < 1:
         raise InvalidInputError("order must be >= 1")
     u = 1.0 - student.values

@@ -172,6 +172,20 @@ def focal_rows(teacher: np.ndarray, student: np.ndarray,
     return -entropy_rows(teacher) + modulated
 
 
+# Each scalar loss parameter's valid range: a test and its wording.
+PARAM_RANGES = {"tau": (lambda tau: tau > 0, "be > 0"),
+                "delta": (lambda delta: 0.0 <= delta < 1.0, "lie in [0, 1)"),
+                "gamma": (lambda gamma: gamma >= 0, "be >= 0")}
+
+
+def check_param(name: str, value: float) -> float:
+    """``value`` if it lies in the range of loss parameter ``name``."""
+    test, wording = PARAM_RANGES[name]
+    if not test(value):  # NaN fails every test
+        raise InvalidInputError(f"{name} must {wording}, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Batched training losses (value per example + gradient w.r.t. student logits)
 # ---------------------------------------------------------------------------
@@ -237,9 +251,7 @@ class TemperatureKLLoss(TrainingLoss):
     targets = "logits"
 
     def __init__(self, tau: float):
-        if tau <= 0:
-            raise InvalidInputError(f"tau must be > 0, got {tau!r}")
-        self.tau = tau
+        self.tau = check_param("tau", tau)
 
     def values_and_grads(self, targets, logits):
         t = softmax_rows(np.asarray(targets, dtype=float) / self.tau)
@@ -254,9 +266,7 @@ class SmoothedKLLoss(TrainingLoss):
     param = "delta"
 
     def __init__(self, delta: float):
-        if not 0.0 <= delta < 1.0:
-            raise InvalidInputError(f"delta must lie in [0, 1), got {delta!r}")
-        self.delta = delta
+        self.delta = check_param("delta", delta)
 
     def values_and_grads(self, targets, logits):
         smoothed = smooth_rows(targets, self.delta)
@@ -271,9 +281,7 @@ class FocalKDLoss(TrainingLoss):
     param = "gamma"
 
     def __init__(self, gamma: float):
-        if gamma < 0:
-            raise InvalidInputError(f"gamma must be >= 0, got {gamma!r}")
-        self.gamma = gamma
+        self.gamma = check_param("gamma", gamma)
 
     def values_and_grads(self, targets, logits):
         t = np.asarray(targets, dtype=float)

@@ -46,7 +46,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
+        if not self.learning_rate > 0 or self.batch_size < 1 or self.epochs < 0:
             raise InvalidInputError("invalid training configuration")
 
 

@@ -79,7 +79,7 @@ class SolverConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise InvalidInputError("tolerance must be > 0")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")

@@ -48,6 +48,8 @@ class SearchSpec:
         lo, hi = self.coefficient_range
         if not lo < hi:
             raise InvalidInputError("coefficient_range lower must be < upper")
+        if not np.isfinite(hi - lo):
+            raise InvalidInputError("coefficient_range width must be finite")
         if self.max_order < 1 or self.trials_per_order < 1:
             raise InvalidInputError("max_order and trials_per_order must be >= 1")
 

@@ -1,13 +1,33 @@
 import argparse
+import inspect
 import json
+import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ptdistill import cli, nn
-from ptdistill.data import write_csv
-from ptdistill.proxy import solve_proxy_rows
+from ptdistill import cli, data, nn
+from ptdistill.core import (
+    ConfigurationError,
+    DegenerateTeacherError,
+    DomainError,
+    InvalidInputError,
+    ProbVector,
+    SchemaError,
+    SearchFailureError,
+    SolverDivergenceError,
+    TrainingDivergenceError,
+)
+from ptdistill.data import GaussianMixtureSpec, write_csv
+from ptdistill.equivalence import focal_coefficients, ls_coefficients
+from ptdistill.losses import FocalKDLoss, SmoothedKLLoss
+from ptdistill.nn import TrainConfig
+from ptdistill.proxy import SolverConfig, solve_proxy_rows
 from ptdistill.selection import SearchSpec, search_coefficients
 
 
@@ -751,3 +771,182 @@ class TestDeterminism:
             manifests.append({k.split("/")[-1]: v
                               for k, v in doc["outputs"].items()})
         assert manifests[0] == manifests[1]
+
+
+# Malformed option values, dataset cells and paths, each with the exit code
+# the README documents. A `hung` case looped forever before the class means
+# were checked ahead of drawing, so it runs in a child process with a timeout.
+ONE_LINE_CASES = [
+    pytest.param("generate-data --dim 0 --out-dir {out}", 1, True,
+                 id="dim-0"),
+    pytest.param("generate-data --classes 4 --dim 1 --out-dir {out}", 1, True,
+                 id="more-classes-than-means"),
+    pytest.param("generate-data --sigma nan --out-dir {out}", 2, False,
+                 id="sigma-nan"),
+    pytest.param("generate-data --sigma inf --out-dir {out}", 2, False,
+                 id="sigma-inf"),
+    pytest.param("generate-data --config {nan_config} --out-dir {out}", 2,
+                 False, id="config-sigma-nan"),
+    pytest.param("solve-proxy --teacher-probs {probs} --coeffs {coeffs} "
+                 "--tolerance nan --out {out}", 2, False, id="tolerance-nan"),
+    pytest.param("train-teacher --data-dir {data} --arch 6,16,3 --lr nan "
+                 "--out {out}", 2, False, id="lr-nan"),
+    pytest.param("distill --data-dir {data} --teacher {teacher} --method temp "
+                 "--tau nan --out {out}", 2, False, id="tau-nan"),
+    pytest.param("distill --data-dir {data} --teacher {teacher} "
+                 "--method focal --gamma nan --out {out}", 2, False,
+                 id="gamma-nan"),
+    pytest.param("search-coeffs --teacher-probs {probs} --labels {labels} "
+                 "--range 0,inf --out {out}", 2, False, id="range-inf"),
+    pytest.param("search-coeffs --teacher-probs {probs} --labels {labels} "
+                 "--range=-1e308,1e308 --out {out}", 1, False,
+                 id="range-width-overflows"),
+    pytest.param("eval --data-dir {nan_data} --model {teacher}", 2, False,
+                 id="nan-feature-cell"),
+    pytest.param("eval --data-dir {inf_data} --model {teacher}", 2, False,
+                 id="inf-feature-cell"),
+    pytest.param("train-teacher --data-dir {data} --arch 6,16,3 --lr 1e300 "
+                 "--epochs 1 --out {out}", 1, False, id="lr-overflows"),
+    pytest.param("search-coeffs --teacher-probs {probs} --labels {labels} "
+                 "--range 1e308,1.7e308 --out {out}", 1, False,
+                 id="coefficients-overflow"),
+    pytest.param("train-teacher --data-dir {data} --arch 6,16,3 --epochs 1 "
+                 "--out {a_dir}", 2, False, id="out-is-a-directory"),
+    pytest.param("eval --data-dir {teacher} --model {teacher}", 2, False,
+                 id="data-dir-is-a-file"),
+    pytest.param("generate-data --n 60 --dim 6 --out-dir {teacher}", 2, False,
+                 id="out-dir-is-a-file"),
+]
+
+
+def _files(root: Path) -> dict:
+    """Every file under ``root`` with its bytes."""
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestOneErrorLine:
+    @pytest.mark.parametrize("argv,code,hung", ONE_LINE_CASES)
+    def test_exit_code_one_line_no_file(self, workspace, capsys, recwarn,
+                                        tmp_path, argv, code, hung):
+        _, data_dir, teacher = workspace
+        names = {"data": tmp_path / "data", "teacher": tmp_path / "t.json",
+                 "out": tmp_path / "out", "a_dir": tmp_path / "a_dir"}
+        shutil.copytree(data_dir, names["data"])
+        shutil.copy(teacher, names["teacher"])
+        names["a_dir"].mkdir()
+        for name, value in (("nan_data", "nan"), ("inf_data", "inf")):
+            names[name] = tmp_path / name
+            shutil.copytree(data_dir, names[name])
+            val = names[name] / "validation.csv"
+            lines = val.read_text().splitlines()
+            lines[1] = value + lines[1][lines[1].index(","):]
+            val.write_text("\n".join(lines) + "\n")
+        names["nan_config"] = tmp_path / "nan_config.json"
+        names["nan_config"].write_text('{"sigma": NaN}')
+        names["probs"] = tmp_path / "probs.csv"
+        write_probs(names["probs"], np.array([[0.6, 0.3, 0.1],
+                                              [0.2, 0.5, 0.3]]))
+        names["labels"] = tmp_path / "labels.csv"
+        names["labels"].write_text("label\n0\n1\n")
+        names["coeffs"] = tmp_path / "coeffs.json"
+        names["coeffs"].write_text(json.dumps(
+            {"order": 1, "tie_classes": True, "matrix": [[1.0]] * 3}))
+        before = _files(tmp_path)
+        argv = argv.format(**names).split()
+        if hung:
+            env = dict(os.environ,
+                       PYTHONPATH=str(Path(cli.__file__).parents[1]))
+            proc = subprocess.run([sys.executable, "-m", "ptdistill.cli",
+                                   *argv], capture_output=True, text=True,
+                                  env=env, timeout=60)
+            got, err = proc.returncode, proc.stderr
+        else:
+            got, _, err = run_cli(capsys, *argv)
+            assert len(recwarn) == 0
+        assert got == code, err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert _files(tmp_path) == before
+        assert not names["out"].exists()
+
+
+class TestOneOwnerPerRule:
+    @pytest.mark.parametrize("command,option,owner,field", [
+        ("train-teacher", "lr", TrainConfig, "learning_rate"),
+        ("train-teacher", "batch-size", TrainConfig, "batch_size"),
+        ("train-teacher", "epochs", TrainConfig, "epochs"),
+        ("train-teacher", "seed", TrainConfig, "seed"),
+        ("distill", "trials", SearchSpec, "trials_per_order"),
+        ("distill", "tie-classes", SearchSpec, "tie_classes"),
+        ("distill", "search-seed", SearchSpec, "seed"),
+        ("search-coeffs", "max-order", SearchSpec, "max_order"),
+        ("search-coeffs", "seed", SearchSpec, "seed"),
+        ("solve-proxy", "tolerance", SolverConfig, "tolerance"),
+        ("solve-proxy", "max-iterations", SolverConfig, "max_iterations"),
+        ("generate-data", "classes", GaussianMixtureSpec, "num_classes"),
+        ("generate-data", "dim", GaussianMixtureSpec, "dim"),
+        ("generate-data", "sigma", GaussianMixtureSpec, "sigma"),
+        ("generate-data", "seed", GaussianMixtureSpec, "seed"),
+    ])
+    def test_option_default_is_the_library_field(self, command, option,
+                                                 owner, field):
+        assert cli.COMMANDS[command][2][option][1] is getattr(owner, field)
+
+    def test_sample_defaults_are_the_spec_fields(self):
+        params = inspect.signature(GaussianMixtureSpec.sample).parameters
+        for name in ("num_classes", "dim", "sigma"):
+            assert params[name].default is getattr(GaussianMixtureSpec, name)
+
+    @pytest.mark.parametrize("cls,base", [
+        (InvalidInputError, ValueError), (ConfigurationError, ValueError),
+        (DegenerateTeacherError, ValueError),
+        (SolverDivergenceError, RuntimeError),
+        (SearchFailureError, RuntimeError),
+        (TrainingDivergenceError, RuntimeError)])
+    def test_domain_errors_share_one_base(self, cls, base):
+        assert issubclass(cls, DomainError) and issubclass(cls, base)
+        assert not issubclass(SchemaError, DomainError)
+
+    @pytest.mark.parametrize("exc,code,line", [
+        (type("NewDomainError", (DomainError,), {})("x"), 1,
+         "error: NewDomainError: x"),
+        (PermissionError("denied"), 2, "error: denied"),
+        (SchemaError("bad file"), 2, "error: bad file"),
+    ], ids=["domain", "os", "schema"])
+    def test_run_maps_error_families(self, capsys, monkeypatch, exc, code,
+                                     line):
+        def raises(cfg):
+            raise exc
+        monkeypatch.setitem(cli.COMMANDS, "eval",
+                            (raises, *cli.COMMANDS["eval"][1:]))
+        got, stdout, err = run_cli(capsys, "eval", "--data-dir", "d",
+                                   "--model", "m")
+        assert (got, stdout, err) == (code, "", line + "\n")
+
+    @pytest.mark.parametrize("mapping,loss,accepted,rejected", [
+        (lambda v: ls_coefficients(ProbVector([0.3, 0.7]), v, 3),
+         SmoothedKLLoss, [0.0, 0.5], [-0.1, 1.0, math.nan]),
+        (lambda v: focal_coefficients(ProbVector([0.3, 0.7]), v, 3),
+         FocalKDLoss, [0.0, 2.0], [-1.0, math.nan]),
+    ], ids=["delta", "gamma"])
+    def test_mapping_takes_the_loss_range(self, mapping, loss, accepted,
+                                          rejected):
+        for value in accepted:
+            mapping(value)
+            loss(value)
+        for value in rejected:
+            with pytest.raises(InvalidInputError) as by_mapping:
+                mapping(value)
+            with pytest.raises(InvalidInputError) as by_loss:
+                loss(value)
+            assert str(by_mapping.value) == str(by_loss.value)
+
+    def test_save_dataset_writes_dataset_files(self, tmp_path, monkeypatch):
+        def renamed(d):
+            return [Path(d) / n for n in ("meta.json", "a.csv", "b.csv",
+                                          "c.csv")]
+        monkeypatch.setattr(data, "dataset_files", renamed)
+        spec = GaussianMixtureSpec.sample(seed=0, dim=2)
+        written = data.save_dataset(data.generate(spec, 20), tmp_path)
+        assert written == renamed(tmp_path)[1:] + renamed(tmp_path)[:1]
+        assert sorted(tmp_path.iterdir()) == sorted(written)

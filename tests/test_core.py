@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,10 @@ from ptdistill.core import (
     entropy_rows,
     softmax_rows,
 )
+from ptdistill.losses import FocalKDLoss, SmoothedKLLoss, TemperatureKLLoss
+from ptdistill.nn import TrainConfig
+from ptdistill.proxy import SolverConfig
+from ptdistill.selection import SearchSpec
 
 
 class TestProbVector:
@@ -105,3 +111,18 @@ def test_softmax_rows_batched():
     z = np.array([[0.0, 0.0], [np.log(2.0), 0.0]])
     out = softmax_rows(z)
     np.testing.assert_allclose(out, [[0.5, 0.5], [2 / 3, 1 / 3]], atol=1e-15)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TrainConfig(learning_rate=math.nan),
+    lambda: SolverConfig(tolerance=math.nan),
+    lambda: TemperatureKLLoss(math.nan),
+    lambda: SmoothedKLLoss(math.nan),
+    lambda: FocalKDLoss(math.nan),
+    lambda: SearchSpec(coefficient_range=(math.nan, 1.0)),
+    lambda: SearchSpec(coefficient_range=(-1e308, 1e308)),
+], ids=["lr", "tolerance", "tau", "delta", "gamma", "range-nan",
+        "range-width-overflows"])
+def test_non_finite_parameter_is_invalid(build):
+    with pytest.raises(InvalidInputError):
+        build()

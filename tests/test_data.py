@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from ptdistill import data
 from ptdistill.core import InvalidInputError
 from ptdistill.data import (
     GaussianMixtureSpec,
     LabeledDataset,
+    _check_sizes,
     _split_counts,
     generate,
     load_dataset,
@@ -12,6 +16,7 @@ from ptdistill.data import (
     save_dataset,
     true_posterior_rows,
 )
+from ptdistill.rng import derive_rng
 
 
 def default_spec(seed=0, **kw):
@@ -43,6 +48,42 @@ class TestGaussianMixtureSpec:
     def test_rejects_bad_sigma(self):
         with pytest.raises(InvalidInputError):
             default_spec(sigma=0.0)
+
+    def test_rejects_nan_sigma(self):
+        with pytest.raises(InvalidInputError, match="sigma must be > 0"):
+            default_spec(sigma=math.nan)
+
+    @pytest.mark.parametrize("classes,dim", [(3, 1), (9, 2), (5, 3), (3, 30)])
+    def test_same_means_as_unbounded_redraws(self, classes, dim):
+        for seed in range(3):
+            rng = derive_rng(seed, "gaussian-means")
+            while True:
+                means = rng.integers(-1, 2, size=(classes, dim)).astype(float)
+                if len({tuple(row) for row in means}) == classes:
+                    break
+            spec = default_spec(seed=seed, num_classes=classes, dim=dim)
+            np.testing.assert_array_equal(spec.means, means)
+
+    @pytest.mark.parametrize("classes,dim", [(1, 3), (2, 0), (4, 1), (10, 2)])
+    def test_impossible_sizes_raise_before_drawing(self, monkeypatch,
+                                                   classes, dim):
+        def no_draws(*parts):
+            raise AssertionError("drew means")
+        monkeypatch.setattr(data, "derive_rng", no_draws)
+        with pytest.raises(InvalidInputError, match="num_classes <= 3"):
+            default_spec(num_classes=classes, dim=dim)
+
+    def test_size_check_is_exact_for_large_values(self):
+        _check_sizes(3 ** 40, 40)
+        _check_sizes(2, 10 ** 12)  # no 3 ** (10 ** 12) is computed
+        with pytest.raises(InvalidInputError):
+            _check_sizes(3 ** 40 + 1, 40)
+
+    def test_redraws_are_capped(self, monkeypatch):
+        monkeypatch.setattr(data, "MAX_MEAN_DRAWS", 1)
+        with pytest.raises(InvalidInputError,
+                           match="no 9 distinct class means in 1 draws"):
+            default_spec(num_classes=9, dim=2)
 
     def test_dict_round_trip(self):
         spec = default_spec(seed=3)
