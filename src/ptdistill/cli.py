@@ -12,8 +12,8 @@ writes ``<first-output>.manifest.json`` recording the resolved
 configuration, seeds, input digests, and output digests, so a run can be
 reproduced and checked bit-for-bit.
 
-Exit codes: 0 success, 1 domain error (single line on stderr), 2 usage or
-file/schema error.
+Exit codes: 0 success, 1 domain error or a size beyond memory (single line
+on stderr), 2 usage or file/schema error.
 """
 from __future__ import annotations
 
@@ -29,8 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, nn
-from .core import SIMPLEX_ATOL, DomainError, SchemaError
+from .core import SIMPLEX_ATOL, DomainError, InvalidInputError, SchemaError
 from .data import (
+    SPLIT_NAMES,
     GaussianMixtureSpec,
     dataset_files,
     generate,
@@ -98,14 +99,20 @@ def coeffs_from_dict(doc, source) -> PerturbationConfig:
     for key in ("order", "tie_classes", "matrix"):
         if key not in doc:
             raise SchemaError(f"{source}: missing key {key!r}")
+    # bool is a subclass of int, so the types are compared exactly
+    if type(doc["order"]) is not int or type(doc["tie_classes"]) is not bool:
+        raise SchemaError(f"{source}: order must be an integer and "
+                          f"tie_classes a boolean")
     try:
-        order = int(doc["order"])
         matrix = np.asarray(doc["matrix"], dtype=float)
     except (TypeError, ValueError):
-        raise SchemaError(f"{source}: order must be an integer and matrix "
-                          f"a numeric C x M array") from None
-    return PerturbationConfig(order=order, coefficients=matrix,
-                              tie_classes=bool(doc["tie_classes"]))
+        raise SchemaError(f"{source}: matrix must be a numeric C x M "
+                          f"array") from None
+    try:
+        return PerturbationConfig(order=doc["order"], coefficients=matrix,
+                                  tie_classes=doc["tie_classes"])
+    except InvalidInputError as exc:  # a flat matrix, a wrong width, a NaN
+        raise SchemaError(f"{source}: {exc}") from None
 
 
 def write_json(path, doc) -> None:
@@ -390,7 +397,7 @@ COMMANDS = {
         "configs": (str, REQUIRED), **TRAINING, "out": (str, REQUIRED)}),
     "eval": (cmd_eval, "evaluate a saved model on a dataset split", {
         "data-dir": (str, REQUIRED), "model": (str, REQUIRED),
-        "split": (("train", "validation", "test"), "test")}),
+        "split": (SPLIT_NAMES, "test")}),
 }
 
 
@@ -431,7 +438,7 @@ def run(argv=None) -> int:
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except (DomainError, MemoryError) as exc:  # MemoryError: a size too large
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(summary))

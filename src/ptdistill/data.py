@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -75,13 +75,7 @@ class GaussianMixtureSpec:
                                 f"{MAX_MEAN_DRAWS} draws")
 
     def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "dim": self.dim,
-            "sigma": self.sigma,
-            "means": self.means.tolist(),
-            "seed": self.seed,
-        }
+        return {**asdict(self), "means": self.means.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianMixtureSpec":
@@ -141,10 +135,8 @@ def generate(spec: GaussianMixtureSpec, n: int,
     y = rng.integers(0, spec.num_classes, size=n)
     noise = rng.standard_normal(size=(n, spec.dim))
     inputs = spec.means[y] + spec.sigma * noise
-    labels = np.zeros((n, spec.num_classes))
-    labels[np.arange(n), y] = 1.0
-    return LabeledDataset(inputs=inputs, labels=labels, split_sizes=counts,
-                          spec=spec)
+    return LabeledDataset(inputs=inputs, labels=one_hot(y, spec.num_classes),
+                          split_sizes=counts, spec=spec)
 
 
 def true_posterior_rows(spec: GaussianMixtureSpec, x: np.ndarray) -> np.ndarray:

@@ -112,9 +112,8 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
     _check_outputs(teacher, data, "teacher")
     chosen: dict = {"method": method, **params}
     if method == "pt":
-        if "cfg" in params:
-            cfg = params["cfg"]
-        else:
+        cfg = chosen.pop("cfg", None)
+        if cfg is None:
             if search_spec is None:
                 raise InvalidInputError(
                     "method 'pt' needs either a fixed cfg or a SearchSpec"
@@ -122,10 +121,8 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
             cfg, score = search_coefficients(
                 teacher_probs(teacher, x_val), y_val, search_spec)
             chosen["search_score"] = asdict(score)
-        chosen["order"] = cfg.order
-        chosen["coefficients"] = cfg.coefficients.tolist()
-        chosen["tie_classes"] = cfg.tie_classes
-        chosen.pop("cfg", None)
+        chosen.update(order=cfg.order, coefficients=cfg.coefficients.tolist(),
+                      tie_classes=cfg.tie_classes)
         params["cfg"] = cfg
     loss = make_loss(method, **params)
     student, history = _train_student(teacher, data, loss, tc)

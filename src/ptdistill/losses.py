@@ -289,13 +289,9 @@ class FocalKDLoss(TrainingLoss):
         values = focal_rows(t, q, self.gamma)
         qc = clamp_probs(q)
         u = 1.0 - q
-        # dL/dq_c, then chain through the softmax Jacobian.
-        if self.gamma == 0.0:
-            dldq = -t / qc
-        else:
-            uc = clamp_probs(u)
-            dldq = t * (self.gamma * uc ** (self.gamma - 1.0) * np.log(qc)
-                        - u ** self.gamma / qc)
+        # dL/dq_c (clamped u keeps u**(gamma-1) finite), then the softmax Jacobian.
+        dldq = t * (self.gamma * clamp_probs(u) ** (self.gamma - 1.0)
+                    * np.log(qc) - u ** self.gamma / qc)
         inner = np.sum(dldq * q, axis=-1, keepdims=True)
         grads = q * (dldq - inner)
         return values, grads

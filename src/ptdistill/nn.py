@@ -20,7 +20,7 @@ Memory layout:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -216,12 +216,8 @@ def train(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def save_model(model: MlpModel, path) -> None:
-    doc = {
-        "layer_dims": model.layer_dims,
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "seed": model.seed,
-    }
+    doc = {**asdict(model), "weights": [w.tolist() for w in model.weights],
+           "biases": [b.tolist() for b in model.biases]}
     with open(path, "w") as f:
         json.dump(doc, f)
 

@@ -67,11 +67,22 @@ class RiskGapTerms:
             raise InvalidInputError("tvd_mean must be <= 1")
 
 
-def _as_rows(values, name: str) -> np.ndarray:
-    rows = np.atleast_2d(np.asarray(values, dtype=float))
-    if rows.size == 0:
-        raise InvalidInputError(f"{name} must be nonempty")
-    return rows
+def _row_pair(first, second, names: tuple[str, str]) -> list[np.ndarray]:
+    """Both arguments as nonempty row batches of one shape."""
+    pair = [np.atleast_2d(np.asarray(v, dtype=float)) for v in (first, second)]
+    for rows, name in zip(pair, names):
+        if rows.size == 0:
+            raise InvalidInputError(f"{name} must be nonempty")
+    if pair[0].shape != pair[1].shape:
+        raise InvalidInputError("{} and {} shapes differ: {} vs {}".format(
+            *names, pair[0].shape, pair[1].shape))
+    return pair
+
+
+def _row_terms(p: np.ndarray, ref: np.ndarray) -> tuple[float, float]:
+    """Mean L2 distance from p's rows to ref's; p's mean squared entropy."""
+    return (float(np.mean(np.linalg.norm(p - ref, axis=1))),
+            float(np.mean(entropy_rows(p) ** 2)))
 
 
 def _check_one_hot(labels: np.ndarray):
@@ -82,15 +93,10 @@ def _check_one_hot(labels: np.ndarray):
 
 def quality_score(proxies, labels) -> QualityScore:
     """Score a proxy batch against one-hot validation labels (lower is better)."""
-    p = _as_rows(proxies, "proxies")
-    y = _as_rows(labels, "labels")
-    if p.shape != y.shape:
-        raise InvalidInputError(
-            f"proxies and labels shapes differ: {p.shape} vs {y.shape}"
-        )
+    p, y = _row_pair(proxies, labels, ("proxies", "labels"))
     _check_one_hot(y)
-    distance = float(np.mean(np.linalg.norm(p - y, axis=1)) ** 2)
-    ent = float(np.mean(entropy_rows(p) ** 2))
+    l2, ent = _row_terms(p, y)
+    distance = l2 ** 2
     return QualityScore(total=distance + ent, distance_term=distance,
                         entropy_term=ent)
 
@@ -100,15 +106,10 @@ def risk_gap_terms(model_probs, reference) -> RiskGapTerms:
 
     ``reference`` may be one-hot labels or closed-form posterior rows.
     """
-    p = _as_rows(model_probs, "model_probs")
-    ref = _as_rows(reference, "reference")
-    if p.shape != ref.shape:
-        raise InvalidInputError(
-            f"model_probs and reference shapes differ: {p.shape} vs {ref.shape}"
-        )
+    p, ref = _row_pair(model_probs, reference, ("model_probs", "reference"))
+    l2, ent = _row_terms(p, ref)
     return RiskGapTerms(
-        l2_distance_mean=float(np.mean(np.linalg.norm(p - ref, axis=1))),
-        entropy_sq_mean=float(np.mean(entropy_rows(p) ** 2)),
+        l2_distance_mean=l2, entropy_sq_mean=ent,
         tvd_mean=float(np.mean(0.5 * np.sum(np.abs(p - ref), axis=1))),
     )
 
@@ -144,10 +145,7 @@ def run_search(teacher_val, labels, spec: SearchSpec) -> list[SearchTrial]:
     range with per-trial seeds derived from (seed, order, trial), so results
     are order-independent and reproducible.
     """
-    teachers = _as_rows(teacher_val, "teacher_val")
-    y = _as_rows(labels, "labels")
-    if teachers.shape != y.shape:
-        raise InvalidInputError("teacher_val and labels must have equal shapes")
+    teachers, y = _row_pair(teacher_val, labels, ("teacher_val", "labels"))
     _check_one_hot(y)
     num_classes = teachers.shape[1]
 

@@ -280,6 +280,26 @@ class TestDistill:
             ("spec.json", "train.csv", "validation.csv", "test.csv")
         } | {str(teacher)}
 
+    @pytest.mark.parametrize("method,canonical,param,value", [
+        ("temp", "temperature", "tau", 2.5),
+        ("ls", "label_smoothing", "delta", 0.1),
+        ("focal", "focal", "gamma", 2.0),
+    ])
+    def test_scalar_param_method(self, workspace, capsys, tmp_path, method,
+                                 canonical, param, value):
+        _, data_dir, teacher = workspace
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(
+            capsys, "distill", "--data-dir", str(data_dir),
+            "--teacher", str(teacher), "--method", method,
+            f"--{param}", str(value), "--epochs", "1", "--out", str(out))
+        assert code == 0, err
+        manifest = json.loads(
+            (tmp_path / "report.json.manifest.json").read_text())
+        assert manifest["config"][param] == value
+        assert json.loads(out.read_text())["chosen_config"] == {
+            "method": canonical, param: value}
+
     def test_temp_requires_tau(self, workspace, capsys, tmp_path):
         _, data_dir, teacher = workspace
         code, _, err = run_cli(
@@ -776,6 +796,22 @@ class TestDeterminism:
 # Malformed option values, dataset cells and paths, each with the exit code
 # the README documents. A `hung` case looped forever before the class means
 # were checked ahead of drawing, so it runs in a child process with a timeout.
+# Coefficient files outside the documented schema; each row that reads one
+# must name it in the error line.
+GOOD_COEFFS = {"order": 1, "tie_classes": True, "matrix": [[1.0]] * 3}
+BAD_COEFFS = {
+    "order_float": {**GOOD_COEFFS, "order": 1.5},
+    "order_bool": {**GOOD_COEFFS, "order": True},
+    "order_string": {**GOOD_COEFFS, "order": "1"},
+    "tie_string": {**GOOD_COEFFS, "tie_classes": "no"},
+    "flat_matrix": {**GOOD_COEFFS, "matrix": [1.0, 1.0, 1.0]},
+    "wrong_width": {**GOOD_COEFFS, "order": 2},
+    "negative_order": {**GOOD_COEFFS, "order": -1, "matrix": [[]] * 3},
+    "nan_entry": {**GOOD_COEFFS, "matrix": [[float("nan")], [1.0], [1.0]]},
+    "nan_configs": [GOOD_COEFFS,  # a sweep list
+                    {**GOOD_COEFFS, "matrix": [[float("nan")]] * 3}],
+}
+
 ONE_LINE_CASES = [
     pytest.param("generate-data --dim 0 --out-dir {out}", 1, True,
                  id="dim-0"),
@@ -816,6 +852,18 @@ ONE_LINE_CASES = [
                  id="data-dir-is-a-file"),
     pytest.param("generate-data --n 60 --dim 6 --out-dir {teacher}", 2, False,
                  id="out-dir-is-a-file"),
+    # 8 bytes a row times 1e16 rows is 71 PiB, past any address space, so
+    # the allocation fails at once
+    pytest.param("generate-data --n 10000000000000000 --dim 2 --out-dir {out}",
+                 1, False, id="n-beyond-memory"),
+    *(pytest.param("solve-proxy --teacher-probs {probs} --coeffs {%s} "
+                   "--out {out}" % key, 2, False, id=f"coeffs-{key}")
+      for key in BAD_COEFFS if key != "nan_configs"),
+    pytest.param("sweep --data-dir {data} --teacher {teacher} --configs "
+                 "{nan_configs} --epochs 1 --out {out}", 2, False,
+                 id="sweep-config-nan-entry"),
+    pytest.param("solve-proxy --teacher-probs {probs} --coeffs {two_classes} "
+                 "--out {out}", 1, False, id="coeffs-for-other-classes"),
 ]
 
 
@@ -843,6 +891,10 @@ class TestOneErrorLine:
             val.write_text("\n".join(lines) + "\n")
         names["nan_config"] = tmp_path / "nan_config.json"
         names["nan_config"].write_text('{"sigma": NaN}')
+        for key, doc in {**BAD_COEFFS, "two_classes": {
+                **GOOD_COEFFS, "matrix": [[1.0]] * 2}}.items():
+            names[key] = tmp_path / f"{key}.json"
+            names[key].write_text(json.dumps(doc))
         names["probs"] = tmp_path / "probs.csv"
         write_probs(names["probs"], np.array([[0.6, 0.3, 0.1],
                                               [0.2, 0.5, 0.3]]))
@@ -852,6 +904,7 @@ class TestOneErrorLine:
         names["coeffs"].write_text(json.dumps(
             {"order": 1, "tie_classes": True, "matrix": [[1.0]] * 3}))
         before = _files(tmp_path)
+        named = [str(names[key]) for key in BAD_COEFFS if f"{{{key}}}" in argv]
         argv = argv.format(**names).split()
         if hung:
             env = dict(os.environ,
@@ -866,6 +919,7 @@ class TestOneErrorLine:
         assert got == code, err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+        assert all(name in err for name in named)
         assert _files(tmp_path) == before
         assert not names["out"].exists()
 

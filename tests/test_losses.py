@@ -296,6 +296,17 @@ class TestFocalKd:
         with pytest.raises(InvalidInputError):
             make_loss("focal", gamma=-1.0)
 
+    def test_gamma_zero_training_loss_is_kl(self):
+        rng = np.random.default_rng(47)
+        targets = np.stack([random_simplex(rng, 4) for _ in range(6)])
+        z = rng.uniform(-2, 2, size=(6, 4))
+        values, grads = make_loss("focal", gamma=0.0).values_and_grads(
+            targets, z)
+        kl_values, _ = make_loss("kl").values_and_grads(targets, z)
+        np.testing.assert_allclose(values, kl_values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads, softmax_rows(z) - targets, rtol=0,
+                                   atol=1e-12)
+
 
 class TestTrainingLosses:
     @pytest.mark.parametrize("name,params", [
@@ -304,6 +315,7 @@ class TestTrainingLosses:
         ("label_smoothing", {"delta": 0.1}),
         ("focal", {"gamma": 2.0}),
         ("focal", {"gamma": 0.5}),
+        ("focal", {"gamma": 0.0}),
     ])
     def test_batched_grads_match_finite_differences(self, name, params):
         rng = np.random.default_rng(41)
