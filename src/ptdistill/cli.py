@@ -103,15 +103,20 @@ def coeffs_from_dict(doc, source) -> PerturbationConfig:
     if type(doc["order"]) is not int or type(doc["tie_classes"]) is not bool:
         raise SchemaError(f"{source}: order must be an integer and "
                           f"tie_classes a boolean")
+    matrix = doc["matrix"]
+    if not (isinstance(matrix, list)
+            and all(isinstance(row, list) for row in matrix)
+            and len({len(row) for row in matrix}) <= 1
+            and all(type(v) in (int, float) for row in matrix for v in row)):
+        raise SchemaError(f"{source}: matrix must be a C x M array of "
+                          f"numbers")
     try:
-        matrix = np.asarray(doc["matrix"], dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{source}: matrix must be a numeric C x M "
-                          f"array") from None
-    try:
-        return PerturbationConfig(order=doc["order"], coefficients=matrix,
+        return PerturbationConfig(order=doc["order"],
+                                  coefficients=np.asarray(matrix, dtype=float),
                                   tie_classes=doc["tie_classes"])
-    except InvalidInputError as exc:  # a flat matrix, a wrong width, a NaN
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError(f"{source}: coefficients must be finite") from None
+    except InvalidInputError as exc:  # a wrong width, a NaN, untied rows
         raise SchemaError(f"{source}: {exc}") from None
 
 

@@ -68,7 +68,9 @@ class GaussianMixtureSpec:
         rng = derive_rng(seed, "gaussian-means")
         for _ in range(MAX_MEAN_DRAWS):
             means = rng.integers(-1, 2, size=(num_classes, dim)).astype(float)
-            if len({tuple(row) for row in means}) == num_classes:
+            # entries are whole numbers, never -0.0, so equal rows are
+            # equal bytes
+            if len(set(map(bytes, means))) == num_classes:
                 return cls(num_classes=num_classes, dim=dim, sigma=sigma,
                            means=means, seed=seed)
         raise InvalidInputError(f"no {num_classes} distinct class means in "
@@ -127,14 +129,19 @@ def _split_counts(n: int, split_ratio) -> dict:
 
 def generate(spec: GaussianMixtureSpec, n: int,
              split_ratio=(0.9, 0.05, 0.05)) -> LabeledDataset:
-    """Draw n labeled points from the mixture, deterministically in the seed."""
+    """Draw n labeled points from the mixture, deterministically in the seed.
+
+    The inputs are built in place from the noise draw (scale, then add the
+    class means), the same values as ``means[y] + sigma * noise``.
+    """
     if n < spec.num_classes:
         raise InvalidInputError("need at least one example per class")
     counts = _split_counts(n, split_ratio)
     rng = derive_rng(spec.seed, "gaussian-samples")
     y = rng.integers(0, spec.num_classes, size=n)
-    noise = rng.standard_normal(size=(n, spec.dim))
-    inputs = spec.means[y] + spec.sigma * noise
+    inputs = rng.standard_normal(size=(n, spec.dim))
+    inputs *= spec.sigma
+    inputs += spec.means[y]
     return LabeledDataset(inputs=inputs, labels=one_hot(y, spec.num_classes),
                           split_sizes=counts, spec=spec)
 

@@ -18,7 +18,8 @@ from .core import InvalidInputError, clamp_probs, entropy_rows, softmax_rows
 class PerturbationConfig:
     """Perturbation order M and per-class coefficient matrix (C x M).
 
-    With ``tie_classes`` the matrix was broadcast from a single shared row.
+    With ``tie_classes`` the matrix was broadcast from a single shared row,
+    so its rows must be equal.
     M = 0 carries an empty matrix and makes the perturbed loss collapse to KL.
     """
 
@@ -40,6 +41,8 @@ class PerturbationConfig:
             )
         if arr.size and not np.all(np.isfinite(arr)):
             raise InvalidInputError("coefficients must be finite")
+        if self.tie_classes and np.any(arr != arr[:1]):
+            raise InvalidInputError("tie_classes needs equal coefficient rows")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coefficients", arr)

@@ -16,6 +16,12 @@ Memory layout:
   shorter batch uses their leading rows.
 * The forward pass adds the bias in place (``a = h @ w; a += b``), so a
   layer costs one array of its output size, never a second temporary.
+* ``forward_rows`` runs N rows as ``max(1, N // 8192)`` near-equal blocks
+  of 8,192 to 16,383 rows that share one set of hidden buffers, and the
+  last layer writes into the block's rows of the logits. Inference memory
+  is then bounded by the block, not N. Blocks that long take the same BLAS
+  kernel path as one full-batch product, so the logits are the same bits;
+  short blocks (a few thousand rows) can move their last bits.
 """
 from __future__ import annotations
 
@@ -28,6 +34,9 @@ from .core import InvalidInputError, SchemaError, TrainingDivergenceError
 from .data import read_json
 from .losses import TrainingLoss
 from .rng import derive_rng
+
+# forward_rows's shortest block; see "Memory layout" above
+_BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -105,8 +114,18 @@ def _forward_layers(model: MlpModel, x: np.ndarray,
 
 
 def forward_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Batched logits for an (N, d) input matrix."""
-    return _forward_layers(model, _check_inputs(model, x))[-1]
+    """Batched logits for an (N, d) input matrix, computed in row blocks."""
+    x = _check_inputs(model, x)
+    n = x.shape[0]
+    blocks = max(1, n // _BLOCK_ROWS)
+    logits = np.empty((n, model.layer_dims[-1]))
+    longest = -(-n // blocks)
+    hidden = [np.empty((longest, d)) for d in model.layer_dims[1:-1]]
+    for k in range(blocks):
+        lo, hi = k * n // blocks, (k + 1) * n // blocks
+        _forward_layers(model, x[lo:hi],
+                        [h[:hi - lo] for h in hidden] + [logits[lo:hi]])
+    return logits
 
 
 class _Step:

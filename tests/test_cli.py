@@ -808,6 +808,12 @@ BAD_COEFFS = {
     "wrong_width": {**GOOD_COEFFS, "order": 2},
     "negative_order": {**GOOD_COEFFS, "order": -1, "matrix": [[]] * 3},
     "nan_entry": {**GOOD_COEFFS, "matrix": [[float("nan")], [1.0], [1.0]]},
+    "bool_entries": {**GOOD_COEFFS, "tie_classes": False,
+                     "matrix": [[True], [False], [True]]},
+    "tied_rows_differ": {**GOOD_COEFFS, "matrix": [[1], [2], [3]]},
+    "ragged_matrix": {**GOOD_COEFFS, "tie_classes": False,
+                      "matrix": [[1.0], [1.0, 2.0], [1.0]]},
+    "int_beyond_float": {**GOOD_COEFFS, "matrix": [[10 ** 400]] * 3},
     "nan_configs": [GOOD_COEFFS,  # a sweep list
                     {**GOOD_COEFFS, "matrix": [[float("nan")]] * 3}],
 }

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,25 @@ class TestGenerate:
             np.concatenate([ds.split(n)[0] for n in
                             ("train", "validation", "test")]),
             ds.inputs)
+
+    def test_inputs_equal_means_plus_scaled_noise(self):
+        spec = default_spec(seed=6)
+        ds = generate(spec, 2000)
+        rng = derive_rng(spec.seed, "gaussian-samples")
+        y = rng.integers(0, spec.num_classes, size=2000)
+        noise = rng.standard_normal(size=(2000, spec.dim))
+        np.testing.assert_array_equal(ds.inputs,
+                                      spec.means[y] + spec.sigma * noise)
+
+    def test_peak_memory_is_inputs_and_gathered_means(self):
+        spec = default_spec(seed=7)
+        tracemalloc.start()
+        try:
+            ds = generate(spec, 50_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * ds.inputs.nbytes
 
     def test_class_balance_near_uniform(self):
         ds = generate(default_spec(seed=1), 30000)

@@ -88,6 +88,15 @@ class TestPtLoss:
         with pytest.raises(InvalidInputError):
             pt_rows(np.array([0.5, 0.5]), np.array([0.5, 0.5]), cfg)
 
+    def test_tied_flag_needs_equal_rows(self):
+        with pytest.raises(InvalidInputError, match="equal coefficient rows"):
+            PerturbationConfig(1, np.array([[1.0], [2.0], [3.0]]),
+                               tie_classes=True)
+        cfg = PerturbationConfig(2, np.tile([0.5, -1.0], (3, 1)),
+                                 tie_classes=True)
+        assert cfg.tie_classes and cfg.num_classes == 3
+        assert PerturbationConfig.tied([], 3).order == 0
+
     def test_affine_in_coefficients(self):
         rng = np.random.default_rng(13)
         for _ in range(100):

@@ -126,6 +126,29 @@ class TestForward:
             tracemalloc.stop()
         assert peak <= 2.25 * hidden_bytes
 
+    @pytest.mark.parametrize("n,longest", [
+        (16_383, 16_383), (16_384, 8_192), (50_000, 8_334), (100_000, 8_334)])
+    def test_blocks_match_full_batch_in_bounded_memory(self, n, longest):
+        # inference runs in max(1, n // 8192) near-equal blocks that share
+        # their hidden buffers: 16,383 rows is the last single block, 16,384
+        # rows run as two blocks of 8,192, and past the logits the peak is
+        # one block's, whatever n is. On OpenBLAS 0.3.31 the blocked logits
+        # are bit-equal to one full-batch pass; the 1e-12 bound leaves room
+        # for a BLAS whose kernels split rows differently.
+        model = nn.init([30, 128, 128, 3], seed=2)
+        x = np.random.default_rng(n).normal(size=(n, 30))
+        tracemalloc.start()
+        try:
+            logits = nn.forward_rows(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * longest * 128 * x.itemsize + logits.nbytes
+        full = nn._forward_layers(model, x)[-1]
+        np.testing.assert_array_equal(np.argmax(logits, axis=1),
+                                      np.argmax(full, axis=1))
+        assert np.max(np.abs(logits - full)) <= 1e-12
+
 
 class TestBackprop:
     @pytest.mark.parametrize("loss_name,params,soft", [
