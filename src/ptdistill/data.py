@@ -4,10 +4,22 @@ Labels are drawn uniformly over classes; inputs follow x | y=k ~ N(mu_k,
 sigma^2 I) with class means whose entries come from {-1, 0, 1}. Under
 uniform priors and shared isotropic variance the exact Bayes posterior is
 softmax_c(-||x - mu_c||^2 / (2 sigma^2)).
+
+A saved dataset is a directory of one CSV per split and a JSON sidecar
+with the spec. Beside each split CSV, ``save_dataset`` writes a binary
+copy of its rows (``train.csv`` -> ``train.rows``): the SHA-256 digest of
+the CSV's bytes, then the rows as an ``.npy`` payload. ``load_dataset``
+reads the copy in place of parsing the text only while that digest is the
+digest of the CSV on disk, so an edited CSV is parsed again, and runs the
+same checks on the rows either way. The CSV stays the interchange format;
+deleting the copies only makes the next load parse.
 """
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import os
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -21,6 +33,9 @@ SPLIT_NAMES = ("train", "validation", "test")
 # GaussianMixtureSpec.sample gives up after this many draws of class means
 # that collide.
 MAX_MEAN_DRAWS = 100_000
+# write_csv formats this many rows with one % operation; the text of a
+# block is about 0.7 MB at 31 columns, and longer blocks only add memory.
+_WRITE_ROWS = 1024
 
 
 def _check_sizes(num_classes: int, dim: int) -> None:
@@ -157,19 +172,25 @@ def true_posterior_rows(spec: GaussianMixtureSpec, x: np.ndarray) -> np.ndarray:
 # Serialization: one CSV per split plus a JSON sidecar with the full spec.
 # ---------------------------------------------------------------------------
 
-def read_csv(path) -> tuple[list[str], np.ndarray]:
+def read_csv(path, copy=None) -> tuple[list[str], np.ndarray]:
     """A CSV's header names and the (rows, columns) numbers below it.
 
     Every row must hold one number per header name; a header-only file is
-    an empty table. The caller checks the names.
+    an empty table. The caller checks the names. ``copy`` names the binary
+    copy of the rows that ``save_dataset`` writes; it is read in place of
+    the text while it matches the file (see ``_read_copy``).
     """
     try:
         with open(path) as f:
             header = f.readline().strip().split(",")
-        with warnings.catch_warnings():
-            # a file with no rows is an empty split, as generate-data writes
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        rows = _read_copy(copy, path, len(header)) if copy else None
+        if rows is None:
+            with warnings.catch_warnings():
+                # a file with no rows is an empty split, as generate-data
+                # writes
+                warnings.filterwarnings("ignore",
+                                        "loadtxt: input contained no data")
+                rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:  # not text, a cell not a number, ragged rows
         raise SchemaError(f"{path}: {exc}") from None
     if rows.size == 0:
@@ -180,13 +201,58 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
     return header, rows
 
 
+def _read_copy(copy, path, width: int) -> np.ndarray | None:
+    """The rows in the binary copy ``copy`` of the CSV ``path``, or None.
+
+    The copy is used only if its leading digest is the SHA-256 of ``path``
+    as it is now, and the rest is byte for byte what ``save_dataset``
+    writes for a float64 array of ``width`` columns: the ``.npy`` header
+    of the row count the file's size implies, then the rows. The header is
+    compared, never parsed or unpickled, before the rows are allocated,
+    and they are read straight into the returned array.
+    """
+    try:
+        with open(copy, "rb") as f:
+            recorded = f.read(32)
+            with open(path, "rb") as text:
+                if hashlib.file_digest(text, "sha256").digest() != recorded:
+                    return None
+            # the magic string, the format version and the header length
+            prefix = f.read(10)
+            header_end = f.tell() + int.from_bytes(prefix[8:], "little")
+            n, rest = divmod(os.fstat(f.fileno()).st_size - header_end,
+                             width * 8)
+            if rest or prefix + f.read(header_end - f.tell()) != _npy_header(
+                    (n, width)):
+                return None
+            rows = np.empty((n, width))
+            return rows if f.readinto(rows) == rows.nbytes else None
+    except OSError:  # no copy
+        return None
+
+
+def _npy_header(shape) -> bytes:
+    """The ``.npy`` header (format 1.0) of a C-order float64 array: the
+    copies' format, written by ``save_dataset``, compared by
+    ``_read_copy``."""
+    with io.BytesIO() as f:
+        np.lib.format.write_array_header_1_0(f, {
+            "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+            "fortran_order": False, "shape": shape})
+        return f.getvalue()
+
+
 def read_json(path):
-    """The document in a JSON file; text that is not JSON is a SchemaError."""
+    """The document in a JSON file; text that is not JSON, or nests too
+    deeply to read, is a SchemaError."""
     with open(path) as f:
         try:
             return json.load(f)
         except ValueError as exc:  # a syntax error, or bytes that are not text
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply to read"
+                              ) from None
 
 
 def one_hot(labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
@@ -201,25 +267,53 @@ def one_hot(labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
     return out
 
 
-def write_csv(path, header, rows) -> None:
-    """Rows of numbers under a header of column names, at full precision."""
-    np.savetxt(path, rows, delimiter=",", header=",".join(header),
-               comments="", fmt="%.17g")
+def write_csv(path, header, rows) -> bytes:
+    """Rows of numbers under a header of column names, at full precision.
+
+    The bytes are those of ``np.savetxt(path, rows, delimiter=",",
+    header=",".join(header), comments="", fmt="%.17g")``, formatted
+    ``_WRITE_ROWS`` rows at a time from Python floats. Returns the SHA-256
+    digest of the bytes written.
+    """
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        def put(text: str) -> None:
+            data = text.encode()
+            digest.update(data)
+            f.write(data)
+        put(",".join(header) + "\n")
+        for lo in range(0, len(rows), _WRITE_ROWS):
+            block = rows[lo:lo + _WRITE_ROWS]
+            put(line * len(block) % tuple(block.ravel().tolist()))
+    return digest.digest()
+
+
+def _copy_path(csv_path) -> Path:
+    """The binary copy of a split CSV's rows: ``train.csv`` -> ``train.rows``."""
+    return Path(csv_path).with_suffix(".rows")
 
 
 def save_dataset(ds: LabeledDataset, out_dir) -> list[Path]:
-    """Write ``dataset_files(out_dir)``; returns the split CSVs, then the spec."""
+    """Write ``dataset_files(out_dir)`` and a binary copy of each split's
+    rows; returns the split CSVs, then the spec, then the copies."""
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     sidecar, *paths = dataset_files(out_dir)
+    copies = [_copy_path(path) for path in paths]
     header = [f"x_{i}" for i in range(ds.inputs.shape[1])] + ["label"]
-    for name, path in zip(SPLIT_NAMES, paths):
+    for name, path, copy in zip(SPLIT_NAMES, paths, copies):
         lo, hi = ds._bounds(name)
-        write_csv(path, header, np.column_stack(
-            [ds.inputs[lo:hi], np.argmax(ds.labels[lo:hi], axis=1)]))
+        rows = np.column_stack(
+            [ds.inputs[lo:hi], np.argmax(ds.labels[lo:hi], axis=1)])
+        digest = write_csv(path, header, rows)
+        with open(copy, "wb") as f:
+            f.write(digest + _npy_header(rows.shape))
+            rows.tofile(f)
     with open(sidecar, "w") as f:
         json.dump({"spec": ds.spec.to_dict() if ds.spec else None,
                    "split_sizes": ds.split_sizes}, f, indent=2)
-    return paths + [sidecar]
+    return paths + [sidecar] + copies
 
 
 def dataset_files(in_dir) -> list[Path]:
@@ -232,7 +326,9 @@ def dataset_files(in_dir) -> list[Path]:
 def load_dataset(in_dir) -> LabeledDataset:
     """The dataset ``save_dataset`` wrote to ``in_dir``.
 
-    Each split's header must be ``x_0..x_{d-1},label``, with d the spec's
+    Each split's rows come from its binary copy while that matches the
+    CSV, else from the CSV's text; the checks below hold either way. Each
+    split's header must be ``x_0..x_{d-1},label``, with d the spec's
     dim, or the first split's when the spec is null.
     """
     sidecar, *paths = dataset_files(in_dir)
@@ -249,7 +345,7 @@ def load_dataset(in_dir) -> LabeledDataset:
     dim = spec.dim if spec else None
     splits = []
     for name, path in zip(SPLIT_NAMES, paths):
-        header, rows = read_csv(path)
+        header, rows = read_csv(path, _copy_path(path))
         if dim is None:
             dim = len(header) - 1
         if header != [f"x_{i}" for i in range(dim)] + ["label"]:

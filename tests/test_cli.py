@@ -868,6 +868,11 @@ ONE_LINE_CASES = [
     pytest.param("sweep --data-dir {data} --teacher {teacher} --configs "
                  "{nan_configs} --epochs 1 --out {out}", 2, False,
                  id="sweep-config-nan-entry"),
+    # JSON nested past the parser's recursion limit
+    pytest.param("solve-proxy --teacher-probs {probs} --coeffs {deep} "
+                 "--out {out}", 2, False, id="coeffs-deep"),
+    pytest.param("generate-data --config {deep} --out-dir {out}", 2, False,
+                 id="config-deep"),
     pytest.param("solve-proxy --teacher-probs {probs} --coeffs {two_classes} "
                  "--out {out}", 1, False, id="coeffs-for-other-classes"),
 ]
@@ -897,6 +902,8 @@ class TestOneErrorLine:
             val.write_text("\n".join(lines) + "\n")
         names["nan_config"] = tmp_path / "nan_config.json"
         names["nan_config"].write_text('{"sigma": NaN}')
+        names["deep"] = tmp_path / "deep.json"
+        names["deep"].write_text("[" * 100_000 + "]" * 100_000)
         for key, doc in {**BAD_COEFFS, "two_classes": {
                 **GOOD_COEFFS, "matrix": [[1.0]] * 2}}.items():
             names[key] = tmp_path / f"{key}.json"
@@ -910,7 +917,8 @@ class TestOneErrorLine:
         names["coeffs"].write_text(json.dumps(
             {"order": 1, "tie_classes": True, "matrix": [[1.0]] * 3}))
         before = _files(tmp_path)
-        named = [str(names[key]) for key in BAD_COEFFS if f"{{{key}}}" in argv]
+        named = [str(names[key]) for key in [*BAD_COEFFS, "deep"]
+                 if f"{{{key}}}" in argv]
         argv = argv.format(**names).split()
         if hung:
             env = dict(os.environ,
@@ -1008,5 +1016,8 @@ class TestOneOwnerPerRule:
         monkeypatch.setattr(data, "dataset_files", renamed)
         spec = GaussianMixtureSpec.sample(seed=0, dim=2)
         written = data.save_dataset(data.generate(spec, 20), tmp_path)
-        assert written == renamed(tmp_path)[1:] + renamed(tmp_path)[:1]
+        sidecar, *splits = renamed(tmp_path)
+        # each split's binary copy of its rows follows the dataset files
+        assert written == splits + [sidecar] + [
+            tmp_path / n for n in ("a.rows", "b.rows", "c.rows")]
         assert sorted(tmp_path.iterdir()) == sorted(written)

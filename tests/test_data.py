@@ -1,10 +1,16 @@
+import hashlib
+import io
+import json
 import math
+import pickle
 import tracemalloc
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ptdistill import data
+from ptdistill import cli, data
 from ptdistill.core import InvalidInputError
 from ptdistill.data import (
     GaussianMixtureSpec,
@@ -16,6 +22,7 @@ from ptdistill.data import (
     read_csv,
     save_dataset,
     true_posterior_rows,
+    write_csv,
 )
 from ptdistill.rng import derive_rng
 
@@ -244,3 +251,211 @@ class TestLabeledDataset:
             LabeledDataset(inputs=np.zeros((4, 2)), labels=np.zeros((4, 2)),
                            split_sizes={"train": 3, "validation": 0,
                                         "test": 0})
+
+
+def savetxt_bytes(tmp_path, header, rows) -> bytes:
+    path = tmp_path / "savetxt.csv"
+    np.savetxt(path, rows, delimiter=",", header=",".join(header),
+               comments="", fmt="%.17g")
+    return path.read_bytes()
+
+
+class TestWriteCsv:
+    """write_csv writes the bytes np.savetxt wrote, a block of rows at a
+    time, and returns their SHA-256 digest."""
+
+    def check(self, tmp_path, header, rows):
+        path = tmp_path / "out.csv"
+        digest = write_csv(path, header, rows)
+        written = path.read_bytes()
+        assert written == savetxt_bytes(tmp_path, header, rows)
+        assert digest == hashlib.sha256(written).digest()
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025])
+    def test_block_edges(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(
+            -300, 300, size=(n, 3))
+        self.check(tmp_path, ["a", "b", "c"], rows)
+
+    def test_special_values(self, tmp_path):
+        values = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324,
+                  1.7976931348623157e308, -1.7976931348623157e308, 1.0,
+                  -3.0, 2.0 ** 53, 1e16, 0.1]
+        rows = np.array(values).reshape(-1, 1) * np.ones((1, 2))
+        self.check(tmp_path, ["x_0", "label"], rows)
+
+    def test_list_of_lists(self, tmp_path):
+        # the rows cmd_sweep passes: one list of Python floats per point
+        rows = [[0.125, 0.3, 0.9], [1.5, 2.0 / 3.0, 0.5]]
+        self.check(tmp_path, ["l2_distance_to_truth", "tvd_to_truth",
+                              "student_test_accuracy"], rows)
+
+    def test_int_and_bool_columns(self, tmp_path):
+        # the columns cmd_solve_proxy stacks: proxies, residual norms,
+        # iteration counts and converged flags
+        proxies = np.array([[0.6, 0.3, 0.1], [1 / 3, 1 / 3, 1 / 3]])
+        rows = np.column_stack([proxies, np.array([1e-9, 2.5e-12]),
+                                np.array([7, 0]), np.array([True, False])])
+        self.check(tmp_path, ["p_0", "p_1", "p_2", "residual_norm",
+                              "iterations", "converged"], rows)
+
+    def test_peak_memory_is_rows_and_one_block(self, tmp_path):
+        ds = generate(default_spec(seed=12), 50_000, (0.05, 0.05, 0.9))
+        largest = 45_000 * (ds.inputs.shape[1] + 1) * 8  # the test split
+        tracemalloc.start()
+        try:
+            save_dataset(ds, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one block's floats, tuple and text are about 2 MB at 31 columns
+        assert peak <= largest + 3 * 2 ** 20
+
+
+def spy_on_parsing(monkeypatch) -> list:
+    """The paths np.loadtxt parses from now on, in order."""
+    parsed = []
+    loadtxt = np.loadtxt
+
+    def spy(path, *args, **kwargs):
+        parsed.append(Path(path).name)
+        return loadtxt(path, *args, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return parsed
+
+
+def assert_same_dataset(a, b):
+    assert a.inputs.tobytes() == b.inputs.tobytes()
+    assert a.labels.tobytes() == b.labels.tobytes()
+    assert a.split_sizes == b.split_sizes
+
+
+class TestBinaryCopies:
+    """The binary copy of each split's rows beside its CSV."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        ds = generate(default_spec(seed=13, dim=4), 300, (0.5, 0.25, 0.25))
+        save_dataset(ds, tmp_path)
+        return ds, tmp_path
+
+    def parsed_only(self, in_dir):
+        """The dataset as read from its CSVs alone."""
+        copies = {p: p.read_bytes() for p in in_dir.glob("*.rows")}
+        for p in copies:
+            p.unlink()
+        try:
+            return load_dataset(in_dir)
+        finally:
+            for p, raw in copies.items():
+                p.write_bytes(raw)
+
+    def test_copies_are_read_bit_equal_to_parsing(self, saved, monkeypatch):
+        ds, in_dir = saved
+        parsed = spy_on_parsing(monkeypatch)
+        from_copies = load_dataset(in_dir)
+        assert parsed == []
+        from_text = self.parsed_only(in_dir)
+        assert parsed == ["train.csv", "validation.csv", "test.csv"]
+        assert_same_dataset(from_copies, from_text)
+        assert from_copies.inputs.tobytes() == ds.inputs.tobytes()
+
+    def test_edited_csv_is_parsed(self, saved, monkeypatch):
+        _, in_dir = saved
+        path = in_dir / "train.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = "12.5" + lines[1][lines[1].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        parsed = spy_on_parsing(monkeypatch)
+        assert load_dataset(in_dir).inputs[0, 0] == 12.5
+        assert parsed == ["train.csv"]
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "garbage", "few-columns", "one-dimensional",
+        "beyond-the-file", "python2-header", "fortran-order", "float32",
+        "object-dtype"])
+    def test_damaged_copy_is_parsed_never_unpickled(self, saved, monkeypatch,
+                                                    recwarn, damage):
+        _, in_dir = saved
+        copy = in_dir / "train.rows"
+        digest = copy.read_bytes()[:32]
+        _, rows = read_csv(in_dir / "train.csv")
+
+        def npy(array, **kwargs):
+            path = in_dir / "payload.npy"
+            with open(path, "wb") as f:
+                np.lib.format.write_array(f, array, **kwargs)
+            return path.read_bytes()
+        def npy_header(**fields):
+            with io.BytesIO() as f:
+                np.lib.format.write_array_header_1_0(f, {
+                    **np.lib.format.header_data_from_array_1_0(rows),
+                    **fields})
+                return f.getvalue()
+        payload = {
+            "truncated": lambda: copy.read_bytes()[32:-8],
+            "garbage": lambda: b"\x93NUMPY garbage" * 40,
+            "few-columns": lambda: npy(np.ascontiguousarray(rows[:, :-1])),
+            "one-dimensional": lambda: npy(rows.ravel()),
+            # a header whose shape would need an 8 TB array
+            "beyond-the-file": lambda: npy_header(
+                shape=(10 ** 12, rows.shape[1])) + rows.tobytes(),
+            # an 'L' suffix, which numpy reads with a warning
+            "python2-header": lambda: npy_header().replace(
+                b"%d, " % len(rows), b"%dL," % len(rows)) + rows.tobytes(),
+            "fortran-order": lambda: npy(np.asfortranarray(rows)),
+            "float32": lambda: npy(rows.astype(np.float32)),
+            "object-dtype": lambda: npy(rows.astype(object),
+                                        allow_pickle=True),
+        }[damage]()
+        copy.write_bytes(digest + payload)
+        unpickled = []
+
+        def no_unpickling(*args, **kwargs):
+            unpickled.append(args)
+            raise AssertionError("unpickled a copy")
+        monkeypatch.setattr(pickle, "load", no_unpickling)
+        monkeypatch.setattr(pickle, "loads", no_unpickling)
+        parsed = spy_on_parsing(monkeypatch)
+        from_copies = load_dataset(in_dir)
+        assert unpickled == [] and parsed == ["train.csv"]
+        assert len(recwarn) == 0
+        assert_same_dataset(from_copies, self.parsed_only(in_dir))
+
+    def test_read_holds_no_second_copy(self, tmp_path):
+        ds = generate(default_spec(seed=14), 50_000, (0.05, 0.05, 0.9))
+        save_dataset(ds, tmp_path)
+        tracemalloc.start()
+        try:
+            _, rows = read_csv(tmp_path / "test.csv", tmp_path / "test.rows")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (45_000, 31)
+        assert peak <= rows.nbytes + 2 ** 20
+
+    @pytest.mark.parametrize("case,culprit", [
+        ("split-sizes", "spec.json"), ("non-finite-cell", "train.csv")])
+    def test_checks_hold_on_copies(self, tmp_path, monkeypatch, capsys,
+                                   case, culprit):
+        data_dir = tmp_path / "data"
+        if case == "split-sizes":
+            assert cli.run(["generate-data", "--n", "60", "--dim", "6",
+                            "--out-dir", str(data_dir)]) == 0
+            meta = json.loads((data_dir / "spec.json").read_text())
+            meta["split_sizes"]["train"] += 1
+            meta["split_sizes"]["test"] -= 1
+            (data_dir / "spec.json").write_text(json.dumps(meta))
+        else:
+            ds = generate(default_spec(dim=6), 60)
+            ds.inputs[0, 0] = math.nan
+            save_dataset(ds, data_dir)
+        capsys.readouterr()
+        parsed = spy_on_parsing(monkeypatch)
+        code = cli.run(["train-teacher", "--data-dir", str(data_dir),
+                        "--arch", "6,8,3", "--epochs", "1",
+                        "--out", str(tmp_path / "t.json")])
+        err = capsys.readouterr().err
+        assert code == 2 and parsed == []
+        assert len(err.splitlines()) == 1 and str(data_dir / culprit) in err
