@@ -18,7 +18,6 @@ on stderr), 2 usage or file/schema error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -34,6 +33,7 @@ from .data import (
     SPLIT_NAMES,
     GaussianMixtureSpec,
     dataset_files,
+    file_digest,
     generate,
     load_dataset,
     one_hot,
@@ -130,14 +130,6 @@ def write_json(path, doc) -> None:
 # Manifests
 # ---------------------------------------------------------------------------
 
-def _digest(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def write_manifest(command: str, config: dict, seeds: dict,
                    inputs: list, outputs: list, started: float) -> Path:
     outputs = [Path(p) for p in outputs]
@@ -146,8 +138,9 @@ def write_manifest(command: str, config: dict, seeds: dict,
         "config": config,
         "seeds": seeds,
         "version": __version__,
-        "input_digests": {str(p): _digest(p) for p in map(Path, inputs)},
-        "outputs": {str(p): _digest(p) for p in outputs},
+        "input_digests": {str(p): file_digest(p).hex()
+                          for p in map(Path, inputs)},
+        "outputs": {str(p): file_digest(p).hex() for p in outputs},
         "duration_seconds": time.time() - started,
     }
     path = outputs[0].with_name(outputs[0].name + ".manifest.json")

@@ -7,17 +7,17 @@ softmax_c(-||x - mu_c||^2 / (2 sigma^2)).
 
 A saved dataset is a directory of one CSV per split and a JSON sidecar
 with the spec. Beside each split CSV, ``save_dataset`` writes a binary
-copy of its rows (``train.csv`` -> ``train.rows``): the SHA-256 digest of
-the CSV's bytes, then the rows as an ``.npy`` payload. ``load_dataset``
-reads the copy in place of parsing the text only while that digest is the
-digest of the CSV on disk, so an edited CSV is parsed again, and runs the
-same checks on the rows either way. The CSV stays the interchange format;
-deleting the copies only makes the next load parse.
+copy of its rows (``train.csv`` -> ``train.rows``): a seal, the SHA-256
+of the CSV's digest followed by the rows, then the rows as raw
+little-endian float64 values. ``load_dataset`` reads the copy in place of
+parsing the text only while the seal matches the CSV on disk and the rows
+read, so an edited CSV is parsed again, and so is a damaged copy; the
+same checks run on the rows either way. The CSV stays the interchange
+format; deleting the copies only makes the next load parse.
 """
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import warnings
@@ -33,9 +33,9 @@ SPLIT_NAMES = ("train", "validation", "test")
 # GaussianMixtureSpec.sample gives up after this many draws of class means
 # that collide.
 MAX_MEAN_DRAWS = 100_000
-# write_csv formats this many rows with one % operation; the text of a
-# block is about 0.7 MB at 31 columns, and longer blocks only add memory.
-_WRITE_ROWS = 1024
+# A split's binary copy: a SHA-256 seal, then its rows in this dtype.
+_SEAL_BYTES = 32
+_COPY_DTYPE = np.dtype("<f8")
 
 
 def _check_sizes(num_classes: int, dim: int) -> None:
@@ -204,42 +204,44 @@ def read_csv(path, copy=None) -> tuple[list[str], np.ndarray]:
 def _read_copy(copy, path, width: int) -> np.ndarray | None:
     """The rows in the binary copy ``copy`` of the CSV ``path``, or None.
 
-    The copy is used only if its leading digest is the SHA-256 of ``path``
-    as it is now, and the rest is byte for byte what ``save_dataset``
-    writes for a float64 array of ``width`` columns: the ``.npy`` header
-    of the row count the file's size implies, then the rows. The header is
-    compared, never parsed or unpickled, before the rows are allocated,
-    and they are read straight into the returned array.
+    The copy is used only if its size is a seal plus a whole number of rows
+    of ``width`` columns, and the seal is ``_seal`` of the digest of
+    ``path`` as it is now and of the rows, which are read straight into
+    the returned array. Nothing in the copy is parsed or unpickled.
     """
     try:
         with open(copy, "rb") as f:
-            recorded = f.read(32)
-            with open(path, "rb") as text:
-                if hashlib.file_digest(text, "sha256").digest() != recorded:
-                    return None
-            # the magic string, the format version and the header length
-            prefix = f.read(10)
-            header_end = f.tell() + int.from_bytes(prefix[8:], "little")
-            n, rest = divmod(os.fstat(f.fileno()).st_size - header_end,
+            seal = f.read(_SEAL_BYTES)
+            n, rest = divmod(os.fstat(f.fileno()).st_size - len(seal),
                              width * 8)
-            if rest or prefix + f.read(header_end - f.tell()) != _npy_header(
-                    (n, width)):
+            if len(seal) < _SEAL_BYTES or rest:
                 return None
-            rows = np.empty((n, width))
-            return rows if f.readinto(rows) == rows.nbytes else None
+            # hashed first, so its read buffers are freed before the rows
+            csv_digest = file_digest(path)
+            rows = np.empty((n, width), dtype=_COPY_DTYPE)
+            if (f.readinto(rows) != rows.nbytes
+                    or _seal(csv_digest, rows) != seal):
+                return None
+            return rows
     except OSError:  # no copy
         return None
 
 
-def _npy_header(shape) -> bytes:
-    """The ``.npy`` header (format 1.0) of a C-order float64 array: the
-    copies' format, written by ``save_dataset``, compared by
-    ``_read_copy``."""
-    with io.BytesIO() as f:
-        np.lib.format.write_array_header_1_0(f, {
-            "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
-            "fortran_order": False, "shape": shape})
-        return f.getvalue()
+def _seal(csv_digest: bytes, rows: np.ndarray) -> bytes:
+    """The digest a binary copy opens with: the SHA-256 of its CSV's
+    digest followed by its rows, so that it holds only while both do."""
+    h = hashlib.sha256(csv_digest)
+    h.update(rows)
+    return h.digest()
+
+
+def file_digest(path) -> bytes:
+    """The SHA-256 digest of a file's bytes, read 1 MiB at a time."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.digest()
 
 
 def read_json(path):
@@ -267,27 +269,10 @@ def one_hot(labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
     return out
 
 
-def write_csv(path, header, rows) -> bytes:
-    """Rows of numbers under a header of column names, at full precision.
-
-    The bytes are those of ``np.savetxt(path, rows, delimiter=",",
-    header=",".join(header), comments="", fmt="%.17g")``, formatted
-    ``_WRITE_ROWS`` rows at a time from Python floats. Returns the SHA-256
-    digest of the bytes written.
-    """
-    rows = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    digest = hashlib.sha256()
-    with open(path, "wb") as f:
-        def put(text: str) -> None:
-            data = text.encode()
-            digest.update(data)
-            f.write(data)
-        put(",".join(header) + "\n")
-        for lo in range(0, len(rows), _WRITE_ROWS):
-            block = rows[lo:lo + _WRITE_ROWS]
-            put(line * len(block) % tuple(block.ravel().tolist()))
-    return digest.digest()
+def write_csv(path, header, rows) -> None:
+    """Rows of numbers under a header of column names, at full precision."""
+    np.savetxt(path, rows, delimiter=",", header=",".join(header),
+               comments="", fmt="%.17g")
 
 
 def _copy_path(csv_path) -> Path:
@@ -305,10 +290,11 @@ def save_dataset(ds: LabeledDataset, out_dir) -> list[Path]:
     for name, path, copy in zip(SPLIT_NAMES, paths, copies):
         lo, hi = ds._bounds(name)
         rows = np.column_stack(
-            [ds.inputs[lo:hi], np.argmax(ds.labels[lo:hi], axis=1)])
-        digest = write_csv(path, header, rows)
+            [ds.inputs[lo:hi], np.argmax(ds.labels[lo:hi], axis=1)]
+        ).astype(_COPY_DTYPE, copy=False)
+        write_csv(path, header, rows)
         with open(copy, "wb") as f:
-            f.write(digest + _npy_header(rows.shape))
+            f.write(_seal(file_digest(path), rows))
             rows.tofile(f)
     with open(sidecar, "w") as f:
         json.dump({"spec": ds.spec.to_dict() if ds.spec else None,

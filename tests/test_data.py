@@ -22,7 +22,6 @@ from ptdistill.data import (
     read_csv,
     save_dataset,
     true_posterior_rows,
-    write_csv,
 )
 from ptdistill.rng import derive_rng
 
@@ -253,66 +252,6 @@ class TestLabeledDataset:
                                         "test": 0})
 
 
-def savetxt_bytes(tmp_path, header, rows) -> bytes:
-    path = tmp_path / "savetxt.csv"
-    np.savetxt(path, rows, delimiter=",", header=",".join(header),
-               comments="", fmt="%.17g")
-    return path.read_bytes()
-
-
-class TestWriteCsv:
-    """write_csv writes the bytes np.savetxt wrote, a block of rows at a
-    time, and returns their SHA-256 digest."""
-
-    def check(self, tmp_path, header, rows):
-        path = tmp_path / "out.csv"
-        digest = write_csv(path, header, rows)
-        written = path.read_bytes()
-        assert written == savetxt_bytes(tmp_path, header, rows)
-        assert digest == hashlib.sha256(written).digest()
-
-    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025])
-    def test_block_edges(self, tmp_path, n):
-        rng = np.random.default_rng(n)
-        rows = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(
-            -300, 300, size=(n, 3))
-        self.check(tmp_path, ["a", "b", "c"], rows)
-
-    def test_special_values(self, tmp_path):
-        values = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324,
-                  1.7976931348623157e308, -1.7976931348623157e308, 1.0,
-                  -3.0, 2.0 ** 53, 1e16, 0.1]
-        rows = np.array(values).reshape(-1, 1) * np.ones((1, 2))
-        self.check(tmp_path, ["x_0", "label"], rows)
-
-    def test_list_of_lists(self, tmp_path):
-        # the rows cmd_sweep passes: one list of Python floats per point
-        rows = [[0.125, 0.3, 0.9], [1.5, 2.0 / 3.0, 0.5]]
-        self.check(tmp_path, ["l2_distance_to_truth", "tvd_to_truth",
-                              "student_test_accuracy"], rows)
-
-    def test_int_and_bool_columns(self, tmp_path):
-        # the columns cmd_solve_proxy stacks: proxies, residual norms,
-        # iteration counts and converged flags
-        proxies = np.array([[0.6, 0.3, 0.1], [1 / 3, 1 / 3, 1 / 3]])
-        rows = np.column_stack([proxies, np.array([1e-9, 2.5e-12]),
-                                np.array([7, 0]), np.array([True, False])])
-        self.check(tmp_path, ["p_0", "p_1", "p_2", "residual_norm",
-                              "iterations", "converged"], rows)
-
-    def test_peak_memory_is_rows_and_one_block(self, tmp_path):
-        ds = generate(default_spec(seed=12), 50_000, (0.05, 0.05, 0.9))
-        largest = 45_000 * (ds.inputs.shape[1] + 1) * 8  # the test split
-        tracemalloc.start()
-        try:
-            save_dataset(ds, tmp_path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # one block's floats, tuple and text are about 2 MB at 31 columns
-        assert peak <= largest + 3 * 2 ** 20
-
-
 def spy_on_parsing(monkeypatch) -> list:
     """The paths np.loadtxt parses from now on, in order."""
     parsed = []
@@ -361,6 +300,24 @@ class TestBinaryCopies:
         assert_same_dataset(from_copies, from_text)
         assert from_copies.inputs.tobytes() == ds.inputs.tobytes()
 
+    def test_copy_is_seal_then_raw_rows(self, saved):
+        _, in_dir = saved
+        _, rows = read_csv(in_dir / "validation.csv")
+        csv_digest = hashlib.sha256(
+            (in_dir / "validation.csv").read_bytes()).digest()
+        seal = hashlib.sha256(csv_digest + rows.astype("<f8").tobytes())
+        assert (in_dir / "validation.rows").read_bytes() == (
+            seal.digest() + rows.astype("<f8").tobytes())
+
+    def test_copies_need_no_file_digest_from_hashlib(self, saved,
+                                                     monkeypatch):
+        # hashlib.file_digest is new in Python 3.11; the package runs on 3.10
+        _, in_dir = saved
+        monkeypatch.delattr(hashlib, "file_digest", raising=False)
+        parsed = spy_on_parsing(monkeypatch)
+        load_dataset(in_dir)
+        assert parsed == []
+
     def test_edited_csv_is_parsed(self, saved, monkeypatch):
         _, in_dir = saved
         path = in_dir / "train.csv"
@@ -372,44 +329,44 @@ class TestBinaryCopies:
         assert parsed == ["train.csv"]
 
     @pytest.mark.parametrize("damage", [
-        "truncated", "garbage", "few-columns", "one-dimensional",
-        "beyond-the-file", "python2-header", "fortran-order", "float32",
-        "object-dtype"])
-    def test_damaged_copy_is_parsed_never_unpickled(self, saved, monkeypatch,
-                                                    recwarn, damage):
+        "truncated", "garbage", "flipped-byte", "few-columns",
+        "other-run", "object-dtype"])
+    def test_damaged_copy_is_parsed_never_unpickled(self, saved, tmp_path,
+                                                    monkeypatch, recwarn,
+                                                    damage):
         _, in_dir = saved
         copy = in_dir / "train.rows"
-        digest = copy.read_bytes()[:32]
+        raw = copy.read_bytes()
+        seal, payload = raw[:32], raw[32:]
         _, rows = read_csv(in_dir / "train.csv")
 
-        def npy(array, **kwargs):
-            path = in_dir / "payload.npy"
-            with open(path, "wb") as f:
-                np.lib.format.write_array(f, array, **kwargs)
-            return path.read_bytes()
-        def npy_header(**fields):
+        def flipped():
+            damaged = bytearray(payload)
+            damaged[len(damaged) // 2] ^= 1
+            return seal + bytes(damaged)
+
+        def other_run():
+            # a whole copy, seal and rows, from a dataset of the same shape
+            other = tmp_path / "other"
+            save_dataset(generate(default_spec(seed=14, dim=4), 300,
+                                  (0.5, 0.25, 0.25)), other)
+            return (other / "train.rows").read_bytes()
+
+        def npy(array):
             with io.BytesIO() as f:
-                np.lib.format.write_array_header_1_0(f, {
-                    **np.lib.format.header_data_from_array_1_0(rows),
-                    **fields})
-                return f.getvalue()
-        payload = {
-            "truncated": lambda: copy.read_bytes()[32:-8],
-            "garbage": lambda: b"\x93NUMPY garbage" * 40,
-            "few-columns": lambda: npy(np.ascontiguousarray(rows[:, :-1])),
-            "one-dimensional": lambda: npy(rows.ravel()),
-            # a header whose shape would need an 8 TB array
-            "beyond-the-file": lambda: npy_header(
-                shape=(10 ** 12, rows.shape[1])) + rows.tobytes(),
-            # an 'L' suffix, which numpy reads with a warning
-            "python2-header": lambda: npy_header().replace(
-                b"%d, " % len(rows), b"%dL," % len(rows)) + rows.tobytes(),
-            "fortran-order": lambda: npy(np.asfortranarray(rows)),
-            "float32": lambda: npy(rows.astype(np.float32)),
-            "object-dtype": lambda: npy(rows.astype(object),
-                                        allow_pickle=True),
+                np.save(f, array, allow_pickle=True)
+                return seal + f.getvalue()
+        damaged = {
+            "truncated": lambda: raw[:-8],
+            "garbage": lambda: seal + b"garbage!" * len(rows),
+            "flipped-byte": flipped,
+            # one column short, at a size that is a whole number of rows
+            "few-columns": lambda: seal + rows[:, :-1].tobytes(),
+            "other-run": other_run,
+            "object-dtype": lambda: npy(rows.astype(object)),
         }[damage]()
-        copy.write_bytes(digest + payload)
+        assert damaged != raw
+        copy.write_bytes(damaged)
         unpickled = []
 
         def no_unpickling(*args, **kwargs):
@@ -422,6 +379,18 @@ class TestBinaryCopies:
         assert unpickled == [] and parsed == ["train.csv"]
         assert len(recwarn) == 0
         assert_same_dataset(from_copies, self.parsed_only(in_dir))
+
+    def test_save_holds_rows_and_a_small_bound(self, tmp_path):
+        ds = generate(default_spec(seed=12), 50_000, (0.05, 0.05, 0.9))
+        largest = 45_000 * (ds.inputs.shape[1] + 1) * 8  # the test split
+        tracemalloc.start()
+        try:
+            save_dataset(ds, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the digest of the CSV just written reads it 1 MiB at a time
+        assert peak <= largest + 3 * 2 ** 20
 
     def test_read_holds_no_second_copy(self, tmp_path):
         ds = generate(default_spec(seed=14), 50_000, (0.05, 0.05, 0.9))
