@@ -131,16 +131,22 @@ def write_json(path, doc) -> None:
 # ---------------------------------------------------------------------------
 
 def write_manifest(command: str, config: dict, seeds: dict,
-                   inputs: list, outputs: list, started: float) -> Path:
+                   inputs: list, outputs: list, started: float,
+                   digests: dict | None = None) -> Path:
+    """Write ``<first-output>.manifest.json``; a file's digest is taken
+    from ``digests`` (path to SHA-256 digest) when the command computed
+    it, else the file is hashed here."""
+    inputs = [Path(p) for p in inputs]
     outputs = [Path(p) for p in outputs]
+    known = digests or {}
+    digests = {p: known.get(p) or file_digest(p) for p in inputs + outputs}
     doc = {
         "command": command,
         "config": config,
         "seeds": seeds,
         "version": __version__,
-        "input_digests": {str(p): file_digest(p).hex()
-                          for p in map(Path, inputs)},
-        "outputs": {str(p): file_digest(p).hex() for p in outputs},
+        "input_digests": {str(p): digests[p].hex() for p in inputs},
+        "outputs": {str(p): digests[p].hex() for p in outputs},
         "duration_seconds": time.time() - started,
     }
     path = outputs[0].with_name(outputs[0].name + ".manifest.json")
@@ -222,21 +228,22 @@ def _search_spec(cfg: dict, seed_key: str) -> SearchSpec:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each maps its options to (summary, seeds, inputs, outputs)
+# Subcommands: each maps its options to (summary, seeds, inputs, outputs),
+# and adds the file digests it computes to ``digests`` for the manifest
 # ---------------------------------------------------------------------------
 
-def cmd_generate_data(cfg: dict):
+def cmd_generate_data(cfg: dict, digests: dict):
     spec = GaussianMixtureSpec.sample(
         seed=cfg["seed"], num_classes=cfg["classes"], dim=cfg["dim"],
         sigma=cfg["sigma"])
     ds = generate(spec, cfg["n"], _parse_numbers(cfg, "split", count=3))
-    written = save_dataset(ds, cfg["out-dir"])
+    written = save_dataset(ds, cfg["out-dir"], digests)
     summary = {"out_dir": str(cfg["out-dir"]), "split_sizes": ds.split_sizes}
     return summary, {"seed": cfg["seed"]}, [], written
 
 
-def cmd_train_teacher(cfg: dict):
-    ds = load_dataset(cfg["data-dir"])
+def cmd_train_teacher(cfg: dict, digests: dict):
+    ds = load_dataset(cfg["data-dir"], digests)
     tc = _train_config(cfg)
     model, val_acc = train_teacher(ds, _parse_numbers(cfg, "arch", int), tc)
     nn.save_model(model, cfg["out"])
@@ -245,7 +252,7 @@ def cmd_train_teacher(cfg: dict):
             [cfg["out"]])
 
 
-def cmd_distill(cfg: dict):
+def cmd_distill(cfg: dict, digests: dict):
     loss_cls = loss_class(cfg["method"])
 
     params: dict = {}
@@ -262,7 +269,7 @@ def cmd_distill(cfg: dict):
             raise SchemaError(f"--method {cfg['method']} requires --{loss_cls.param}")
         params[loss_cls.param] = cfg[loss_cls.param]
 
-    ds = load_dataset(cfg["data-dir"])
+    ds = load_dataset(cfg["data-dir"], digests)
     teacher = nn.load_model(cfg["teacher"])
     report = distill_student(teacher, ds, loss_cls.method, _train_config(cfg),
                              params=params, search_spec=search_spec)
@@ -272,7 +279,7 @@ def cmd_distill(cfg: dict):
             dataset_files(cfg["data-dir"]) + [cfg["teacher"]], [cfg["out"]])
 
 
-def cmd_search_coeffs(cfg: dict):
+def cmd_search_coeffs(cfg: dict, digests: dict):
     probs = read_probs_csv(cfg["teacher-probs"])
     labels = one_hot(read_labels_csv(cfg["labels"]), probs.shape[1])
     trials = run_search(probs, labels, _search_spec(cfg, "seed"))
@@ -291,7 +298,7 @@ def cmd_search_coeffs(cfg: dict):
             [cfg["out"]])
 
 
-def cmd_solve_proxy(cfg: dict):
+def cmd_solve_proxy(cfg: dict, digests: dict):
     probs = read_probs_csv(cfg["teacher-probs"])
     pcfg = read_coeffs_json(cfg["coeffs"])
     solver = SolverConfig(tolerance=cfg["tolerance"],
@@ -306,19 +313,19 @@ def cmd_solve_proxy(cfg: dict):
     return summary, {}, [cfg["teacher-probs"], cfg["coeffs"]], [cfg["out"]]
 
 
-def cmd_verify_equivalence(cfg: dict):
+def cmd_verify_equivalence(cfg: dict, digests: dict):
     report = verify_equivalence(loss_class(cfg["method"]).method, cfg["param"],
                                 cfg["order"], cfg["trials"], cfg["seed"])
     return asdict(report), {}, [], []
 
 
-def cmd_sweep(cfg: dict):
+def cmd_sweep(cfg: dict, digests: dict):
     doc = read_json(cfg["configs"])
     if not isinstance(doc, list):
         raise SchemaError(f"{cfg['configs']}: expected a JSON list of configs")
     configs = [coeffs_from_dict(d, f"{cfg['configs']}[{i}]")
                for i, d in enumerate(doc)]
-    ds = load_dataset(cfg["data-dir"])
+    ds = load_dataset(cfg["data-dir"], digests)
     teacher = nn.load_model(cfg["teacher"])
     points = sweep_proxy_teachers(teacher, ds, configs, _train_config(cfg))
     out_doc = [asdict(p) for p in points]
@@ -332,8 +339,8 @@ def cmd_sweep(cfg: dict):
     return out_doc, {"seed": cfg["seed"]}, inputs, [cfg["out"], csv_path]
 
 
-def cmd_eval(cfg: dict):
-    ds = load_dataset(cfg["data-dir"])
+def cmd_eval(cfg: dict, digests: dict):
+    ds = load_dataset(cfg["data-dir"], digests)
     acc, vs_labels, vs_truth = teacher_diagnostics(
         nn.load_model(cfg["model"]), ds, cfg["split"])
     doc = {"split": cfg["split"], "accuracy": acc,
@@ -429,10 +436,12 @@ def run(argv=None) -> int:
         # all, not as numpy warnings ahead of the error line
         with np.errstate(all="ignore"):
             cfg = _merge_config(args)
-            summary, seeds, inputs, outputs = COMMANDS[args.command][0](cfg)
+            digests: dict = {}
+            summary, seeds, inputs, outputs = COMMANDS[args.command][0](
+                cfg, digests)
             if outputs:
                 write_manifest(args.command, cfg, seeds, inputs, outputs,
-                               started)
+                               started, digests)
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,12 @@ parsing the text only while the seal matches the CSV on disk and the rows
 read, so an edited CSV is parsed again, and so is a damaged copy; the
 same checks run on the rows either way. The CSV stays the interchange
 format; deleting the copies only makes the next load parse.
+
+A dataset is held once: ``generate``, ``save_dataset`` and
+``load_dataset`` work in blocks of ``_BLOCK_ROWS`` rows beside it, and
+only the CSV-parse fallback holds a split's parsed rows too. The CSV
+digests the seals take are handed back in a ``digests`` dict, so a caller
+that records them need not hash the files again.
 """
 from __future__ import annotations
 
@@ -36,6 +42,15 @@ MAX_MEAN_DRAWS = 100_000
 # A split's binary copy: a SHA-256 seal, then its rows in this dtype.
 _SEAL_BYTES = 32
 _COPY_DTYPE = np.dtype("<f8")
+# Rows per block when the dataset is generated, written and read; the same
+# length as nn's inference block.
+_BLOCK_ROWS = 8192
+
+
+def _row_blocks(lo: int, hi: int):
+    """Slices of the rows lo..hi, ``_BLOCK_ROWS`` at a time."""
+    return (slice(start, min(start + _BLOCK_ROWS, hi))
+            for start in range(lo, hi, _BLOCK_ROWS))
 
 
 def _check_sizes(num_classes: int, dim: int) -> None:
@@ -147,7 +162,8 @@ def generate(spec: GaussianMixtureSpec, n: int,
     """Draw n labeled points from the mixture, deterministically in the seed.
 
     The inputs are built in place from the noise draw (scale, then add the
-    class means), the same values as ``means[y] + sigma * noise``.
+    class means block by block), the same values as
+    ``means[y] + sigma * noise``.
     """
     if n < spec.num_classes:
         raise InvalidInputError("need at least one example per class")
@@ -156,7 +172,8 @@ def generate(spec: GaussianMixtureSpec, n: int,
     y = rng.integers(0, spec.num_classes, size=n)
     inputs = rng.standard_normal(size=(n, spec.dim))
     inputs *= spec.sigma
-    inputs += spec.means[y]
+    for rows in _row_blocks(0, n):
+        inputs[rows] += spec.means[y[rows]]
     return LabeledDataset(inputs=inputs, labels=one_hot(y, spec.num_classes),
                           split_sizes=counts, spec=spec)
 
@@ -172,25 +189,28 @@ def true_posterior_rows(spec: GaussianMixtureSpec, x: np.ndarray) -> np.ndarray:
 # Serialization: one CSV per split plus a JSON sidecar with the full spec.
 # ---------------------------------------------------------------------------
 
-def read_csv(path, copy=None) -> tuple[list[str], np.ndarray]:
+def _read_header(path) -> list[str]:
+    """The column names on a CSV's first line."""
+    try:
+        with open(path) as f:
+            return f.readline().strip().split(",")
+    except ValueError as exc:  # bytes that are not text
+        raise SchemaError(f"{path}: {exc}") from None
+
+
+def read_csv(path) -> tuple[list[str], np.ndarray]:
     """A CSV's header names and the (rows, columns) numbers below it.
 
     Every row must hold one number per header name; a header-only file is
-    an empty table. The caller checks the names. ``copy`` names the binary
-    copy of the rows that ``save_dataset`` writes; it is read in place of
-    the text while it matches the file (see ``_read_copy``).
+    an empty table. The caller checks the names.
     """
+    header = _read_header(path)
     try:
-        with open(path) as f:
-            header = f.readline().strip().split(",")
-        rows = _read_copy(copy, path, len(header)) if copy else None
-        if rows is None:
-            with warnings.catch_warnings():
-                # a file with no rows is an empty split, as generate-data
-                # writes
-                warnings.filterwarnings("ignore",
-                                        "loadtxt: input contained no data")
-                rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # a file with no rows is an empty split, as generate-data writes
+            warnings.filterwarnings("ignore",
+                                    "loadtxt: input contained no data")
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:  # not text, a cell not a number, ragged rows
         raise SchemaError(f"{path}: {exc}") from None
     if rows.size == 0:
@@ -201,46 +221,55 @@ def read_csv(path, copy=None) -> tuple[list[str], np.ndarray]:
     return header, rows
 
 
-def _read_copy(copy, path, width: int) -> np.ndarray | None:
-    """The rows in the binary copy ``copy`` of the CSV ``path``, or None.
-
-    The copy is used only if its size is a seal plus a whole number of rows
-    of ``width`` columns, and the seal is ``_seal`` of the digest of
-    ``path`` as it is now and of the rows, which are read straight into
-    the returned array. Nothing in the copy is parsed or unpickled.
-    """
+def _copy_rows(path, width: int) -> int | None:
+    """How many ``width``-column rows the binary copy of the CSV ``path``
+    holds by its size (a seal plus whole rows), or None."""
     try:
-        with open(copy, "rb") as f:
-            seal = f.read(_SEAL_BYTES)
-            n, rest = divmod(os.fstat(f.fileno()).st_size - len(seal),
-                             width * 8)
-            if len(seal) < _SEAL_BYTES or rest:
-                return None
-            # hashed first, so its read buffers are freed before the rows
-            csv_digest = file_digest(path)
-            rows = np.empty((n, width), dtype=_COPY_DTYPE)
-            if (f.readinto(rows) != rows.nbytes
-                    or _seal(csv_digest, rows) != seal):
-                return None
-            return rows
+        size = os.stat(_copy_path(path)).st_size
     except OSError:  # no copy
         return None
+    n, rest = divmod(size - _SEAL_BYTES, width * _COPY_DTYPE.itemsize)
+    return n if n >= 0 and not rest else None
 
 
-def _seal(csv_digest: bytes, rows: np.ndarray) -> bytes:
-    """The digest a binary copy opens with: the SHA-256 of its CSV's
-    digest followed by its rows, so that it holds only while both do."""
-    h = hashlib.sha256(csv_digest)
-    h.update(rows)
-    return h.digest()
+def _read_copy(path, n: int, width: int, digests: dict | None,
+               inputs=None, labels=None) -> bool:
+    """Whether the binary copy of the CSV ``path`` opens with the seal of
+    the CSV as it is now and of ``n`` rows of ``width`` columns after it.
+
+    The rows are read a block at a time into one buffer and hashed; with
+    ``inputs`` and ``labels`` given, each block's features and last column
+    are copied into their rows. The CSV's digest is recorded in
+    ``digests``. Nothing in the copy is parsed or unpickled.
+    """
+    # hashed first, so its read buffers are freed before the block buffer
+    csv_digest = file_digest(path)
+    if digests is not None:
+        digests[Path(path)] = csv_digest
+    seal = hashlib.sha256(csv_digest)
+    block = np.empty((min(n, _BLOCK_ROWS), width), dtype=_COPY_DTYPE)
+    try:
+        with open(_copy_path(path), "rb") as f:
+            expected = f.read(_SEAL_BYTES)
+            for rows in _row_blocks(0, n):
+                read = block[:rows.stop - rows.start]
+                if f.readinto(read) != read.nbytes:
+                    return False
+                seal.update(read)
+                if inputs is not None:
+                    inputs[rows], labels[rows] = read[:, :-1], read[:, -1]
+    except OSError:  # the copy went away
+        return False
+    return seal.digest() == expected
 
 
 def file_digest(path) -> bytes:
-    """The SHA-256 digest of a file's bytes, read 1 MiB at a time."""
+    """The SHA-256 digest of a file's bytes, read through one 1 MiB buffer."""
     h = hashlib.sha256()
+    chunk = memoryview(bytearray(1 << 20))
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
+        while size := f.readinto(chunk):
+            h.update(chunk[:size])
     return h.digest()
 
 
@@ -271,8 +300,16 @@ def one_hot(labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
 
 def write_csv(path, header, rows) -> None:
     """Rows of numbers under a header of column names, at full precision."""
-    np.savetxt(path, rows, delimiter=",", header=",".join(header),
-               comments="", fmt="%.17g")
+    _write_csv_blocks(path, header, [rows])
+
+
+def _write_csv_blocks(path, header, blocks) -> None:
+    """``write_csv`` of the blocks' rows in turn, one ``np.savetxt`` call
+    per block; it formats row by row, so the bytes are those of one call."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for rows in blocks:
+            np.savetxt(f, rows, delimiter=",", fmt="%.17g")
 
 
 def _copy_path(csv_path) -> Path:
@@ -280,26 +317,50 @@ def _copy_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".rows")
 
 
-def save_dataset(ds: LabeledDataset, out_dir) -> list[Path]:
+def _split_blocks(ds: LabeledDataset, name: str):
+    """A split's rows as saved, its inputs then its label, in blocks of up
+    to ``_BLOCK_ROWS`` rows that share one buffer: a block is overwritten
+    when the next is made."""
+    lo, hi = ds._bounds(name)
+    block = np.empty((min(hi - lo, _BLOCK_ROWS), ds.inputs.shape[1] + 1),
+                     dtype=_COPY_DTYPE)
+    for rows in _row_blocks(lo, hi):
+        out = block[:rows.stop - rows.start]
+        out[:, :-1] = ds.inputs[rows]
+        out[:, -1] = np.argmax(ds.labels[rows], axis=1)
+        yield out
+
+
+def save_dataset(ds: LabeledDataset, out_dir,
+                 digests: dict | None = None) -> list[Path]:
     """Write ``dataset_files(out_dir)`` and a binary copy of each split's
-    rows; returns the split CSVs, then the spec, then the copies."""
+    rows; returns the split CSVs, then the spec, then the copies.
+
+    Each split is written a block at a time, so the writes hold one block
+    beside the dataset. ``digests``, if given, gains each CSV's digest,
+    keyed by its path.
+    """
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     sidecar, *paths = dataset_files(out_dir)
-    copies = [_copy_path(path) for path in paths]
     header = [f"x_{i}" for i in range(ds.inputs.shape[1])] + ["label"]
-    for name, path, copy in zip(SPLIT_NAMES, paths, copies):
-        lo, hi = ds._bounds(name)
-        rows = np.column_stack(
-            [ds.inputs[lo:hi], np.argmax(ds.labels[lo:hi], axis=1)]
-        ).astype(_COPY_DTYPE, copy=False)
-        write_csv(path, header, rows)
-        with open(copy, "wb") as f:
-            f.write(_seal(file_digest(path), rows))
-            rows.tofile(f)
+    for name, path in zip(SPLIT_NAMES, paths):
+        _write_csv_blocks(path, header, _split_blocks(ds, name))
+        csv_digest = file_digest(path)
+        if digests is not None:
+            digests[path] = csv_digest
+        seal = hashlib.sha256(csv_digest)
+        with open(_copy_path(path), "wb") as f:
+            # the seal opens the copy; it is written once the rows are hashed
+            f.seek(_SEAL_BYTES)
+            for rows in _split_blocks(ds, name):
+                seal.update(rows)
+                rows.tofile(f)
+            f.seek(0)
+            f.write(seal.digest())
     with open(sidecar, "w") as f:
         json.dump({"spec": ds.spec.to_dict() if ds.spec else None,
                    "split_sizes": ds.split_sizes}, f, indent=2)
-    return paths + [sidecar] + copies
+    return paths + [sidecar] + [_copy_path(path) for path in paths]
 
 
 def dataset_files(in_dir) -> list[Path]:
@@ -309,13 +370,18 @@ def dataset_files(in_dir) -> list[Path]:
                                      for name in SPLIT_NAMES]
 
 
-def load_dataset(in_dir) -> LabeledDataset:
+def load_dataset(in_dir, digests: dict | None = None) -> LabeledDataset:
     """The dataset ``save_dataset`` wrote to ``in_dir``.
 
     Each split's rows come from its binary copy while that matches the
     CSV, else from the CSV's text; the checks below hold either way. Each
     split's header must be ``x_0..x_{d-1},label``, with d the spec's
-    dim, or the first split's when the spec is null.
+    dim, or the first split's when the spec is null, and its row count
+    must be the spec's ``split_sizes`` entry. The inputs and labels are
+    allocated once, after every count has been checked against the
+    files, and each copy is read into them a block at a time.
+    ``digests``, if given, gains the digest of each CSV that a copy was
+    checked against, keyed by its path.
     """
     sidecar, *paths = dataset_files(in_dir)
     meta = read_json(sidecar)
@@ -327,29 +393,53 @@ def load_dataset(in_dir) -> LabeledDataset:
         raise SchemaError(f"{sidecar}: expected an object with a split_sizes "
                           f"object and a spec that is null or a spec object"
                           ) from None
+
+    def check_count(name, path, count):
+        if count != sizes[name]:
+            raise SchemaError(f"{sidecar}: split_sizes gives {name} "
+                              f"{sizes[name]} rows, {path} has {count}")
+
     n = sum(sizes.values())
     dim = spec.dim if spec else None
-    splits = []
+    parsed = {}  # the rows of each split read from its text
     for name, path in zip(SPLIT_NAMES, paths):
-        header, rows = read_csv(path, _copy_path(path))
+        header = _read_header(path)
         if dim is None:
             dim = len(header) - 1
         if header != [f"x_{i}" for i in range(dim)] + ["label"]:
             raise SchemaError(f"{path}: expected header x_0..x_{dim - 1},label, "
                               f"got {','.join(header)}")
-        if rows.shape[0] != sizes[name]:
-            raise SchemaError(f"{sidecar}: split_sizes gives {name} "
-                              f"{sizes[name]} rows, {path} has {rows.shape[0]}")
-        if not np.isfinite(rows[:, :-1]).all():
+        count = _copy_rows(path, dim + 1)
+        # a copy of another length is checked against its seal only to
+        # report that length; one of the right length is read below
+        if count is None or (count != sizes[name] and not _read_copy(
+                path, count, dim + 1, digests)):
+            parsed[name] = read_csv(path)[1]
+            count = len(parsed[name])
+        check_count(name, path, count)
+    inputs = np.empty((n, dim))
+    labels = np.empty(n)
+    lo = 0
+    for name, path in zip(SPLIT_NAMES, paths):
+        hi = lo + sizes[name]
+        if name not in parsed and not _read_copy(
+                path, hi - lo, dim + 1, digests, inputs[lo:hi], labels[lo:hi]):
+            parsed[name] = read_csv(path)[1]  # the CSV changed since its copy
+            check_count(name, path, len(parsed[name]))
+        if name in parsed:
+            rows = parsed.pop(name)
+            inputs[lo:hi], labels[lo:hi] = rows[:, :-1], rows[:, -1]
+        # one block's flags at a time
+        if not all(np.isfinite(inputs[rows]).all()
+                   for rows in _row_blocks(lo, hi)):
             raise SchemaError(f"{path}: feature cells must be finite")
         # without a spec the largest label sets the class count
-        top = np.max(rows[:, -1], initial=0)
+        top = np.max(labels[lo:hi], initial=0)
         if spec is None and top >= n:
             raise SchemaError(f"{path}: label {top:g} implies more classes "
                               f"than the dataset's {n} rows")
-        splits.append(rows)
-    inputs = np.concatenate([rows[:, :-1] for rows in splits])
-    labels = one_hot(np.concatenate([rows[:, -1] for rows in splits]),
-                     spec.num_classes if spec else None)
-    return LabeledDataset(inputs=inputs, labels=labels, split_sizes=sizes,
-                          spec=spec)
+        lo = hi
+    return LabeledDataset(inputs=inputs,
+                          labels=one_hot(labels,
+                                         spec.num_classes if spec else None),
+                          split_sizes=sizes, spec=spec)

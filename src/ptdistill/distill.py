@@ -63,7 +63,8 @@ def train_teacher(data: LabeledDataset, arch, tc: TrainConfig):
     # init validates the dims; the output check runs before any training
     model = nn.init(arch, tc.seed)
     _check_outputs(model, data, "teacher architecture")
-    model, _ = nn.train(model, x_train, y_train, make_loss("cross_entropy"), tc)
+    model, _ = nn.train(model, x_train, y_train, make_loss("cross_entropy"), tc,
+                        record_history=False)
     if not data.split_sizes["validation"]:
         return model, None
     return model, nn.accuracy(model, *data.split("validation"))
@@ -80,7 +81,9 @@ def teacher_diagnostics(teacher: MlpModel, data: LabeledDataset, split: str):
 
 
 def _train_student(teacher: MlpModel, data: LabeledDataset, loss,
-                   tc: TrainConfig):
+                   tc: TrainConfig, record_history: bool = True):
+    """A student trained on the teacher's train-split targets for ``loss``,
+    and its history (see ``nn.train``)."""
     x_train, y_train = data.split("train")
     if loss.targets == "labels":
         targets = y_train
@@ -89,8 +92,7 @@ def _train_student(teacher: MlpModel, data: LabeledDataset, loss,
     else:
         targets = teacher_probs(teacher, x_train)
     student = nn.init(teacher.layer_dims, tc.seed)
-    student, history = nn.train(student, x_train, targets, loss, tc)
-    return student, history
+    return nn.train(student, x_train, targets, loss, tc, record_history)
 
 
 def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
@@ -182,7 +184,8 @@ def sweep_proxy_teachers(teacher: MlpModel, data: LabeledDataset,
     for cfg in configs:
         proxies, converged = solve_proxy_rows(probs_val, cfg)
         terms = risk_gap_terms(proxies, truth)
-        student, _ = _train_student(teacher, data, make_loss("pt", cfg=cfg), tc)
+        student, _ = _train_student(teacher, data, make_loss("pt", cfg=cfg), tc,
+                                    record_history=False)
         points.append(SweepPoint(
             l2_distance_to_truth=terms.l2_distance_mean,
             tvd_to_truth=terms.tvd_mean,

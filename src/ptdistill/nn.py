@@ -189,12 +189,14 @@ def _all_finite(model: MlpModel) -> bool:
 
 
 def train(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
-          loss: TrainingLoss, tc: TrainConfig):
+          loss: TrainingLoss, tc: TrainConfig, record_history: bool = True):
     """Minibatch SGD; returns (trained copy, per-epoch history).
 
     History rows are dicts with full-dataset mean loss and accuracy evaluated
-    after each epoch; epoch shuffling is driven by (seed, epoch). The trained
-    copy's weights and biases are views into one flat parameter buffer.
+    after each epoch; with ``record_history`` false no epoch is evaluated
+    and the history is empty. Epoch shuffling is driven by (seed, epoch).
+    The trained copy's weights and biases are views into one flat parameter
+    buffer.
     """
     inputs = _check_inputs(model, inputs)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -225,8 +227,10 @@ def train(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
                 raise TrainingDivergenceError(
                     f"non-finite parameter at epoch {epoch}, batch start {start}"
                 )
-        mean_loss, acc = evaluate(model, inputs, targets, loss)
-        history.append({"epoch": epoch, "loss": mean_loss, "accuracy": acc})
+        if record_history:
+            mean_loss, acc = evaluate(model, inputs, targets, loss)
+            history.append({"epoch": epoch, "loss": mean_loss,
+                            "accuracy": acc})
     return model, history
 
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 import math
@@ -121,6 +122,34 @@ class TestGenerateData:
         assert manifest["command"] == "generate-data"
         assert manifest["seeds"] == {"seed": 0}
         assert str(data_dir / "test.csv") in manifest["outputs"]
+
+    def test_each_split_csv_is_hashed_once(self, tmp_path, monkeypatch):
+        hashed = []
+        file_digest = data.file_digest
+
+        def spy(path):
+            hashed.append(Path(path))
+            return file_digest(path)
+        monkeypatch.setattr(data, "file_digest", spy)
+        monkeypatch.setattr(cli, "file_digest", spy)
+        data_dir, teacher = tmp_path / "data", tmp_path / "teacher.json"
+        csvs = data.dataset_files(data_dir)[1:]
+        for argv, manifest in [
+                (["generate-data", "--dim", "6", "--n", "600",
+                  "--out-dir", str(data_dir)],
+                 data_dir / "train.csv.manifest.json"),
+                (["train-teacher", "--data-dir", str(data_dir),
+                  "--arch", "6,8,3", "--epochs", "1", "--out", str(teacher)],
+                 tmp_path / "teacher.json.manifest.json")]:
+            hashed.clear()
+            assert cli.run(argv) == 0
+            assert [hashed.count(path) for path in csvs] == [1, 1, 1]
+            doc = json.loads(manifest.read_text())
+            files = {**doc["input_digests"], **doc["outputs"]}
+            assert {str(path) for path in csvs} <= set(files)
+            for path, digest in files.items():
+                assert digest == hashlib.sha256(
+                    Path(path).read_bytes()).hexdigest()
 
     def test_missing_out_dir_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "generate-data", "--n", "10")
@@ -684,9 +713,15 @@ class TestMalformedJson:
         # split_sizes that do not match the rows of the split CSVs
         ("eval --data-dir {sizes_data} --model {teacher}",
          "{sizes_data}/spec.json"),
+        # and sizes no dataset could be allocated at, or none at all
+        ("eval --data-dir {huge_data} --model {teacher}",
+         "{huge_data}/spec.json"),
+        ("eval --data-dir {negative_data} --model {teacher}",
+         "{negative_data}/spec.json"),
     ], ids=["config", "coeffs", "configs", "teacher", "model", "spec",
             "model-not-a-model", "model-shapes", "model-not-finite",
-            "spec-list", "split-sizes"])
+            "spec-list", "split-sizes", "split-sizes-huge",
+            "split-sizes-negative"])
     def test_is_schema_error_naming_the_file(self, workspace, capsys,
                                              tmp_path, argv, culprit):
         _, data_dir, teacher = workspace
@@ -698,12 +733,16 @@ class TestMalformedJson:
         list_data = tmp_path / "list_data"
         shutil.copytree(data_dir, list_data)
         (list_data / "spec.json").write_text("[1, 2]")
-        sizes_data = tmp_path / "sizes_data"
-        shutil.copytree(data_dir, sizes_data)
-        meta = json.loads((sizes_data / "spec.json").read_text())
-        meta["split_sizes"]["train"] += 1
-        meta["split_sizes"]["test"] -= 1
-        (sizes_data / "spec.json").write_text(json.dumps(meta))
+        # the workspace's splits hold 300, 150 and 150 rows
+        sized = {}
+        for key, sizes in [("sizes_data", {"train": 301, "test": 149}),
+                           ("huge_data", {"train": 10 ** 12}),
+                           ("negative_data", {"train": -1})]:
+            sized[key] = tmp_path / key
+            shutil.copytree(data_dir, sized[key])
+            meta = json.loads((sized[key] / "spec.json").read_text())
+            meta["split_sizes"].update(sizes)
+            (sized[key] / "spec.json").write_text(json.dumps(meta))
         model = json.loads(teacher.read_text())
         model["weights"][0] = model["weights"][0][:5]
         misshapen = tmp_path / "misshapen.json"
@@ -717,7 +756,7 @@ class TestMalformedJson:
             {"order": 1, "tie_classes": True, "matrix": [[1.0]] * 3}))
         names = {"bad": bad, "bad_data": bad_data, "data": data_dir,
                  "teacher": teacher, "coeffs": coeffs,
-                 "list_data": list_data, "sizes_data": sizes_data,
+                 "list_data": list_data, **sized,
                  "misshapen": misshapen, "infinite": infinite,
                  "out": tmp_path / "out"}
         code, _, err = run_cli(capsys, *argv.format(**names).split())
@@ -983,7 +1022,7 @@ class TestOneOwnerPerRule:
     ], ids=["domain", "os", "schema"])
     def test_run_maps_error_families(self, capsys, monkeypatch, exc, code,
                                      line):
-        def raises(cfg):
+        def raises(cfg, digests):
             raise exc
         monkeypatch.setitem(cli.COMMANDS, "eval",
                             (raises, *cli.COMMANDS["eval"][1:]))

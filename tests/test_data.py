@@ -145,7 +145,9 @@ class TestGenerate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * ds.inputs.nbytes
+        # the means are gathered one block of rows at a time
+        block = data._BLOCK_ROWS * spec.dim * 8
+        assert peak <= ds.inputs.nbytes + ds.labels.nbytes + block + 2 ** 20
 
     def test_class_balance_near_uniform(self):
         ds = generate(default_spec(seed=1), 30000)
@@ -380,29 +382,39 @@ class TestBinaryCopies:
         assert len(recwarn) == 0
         assert_same_dataset(from_copies, self.parsed_only(in_dir))
 
-    def test_save_holds_rows_and_a_small_bound(self, tmp_path):
-        ds = generate(default_spec(seed=12), 50_000, (0.05, 0.05, 0.9))
-        largest = 45_000 * (ds.inputs.shape[1] + 1) * 8  # the test split
-        tracemalloc.start()
-        try:
-            save_dataset(ds, tmp_path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the digest of the CSV just written reads it 1 MiB at a time
-        assert peak <= largest + 3 * 2 ** 20
+    def test_save_holds_rows_and_a_small_bound(self, tmp_path, monkeypatch):
+        # 64-row blocks, so that both sizes span many blocks and tracing
+        # every savetxt allocation stays quick
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 64)
+        block = 64 * 31 * 8
+        peaks = []
+        for n in (1000, 4000):
+            ds = generate(default_spec(seed=12), n, (0.05, 0.05, 0.9))
+            tracemalloc.start()
+            try:
+                save_dataset(ds, tmp_path / str(n))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        # the digest of the CSV just written reads it through 1 MiB
+        assert max(peaks) <= block + 2 * 2 ** 20
+        # the test split grows by 2,700 rows (670 kB); the peak must not
+        assert peaks[1] - peaks[0] <= 2 ** 18
 
-    def test_read_holds_no_second_copy(self, tmp_path):
+    def test_read_holds_no_second_copy(self, tmp_path, monkeypatch):
         ds = generate(default_spec(seed=14), 50_000, (0.05, 0.05, 0.9))
         save_dataset(ds, tmp_path)
+        parsed = spy_on_parsing(monkeypatch)
         tracemalloc.start()
         try:
-            _, rows = read_csv(tmp_path / "test.csv", tmp_path / "test.rows")
+            got = load_dataset(tmp_path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rows.shape == (45_000, 31)
-        assert peak <= rows.nbytes + 2 ** 20
+        assert parsed == [] and got.inputs.tobytes() == ds.inputs.tobytes()
+        block = data._BLOCK_ROWS * 31 * 8
+        assert peak <= got.inputs.nbytes + got.labels.nbytes + block + 2 ** 20
 
     @pytest.mark.parametrize("case,culprit", [
         ("split-sizes", "spec.json"), ("non-finite-cell", "train.csv")])

@@ -13,7 +13,7 @@ from ptdistill.distill import (
     teacher_probs,
     train_teacher,
 )
-from ptdistill.losses import PerturbationConfig
+from ptdistill.losses import PerturbationConfig, make_loss
 from ptdistill.selection import SearchSpec
 
 
@@ -42,6 +42,27 @@ class TestTrainTeacher:
         probs = teacher_probs(teacher, x_val)
         assert np.all(probs >= 0)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_only_the_student_history_is_evaluated(self, small_setup,
+                                                   monkeypatch):
+        _, data, teacher, _ = small_setup
+        evaluated = []
+        evaluate = nn.evaluate
+
+        def spy(model, x, *args):
+            evaluated.append(len(x))
+            return evaluate(model, x, *args)
+        monkeypatch.setattr(nn, "evaluate", spy)
+        train_teacher(data, [10, 16, 3], quick_tc())
+        assert evaluated == []
+        report = distill_student(teacher, data, "kl", quick_tc())
+        assert evaluated == [450] * 10
+        # the history nn.train records after each epoch
+        x_train, _ = data.split("train")
+        _, history = nn.train(nn.init(teacher.layer_dims, 1), x_train,
+                              teacher_probs(teacher, x_train),
+                              make_loss("kl"), quick_tc())
+        assert report.student_history == history
 
     def test_empty_train_split_rejected(self):
         spec = GaussianMixtureSpec.sample(seed=0, dim=3)
