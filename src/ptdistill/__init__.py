@@ -11,11 +11,11 @@ from .core import (
     TrainingDivergenceError,
 )
 from .losses import PerturbationConfig, kl_rows, make_loss, pt_rows
-from .series import maclaurin_log, truncation_bound
 from .equivalence import (
     EquivalenceReport,
     focal_coefficients,
     ls_coefficients,
+    truncation_bound,
     verify_equivalence,
 )
 from .proxy import SolverConfig, solve_proxy_rows
@@ -23,9 +23,10 @@ from .selection import (
     QualityScore,
     RiskGapTerms,
     SearchSpec,
+    best_trial,
     quality_score,
     risk_gap_terms,
-    search_coefficients,
+    run_search,
 )
 from .data import GaussianMixtureSpec, LabeledDataset, generate
 from .nn import MlpModel, TrainConfig

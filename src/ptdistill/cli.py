@@ -307,7 +307,7 @@ def cmd_solve_proxy(cfg: dict, digests: dict):
     header = ([f"p_{i}" for i in range(probs.shape[1])]
               + ["residual_norm", "iterations", "converged"])
     write_csv(cfg["out"], header,
-              np.column_stack([proxies, norms, iterations, converged]))
+              [np.column_stack([proxies, norms, iterations, converged])])
     summary = {"examples": len(proxies),
                "converged_fraction": float(np.mean(converged))}
     return summary, {}, [cfg["teacher-probs"], cfg["coeffs"]], [cfg["out"]]
@@ -331,10 +331,10 @@ def cmd_sweep(cfg: dict, digests: dict):
     out_doc = [asdict(p) for p in points]
     write_json(cfg["out"], out_doc)
     csv_path = Path(cfg["out"]).with_suffix(".csv")
+    rows = [[p.l2_distance_to_truth, p.tvd_to_truth, p.student_test_accuracy]
+            for p in points]
     write_csv(csv_path, ["l2_distance_to_truth", "tvd_to_truth",
-                         "student_test_accuracy"],
-              [[p.l2_distance_to_truth, p.tvd_to_truth, p.student_test_accuracy]
-               for p in points])
+                         "student_test_accuracy"], [rows])
     inputs = dataset_files(cfg["data-dir"]) + [cfg["teacher"], cfg["configs"]]
     return out_doc, {"seed": cfg["seed"]}, inputs, [cfg["out"], csv_path]
 

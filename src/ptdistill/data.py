@@ -110,9 +110,12 @@ class GaussianMixtureSpec:
         return {**asdict(self), "means": self.means.tolist()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GaussianMixtureSpec":
-        return cls(num_classes=d["num_classes"], dim=d["dim"], sigma=d["sigma"],
-                   means=np.asarray(d["means"], dtype=float), seed=d["seed"])
+    def from_dict(cls, d: dict, source="spec") -> "GaussianMixtureSpec":
+        """Inverse of ``to_dict``; ``source`` names the input in errors."""
+        ints = {key: json_number(source, key, d[key])
+                for key in ("num_classes", "dim", "seed")}
+        return cls(**ints, means=np.asarray(d["means"], dtype=float),
+                   sigma=json_number(source, "sigma", d["sigma"], (int, float)))
 
 
 @dataclass(frozen=True)
@@ -273,6 +276,20 @@ def file_digest(path) -> bytes:
     return h.digest()
 
 
+def json_number(source, name: str, value, kinds=(int,)):
+    """``value`` if its type is one of ``kinds``, by default a JSON integer;
+    else a SchemaError naming ``source`` and the field ``name``.
+
+    Types are compared exactly, so a bool, an int subclass, is neither an
+    integer nor a number here.
+    """
+    if type(value) not in kinds:
+        raise SchemaError(f"{source}: {name} must be "
+                          f"{'an integer' if kinds == (int,) else 'a number'}, "
+                          f"got {value!r}")
+    return value
+
+
 def read_json(path):
     """The document in a JSON file; text that is not JSON, or nests too
     deeply to read, is a SchemaError."""
@@ -298,14 +315,13 @@ def one_hot(labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
     return out
 
 
-def write_csv(path, header, rows) -> None:
-    """Rows of numbers under a header of column names, at full precision."""
-    _write_csv_blocks(path, header, [rows])
+def write_csv(path, header, blocks) -> None:
+    """Rows of numbers under a header of column names, at full precision.
 
-
-def _write_csv_blocks(path, header, blocks) -> None:
-    """``write_csv`` of the blocks' rows in turn, one ``np.savetxt`` call
-    per block; it formats row by row, so the bytes are those of one call."""
+    ``blocks`` is an iterable of 2-D row blocks, a list of one table or a
+    generator, written in turn with one ``np.savetxt`` call each; it
+    formats row by row, so the bytes are those of one call on all rows.
+    """
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for rows in blocks:
@@ -344,7 +360,7 @@ def save_dataset(ds: LabeledDataset, out_dir,
     sidecar, *paths = dataset_files(out_dir)
     header = [f"x_{i}" for i in range(ds.inputs.shape[1])] + ["label"]
     for name, path in zip(SPLIT_NAMES, paths):
-        _write_csv_blocks(path, header, _split_blocks(ds, name))
+        write_csv(path, header, _split_blocks(ds, name))
         csv_digest = file_digest(path)
         if digests is not None:
             digests[path] = csv_digest
@@ -387,8 +403,10 @@ def load_dataset(in_dir, digests: dict | None = None) -> LabeledDataset:
     meta = read_json(sidecar)
     try:
         spec = (None if meta["spec"] is None
-                else GaussianMixtureSpec.from_dict(meta["spec"]))
-        sizes = {name: int(meta["split_sizes"][name]) for name in SPLIT_NAMES}
+                else GaussianMixtureSpec.from_dict(meta["spec"], sidecar))
+        sizes = {name: json_number(sidecar, f"split_sizes.{name}",
+                                   meta["split_sizes"][name])
+                 for name in SPLIT_NAMES}
     except (KeyError, TypeError, ValueError):  # ValueError: bad spec values
         raise SchemaError(f"{sidecar}: expected an object with a split_sizes "
                           f"object and a spec that is null or a spec object"

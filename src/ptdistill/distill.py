@@ -10,18 +10,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import nn
+from . import nn, selection
 from .core import InvalidInputError, softmax_rows
 from .data import LabeledDataset, true_posterior_rows
 from .losses import PerturbationConfig, loss_class, make_loss
 from .nn import MlpModel, TrainConfig
 from .proxy import solve_proxy_rows
-from .selection import (
-    RiskGapTerms,
-    SearchSpec,
-    risk_gap_terms,
-    search_coefficients,
-)
+from .selection import RiskGapTerms, SearchSpec, risk_gap_terms
 
 
 @dataclass(frozen=True)
@@ -120,9 +115,12 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
                 raise InvalidInputError(
                     "method 'pt' needs either a fixed cfg or a SearchSpec"
                 )
-            cfg, score = search_coefficients(
-                teacher_probs(teacher, x_val), y_val, search_spec)
-            chosen["search_score"] = asdict(score)
+            # through the module object, like nn's functions, so a wrapper
+            # set on selection.run_search sees this search too
+            best = selection.best_trial(selection.run_search(
+                teacher_probs(teacher, x_val), y_val, search_spec))
+            cfg = best.config
+            chosen["search_score"] = asdict(best.score)
         chosen.update(order=cfg.order, coefficients=cfg.coefficients.tolist(),
                       tie_classes=cfg.tie_classes)
         params["cfg"] = cfg

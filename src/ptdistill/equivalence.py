@@ -31,7 +31,6 @@ from .losses import (
     smooth_rows,
 )
 from .rng import derive_rng
-from .series import truncation_bound
 
 METHODS = ("label_smoothing", "focal", "temperature")
 # Per-class probabilities are drawn uniform in PROB_RANGE, then normalized;
@@ -92,6 +91,23 @@ def focal_coefficients(student: ProbVector, gamma: float,
     m = np.arange(1, order + 1)
     coeffs = (u[:, None] ** gamma - 1.0) / m
     return PerturbationConfig(order=order, coefficients=coeffs)
+
+
+def truncation_bound(x: float, order: int) -> float:
+    """Upper bound on the error of the order-M Maclaurin series of log x,
+    -sum_{m=1..M} (1-x)^m / m, for x in (0, 1].
+
+    That series is -``perturbation_terms(1, x, eps)`` with eps_m = 1/m,
+    the PT loss's own kernel. The dropped tail sum_{m>M} u^m/m is positive
+    and dominated by the geometric tail u^{M+1} / ((M+1)(1-u)), u = 1-x.
+    """
+    x = float(x)
+    if not np.isfinite(x) or x <= 0.0 or x > 1.0:
+        raise InvalidInputError(f"x must lie in (0, 1], got {x!r}")
+    if order < 1:
+        raise InvalidInputError("order must be >= 1")
+    u = 1.0 - x
+    return u ** (order + 1) / ((order + 1) * x)
 
 
 def required_order(prob_floor: float, tol: float, cap: int = 100_000) -> int:

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import InvalidInputError, SchemaError, TrainingDivergenceError
-from .data import read_json
+from .data import json_number, read_json
 from .losses import TrainingLoss
 from .rng import derive_rng
 
@@ -249,10 +249,11 @@ def load_model(path) -> MlpModel:
     doc = read_json(path)
     try:
         model = MlpModel(
-            layer_dims=[int(d) for d in doc["layer_dims"]],
+            layer_dims=[json_number(path, "layer_dims", d)
+                        for d in doc["layer_dims"]],
             weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
             biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
-            seed=int(doc["seed"]),
+            seed=json_number(path, "seed", doc["seed"]),
         )
     except (KeyError, TypeError, ValueError):
         raise SchemaError(f"{path}: not a model file") from None

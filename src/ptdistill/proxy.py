@@ -208,8 +208,8 @@ def _solve_rows(teacher: np.ndarray, cfg: PerturbationConfig,
     return proxies.T.copy(), norms, iterations, norms <= solver.tolerance
 
 
-def solve_proxy_rows(teacher_rows: np.ndarray, cfg: PerturbationConfig,
-                     solver: SolverConfig = SolverConfig()):
-    """Solve every row's proxy teacher; returns (proxies, converged) arrays."""
-    proxies, _, _, conv = _solve_rows(teacher_rows, cfg, solver)
+def solve_proxy_rows(teacher_rows: np.ndarray, cfg: PerturbationConfig):
+    """Solve every row's proxy teacher under the default ``SolverConfig``;
+    returns (proxies, converged) arrays."""
+    proxies, _, _, conv = _solve_rows(teacher_rows, cfg, SolverConfig())
     return proxies, conv

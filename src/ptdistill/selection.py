@@ -2,10 +2,10 @@
 
 The score for a candidate coefficient set is computed from its solved proxy
 distributions on a validation set: the squared mean L2 distance to the
-one-hot labels plus the mean squared (negative) entropy. The search draws
-random coefficient sets per order, always injects the all-zero (KL) baseline
-as trial 0, and returns the argmin, so the winner is never worse than KL on
-the validation score.
+one-hot labels plus the mean squared (negative) entropy. ``run_search``
+draws random coefficient sets per order, always injects the all-zero (KL)
+baseline as trial 0, and ``best_trial`` picks the argmin of its trajectory,
+so the winner is never worse than KL on the validation score.
 """
 from __future__ import annotations
 
@@ -188,9 +188,3 @@ def best_trial(trials: list[SearchTrial]) -> SearchTrial:
             f"(convergence below {MIN_CONVERGED_FRACTION})"
         )
     return min(kept, key=lambda t: (t.score.total, t.order, t.trial))
-
-
-def search_coefficients(teacher_val, labels, spec: SearchSpec):
-    """Random coefficient search; returns (best config, best score)."""
-    best = best_trial(run_search(teacher_val, labels, spec))
-    return best.config, best.score

@@ -17,22 +17,22 @@ from ptdistill.data import GaussianMixtureSpec, generate, load_dataset, \
     write_csv
 from ptdistill.distill import _train_student, teacher_probs, train_teacher, \
     sweep_proxy_teachers
-from ptdistill.equivalence import verify_equivalence
+from ptdistill.equivalence import truncation_bound, verify_equivalence
 from ptdistill.losses import (
     PerturbationConfig,
     kl_rows,
     make_loss,
+    perturbation_terms,
     pt_grad_rows,
     pt_rows,
 )
 from ptdistill.proxy import solve_proxy_rows
 from ptdistill.selection import (
     SearchSpec,
+    best_trial,
     quality_score,
     run_search,
-    search_coefficients,
 )
-from ptdistill.series import maclaurin_log, truncation_bound
 
 
 def report(criterion: str, ok: bool) -> bool:
@@ -107,12 +107,15 @@ def test_criterion_2_gradient_correctness():
 
 
 def test_criterion_3_series_bound():
+    # the order-M Maclaurin series of log x as the PT kernel evaluates it:
+    # -perturbation_terms(1, x, eps) with eps_m = 1/m
     violations = 0
     worst_margin = np.inf
     for x in np.linspace(0.05, 1.0, 96):
         x = float(x)
         for m in range(1, 101):
-            err = abs(np.log(x) - maclaurin_log(x, m))
+            value, = perturbation_terms(1.0, x, 1.0 / np.arange(1, m + 1), 0)
+            err = abs(np.log(x) + value)
             bound = truncation_bound(x, m)
             # allow rounding noise once the analytic bound hits epsilon
             if err > bound + 1e-14:
@@ -196,7 +199,7 @@ def test_criterion_6_quality_score_guarantee():
         noise = rng.uniform(0.05, 0.4, size=(n, 1))
         teachers = labels * (1 - noise) + (1 - labels) * noise / 2
         spec = SearchSpec(max_order=2, trials_per_order=10, seed=seed)
-        _, score = search_coefficients(teachers, labels, spec)
+        score = best_trial(run_search(teachers, labels, spec)).score
         baseline = quality_score(teachers, labels)
         margins.append(baseline.total - score.total)
         ok = ok and score.total <= baseline.total + 1e-12
@@ -228,9 +231,9 @@ def desk_scale():
         teachers[seed] = teacher
         stc = nn.TrainConfig(epochs=100, seed=seed + 100)
         kl_student, _ = _train_student(teacher, data, make_loss("kl"), stc)
-        cfg, _ = search_coefficients(
+        cfg = best_trial(run_search(
             teacher_probs(teacher, x_val), y_val,
-            SearchSpec(max_order=3, trials_per_order=100, seed=seed))
+            SearchSpec(max_order=3, trials_per_order=100, seed=seed))).config
         pt_student, _ = _train_student(teacher, data,
                                        make_loss("pt", cfg=cfg), stc)
         accs.append((nn.accuracy(kl_student, x_test, y_test),
@@ -298,7 +301,7 @@ def test_criterion_8_determinism(tmp_path, capsys):
         model = nn.load_model(teacher)
         x_val, _ = load_dataset(data_dir).split("validation")
         write_csv(probs, ["p_0", "p_1", "p_2"],
-                  softmax_rows(nn.forward_rows(model, x_val)))
+                  [softmax_rows(nn.forward_rows(model, x_val))])
         coeffs = root / "coeffs.json"
         coeffs.write_text(json.dumps(
             {"order": 1, "tie_classes": True, "matrix": [[1.0]] * 3}))

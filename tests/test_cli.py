@@ -29,11 +29,11 @@ from ptdistill.equivalence import focal_coefficients, ls_coefficients
 from ptdistill.losses import FocalKDLoss, SmoothedKLLoss
 from ptdistill.nn import TrainConfig
 from ptdistill.proxy import SolverConfig, solve_proxy_rows
-from ptdistill.selection import SearchSpec, search_coefficients
+from ptdistill.selection import SearchSpec, best_trial, run_search
 
 
 def write_probs(path, rows):
-    write_csv(path, [f"p_{i}" for i in range(rows.shape[1])], rows)
+    write_csv(path, [f"p_{i}" for i in range(rows.shape[1])], [rows])
 
 
 def run_cli(capsys, *argv):
@@ -382,11 +382,11 @@ class TestSearchCoeffs:
                                   "--trials", "6", "--seed", "4")
         assert code == 0
         doc = json.loads(out.read_text())
-        cfg, score = search_coefficients(
+        best = best_trial(run_search(
             cli.read_probs_csv(tmp_path / "probs.csv"), np.eye(3)[labels],
-            SearchSpec(max_order=2, trials_per_order=6, seed=4))
-        assert doc["best"] == cli.coeffs_to_dict(cfg)
-        assert doc["score"]["total"] == score.total
+            SearchSpec(max_order=2, trials_per_order=6, seed=4)))
+        assert doc["best"] == cli.coeffs_to_dict(best.config)
+        assert doc["score"]["total"] == best.score.total
 
     @pytest.mark.parametrize("bad_label", ["5", "-1", "1.5"])
     def test_label_outside_classes_is_schema_error(self, capsys, tmp_path,
@@ -764,6 +764,45 @@ class TestMalformedJson:
         assert len(err.splitlines()) == 1 and culprit.format(**names) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("target,keys,value", [
+        ("spec", ("spec", "dim"), 6.0),
+        ("spec", ("spec", "num_classes"), 3.0),
+        ("spec", ("split_sizes", "train"), 300.5),
+        ("spec", ("split_sizes", "train"), "300"),
+        ("spec", ("spec", "seed"), 1.5),
+        ("spec", ("spec", "seed"), "x"),
+        ("spec", ("spec", "seed"), None),
+        ("spec", ("spec", "sigma"), True),
+        ("model", ("seed",), 1.5),
+        ("model", ("seed",), "7"),
+        ("model", ("layer_dims",), [6.7, 16, 3]),
+    ], ids=["spec-dim-float", "spec-classes-float", "split-size-fraction",
+            "split-size-string", "spec-seed-fraction", "spec-seed-string",
+            "spec-seed-null", "spec-sigma-bool", "model-seed-fraction",
+            "model-seed-string", "model-dims-fraction"])
+    def test_integer_field_must_be_a_json_integer(self, workspace, capsys,
+                                                  tmp_path, target, keys,
+                                                  value):
+        # the workspace's dataset has dim 6, 3 classes and 300 train rows,
+        # its teacher layer_dims [6, 16, 3]; each value truncates to those
+        _, data_dir, teacher = workspace
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        model = tmp_path / "model.json"
+        shutil.copy(teacher, model)
+        culprit = data / "spec.json" if target == "spec" else model
+        doc = json.loads(culprit.read_text())
+        *outer, last = keys
+        inner = doc
+        for key in outer:
+            inner = inner[key]
+        inner[last] = value
+        culprit.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "eval", "--data-dir", str(data),
+                               "--model", str(model))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and str(culprit) in err
+
 
 def _flags(parser: argparse.ArgumentParser) -> dict:
     """Each long flag of a parser and the kind of value it takes."""
@@ -1060,3 +1099,14 @@ class TestOneOwnerPerRule:
         assert written == splits + [sidecar] + [
             tmp_path / n for n in ("a.rows", "b.rows", "c.rows")]
         assert sorted(tmp_path.iterdir()) == sorted(written)
+
+
+class TestReadmeSketch:
+    def test_library_sketch_runs(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        sketch = readme.read_text().split("```python\n")[1].split("```")[0]
+        namespace = {}
+        exec(sketch, namespace)
+        np.testing.assert_allclose(namespace["proxies"][0], [0.8685, 0.1315],
+                                   atol=1e-4)
+        assert namespace["best"].score.total >= 0.0

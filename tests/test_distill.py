@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from ptdistill import nn
+from ptdistill import nn, selection
 from ptdistill.core import InvalidInputError
 from ptdistill.data import GaussianMixtureSpec, generate
 from ptdistill.distill import (
@@ -108,6 +108,22 @@ class TestDistillStudent:
         assert report.seeds["search"] == 0
         total = report.chosen_config["search_score"]["total"]
         assert total >= 0.0
+
+    def test_search_goes_through_the_selection_module(self, small_setup,
+                                                      monkeypatch):
+        # a wrapper set on selection.run_search, as a tracer sets one, must
+        # see the search that distill_student runs
+        _, data, teacher, _ = small_setup
+        calls = []
+        run_search = selection.run_search
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_search(*args, **kwargs)
+        monkeypatch.setattr(selection, "run_search", counted)
+        spec = SearchSpec(max_order=1, trials_per_order=2, seed=0)
+        distill_student(teacher, data, "pt", quick_tc(), search_spec=spec)
+        assert len(calls) == 1
 
     def test_pt_without_config_or_search(self, small_setup):
         _, data, teacher, _ = small_setup

@@ -15,9 +15,23 @@ from ptdistill.equivalence import (
     focal_coefficients,
     ls_coefficients,
     required_order,
+    truncation_bound,
     verify_equivalence,
 )
-from ptdistill.losses import focal_rows, kl_rows, pt_rows, smooth_rows
+from ptdistill.losses import (
+    focal_rows,
+    kl_rows,
+    perturbation_terms,
+    pt_rows,
+    smooth_rows,
+)
+
+
+def log_series(x, order):
+    """The order-M Maclaurin series of log x, -sum_{m<=M} (1-x)^m / m, as
+    the PT kernel evaluates it: -P(1 - x) with eps_m = 1/m and t = 1."""
+    value, = perturbation_terms(1.0, x, 1.0 / np.arange(1, order + 1), 0)
+    return -float(value)
 
 
 class TestLsCoefficients:
@@ -65,12 +79,41 @@ class TestFocalCoefficients:
             focal_coefficients(ProbVector([0.5, 0.5]), -0.5, 2)
 
 
+class TestTruncationBound:
+    def test_zero_at_one(self):
+        assert truncation_bound(1.0, 7) == 0.0
+
+    def test_half_order_three(self):
+        assert truncation_bound(0.5, 3) == pytest.approx(0.03125, abs=1e-15)
+        actual = abs(np.log(0.5) - log_series(0.5, 3))
+        assert actual == pytest.approx(0.026480513893278657, abs=1e-12)
+        assert actual <= 0.03125
+
+    def test_loose_near_boundary(self):
+        # 0.9^4 / (4 * 0.1): loose but valid
+        assert truncation_bound(0.1, 3) == pytest.approx(1.640250, abs=1e-6)
+        assert abs(np.log(0.1) - log_series(0.1, 3)) <= truncation_bound(0.1, 3)
+
+    def test_bound_holds_randomized(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            x = rng.uniform(0.05, 1.0)
+            m = int(rng.integers(1, 101))
+            err = abs(np.log(x) - log_series(x, m))
+            # allow rounding noise when the analytic bound is below epsilon
+            assert err <= truncation_bound(x, m) + 1e-14
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 1.01])
+    def test_domain_errors(self, bad):
+        with pytest.raises(InvalidInputError):
+            truncation_bound(bad, 3)
+
+
 class TestRequiredOrder:
     def test_monotone_tolerance(self):
         assert required_order(0.3, 1e-3) <= required_order(0.3, 1e-6)
 
     def test_matches_direct_scan(self):
-        from ptdistill.series import truncation_bound
         m = required_order(0.3, 1e-6)
         assert truncation_bound(0.3, m) <= 1e-6
         assert truncation_bound(0.3, m - 1) > 1e-6

@@ -160,6 +160,38 @@ class TestPerturbationTerms:
                     assert np.array_equal(g, e)
 
 
+def log_series(x, order):
+    """The order-M Maclaurin series of log x, -sum_{m<=M} (1-x)^m / m, as
+    the PT kernel evaluates it: -P(1 - x) with eps_m = 1/m and t = 1."""
+    value, = perturbation_terms(1.0, x, 1.0 / np.arange(1, order + 1), 0)
+    return -float(value)
+
+
+class TestLogSeries:
+    def test_exact_at_one(self):
+        for m in (1, 5, 50):
+            assert log_series(1.0, m) == 0.0
+
+    def test_direct_summation(self):
+        # -(0.5 + 0.125 + 1/24) by direct summation
+        assert log_series(0.5, 3) == pytest.approx(
+            -(0.5 + 0.125 + 0.125 / 3), abs=1e-15)
+
+    def test_converges_to_log(self):
+        assert log_series(0.9, 50) == pytest.approx(np.log(0.9), abs=1e-12)
+
+    def test_monotone_in_order(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            x = rng.uniform(0.05, 0.999)
+            m = int(rng.integers(1, 40))
+            assert log_series(x, m + 1) <= log_series(x, m)
+
+    def test_limit_high_order(self):
+        for x in (0.5, 0.7, 0.9, 0.99):
+            assert log_series(x, 1000) == pytest.approx(np.log(x), abs=1e-9)
+
+
 class TestPtLossGrad:
     """PT loss values and logit gradients from ``pt_grad_rows``."""
 

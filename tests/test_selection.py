@@ -9,10 +9,10 @@ from ptdistill.selection import (
     QualityScore,
     RiskGapTerms,
     SearchSpec,
+    best_trial,
     quality_score,
     risk_gap_terms,
     run_search,
-    search_coefficients,
 )
 
 
@@ -154,9 +154,9 @@ class TestSearchCoefficients:
         for seed in range(5):
             teachers, labels = small_validation_set(seed=seed)
             spec = SearchSpec(max_order=2, trials_per_order=10, seed=seed)
-            cfg, score = search_coefficients(teachers, labels, spec)
+            best = best_trial(run_search(teachers, labels, spec))
             baseline = quality_score(teachers, labels)
-            assert score.total <= baseline.total + 1e-12
+            assert best.score.total <= baseline.total + 1e-12
 
     def test_tie_breaks_to_zero_baseline(self):
         # a degenerate range forces every draw to equal the zero baseline,
@@ -164,7 +164,7 @@ class TestSearchCoefficients:
         teachers, labels = small_validation_set()
         spec = SearchSpec(max_order=2, trials_per_order=3, seed=0,
                           coefficient_range=(-1e-300, 1e-300))
-        cfg, _ = search_coefficients(teachers, labels, spec)
+        cfg = best_trial(run_search(teachers, labels, spec)).config
         assert cfg.order == 1
         np.testing.assert_allclose(cfg.coefficients, 0.0, atol=1e-299)
 
@@ -177,15 +177,16 @@ class TestSearchCoefficients:
         teachers, labels = small_validation_set()
         spec = SearchSpec(max_order=1, trials_per_order=2, seed=0)
         with pytest.raises(SearchFailureError):
-            search_coefficients(teachers, labels, spec)
+            best_trial(run_search(teachers, labels, spec))
 
     def test_reproducible(self):
         teachers, labels = small_validation_set()
         spec = SearchSpec(max_order=2, trials_per_order=5, seed=9)
-        a_cfg, a_score = search_coefficients(teachers, labels, spec)
-        b_cfg, b_score = search_coefficients(teachers, labels, spec)
-        np.testing.assert_array_equal(a_cfg.coefficients, b_cfg.coefficients)
-        assert a_score == b_score
+        a, b = (best_trial(run_search(teachers, labels, spec))
+                for _ in range(2))
+        np.testing.assert_array_equal(a.config.coefficients,
+                                      b.config.coefficients)
+        assert a.score == b.score
 
 
 class TestSearchSpec:
