@@ -28,13 +28,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, nn
-from .core import SIMPLEX_ATOL, DomainError, InvalidInputError, SchemaError
+from .core import DomainError, InvalidInputError, SchemaError, on_simplex
 from .data import (
     SPLIT_NAMES,
     GaussianMixtureSpec,
     dataset_files,
     file_digest,
     generate,
+    json_array,
+    json_number,
     load_dataset,
     one_hot,
     read_csv,
@@ -48,8 +50,8 @@ from .distill import (
     teacher_diagnostics,
     train_teacher,
 )
-from .equivalence import verify_equivalence
-from .losses import PerturbationConfig, loss_class
+from .equivalence import METHODS, verify_equivalence
+from .losses import LOSSES, PerturbationConfig, loss_class
 from .nn import TrainConfig
 from .proxy import SolverConfig, _solve_rows
 from .selection import SearchSpec, best_trial, run_search
@@ -63,10 +65,8 @@ def read_probs_csv(path) -> np.ndarray:
     header, rows = read_csv(path)
     if header != [f"p_{i}" for i in range(len(header))]:
         raise SchemaError(f"{path}: expected header p_0..p_{{C-1}}, got {header}")
-    if not (np.all(np.isfinite(rows)) and np.all((rows >= 0.0) & (rows <= 1.0))):
-        raise SchemaError(f"{path}: probabilities must be finite and in [0, 1]")
-    if np.any(np.abs(rows.sum(axis=1) - 1.0) > SIMPLEX_ATOL):
-        raise SchemaError(f"{path}: every row must sum to 1")
+    if not on_simplex(rows):
+        raise SchemaError(f"{path}: rows must be finite, in [0, 1] and sum to 1")
     return rows
 
 
@@ -99,23 +99,13 @@ def coeffs_from_dict(doc, source) -> PerturbationConfig:
     for key in ("order", "tie_classes", "matrix"):
         if key not in doc:
             raise SchemaError(f"{source}: missing key {key!r}")
-    # bool is a subclass of int, so the types are compared exactly
-    if type(doc["order"]) is not int or type(doc["tie_classes"]) is not bool:
-        raise SchemaError(f"{source}: order must be an integer and "
-                          f"tie_classes a boolean")
-    matrix = doc["matrix"]
-    if not (isinstance(matrix, list)
-            and all(isinstance(row, list) for row in matrix)
-            and len({len(row) for row in matrix}) <= 1
-            and all(type(v) in (int, float) for row in matrix for v in row)):
-        raise SchemaError(f"{source}: matrix must be a C x M array of "
-                          f"numbers")
+    if type(doc["tie_classes"]) is not bool:
+        raise SchemaError(f"{source}: tie_classes must be a boolean")
     try:
-        return PerturbationConfig(order=doc["order"],
-                                  coefficients=np.asarray(matrix, dtype=float),
-                                  tie_classes=doc["tie_classes"])
-    except OverflowError:  # an integer beyond the float range
-        raise SchemaError(f"{source}: coefficients must be finite") from None
+        return PerturbationConfig(
+            order=json_number(source, "order", doc["order"]),
+            coefficients=json_array(source, "matrix", doc["matrix"], 2),
+            tie_classes=doc["tie_classes"])
     except InvalidInputError as exc:  # a wrong width, a NaN, untied rows
         raise SchemaError(f"{source}: {exc}") from None
 
@@ -376,8 +366,7 @@ COMMANDS = {
         **TRAINING, "out": (str, REQUIRED)}),
     "distill": (cmd_distill, "distill a student under a chosen loss", {
         "data-dir": (str, REQUIRED), "teacher": (str, REQUIRED),
-        "method": (("kl", "pt", "temp", "temperature", "ls",
-                    "label_smoothing", "focal", "onehot"), REQUIRED),
+        "method": (tuple(LOSSES), REQUIRED),
         **TRAINING, "out": (str, REQUIRED), "max-order": (int, None),
         **SEARCH, "search-seed": (int, SearchSpec.seed), "tau": (float, None),
         "delta": (float, None), "gamma": (float, None),
@@ -393,8 +382,8 @@ COMMANDS = {
         "max-iterations": (int, SolverConfig.max_iterations)}),
     "verify-equivalence": (cmd_verify_equivalence,
                            "check a loss-equivalence claim", {
-        "method": (("ls", "label_smoothing", "focal", "temperature"),
-                   REQUIRED),
+        "method": (tuple(name for name, cls in LOSSES.items()
+                         if cls.method in METHODS), REQUIRED),
         "param": (float, REQUIRED), "order": (int, 200), "trials": (int, 100),
         "seed": (int, 0)}),
     "sweep": (cmd_sweep, "sweep proxy-teacher configurations", {

@@ -51,6 +51,15 @@ class SchemaError(Exception):
     """An input file does not match its documented schema."""
 
 
+def on_simplex(rows) -> bool:
+    """Whether every row (along the last axis) is a probability vector:
+    finite entries in [0, 1] that sum to 1 within ``SIMPLEX_ATOL``."""
+    rows = np.asarray(rows, dtype=float)
+    return bool(np.all(np.isfinite(rows))
+                and np.all((rows >= 0.0) & (rows <= 1.0))
+                and np.all(np.abs(rows.sum(axis=-1) - 1.0) <= SIMPLEX_ATOL))
+
+
 @dataclass(frozen=True)
 class ProbVector:
     """A point on the C-class probability simplex (C >= 2)."""
@@ -64,14 +73,9 @@ class ProbVector:
                 f"ProbVector.values must be a 1-d vector, got shape {arr.shape}")
         if arr.size < 2:
             raise InvalidInputError("ProbVector needs at least 2 classes")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("ProbVector entries must be finite")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise InvalidInputError("ProbVector entries must lie in [0, 1]")
-        if abs(arr.sum() - 1.0) > SIMPLEX_ATOL:
-            raise InvalidInputError(
-                f"ProbVector entries must sum to 1 (got {arr.sum()!r})"
-            )
+        if not on_simplex(arr):
+            raise InvalidInputError("ProbVector entries must be finite, in "
+                                    f"[0, 1] and sum to 1, got {arr!r}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InvalidInputError, SchemaError, softmax_rows
+from .core import InvalidInputError, SchemaError, on_simplex, softmax_rows
 from .rng import derive_rng
 
 SPLIT_NAMES = ("train", "validation", "test")
@@ -114,7 +114,7 @@ class GaussianMixtureSpec:
         """Inverse of ``to_dict``; ``source`` names the input in errors."""
         ints = {key: json_number(source, key, d[key])
                 for key in ("num_classes", "dim", "seed")}
-        return cls(**ints, means=np.asarray(d["means"], dtype=float),
+        return cls(**ints, means=json_array(source, "means", d["means"], 2),
                    sigma=json_number(source, "sigma", d["sigma"], (int, float)))
 
 
@@ -148,7 +148,7 @@ class LabeledDataset:
 
 def _split_counts(n: int, split_ratio) -> dict:
     ratio = np.asarray(split_ratio, dtype=float)
-    if ratio.shape != (3,) or np.any(ratio < 0) or abs(ratio.sum() - 1.0) > 1e-9:
+    if ratio.shape != (3,) or not on_simplex(ratio):
         raise InvalidInputError(
             "split_ratio must be three nonnegative reals summing to 1"
         )
@@ -288,6 +288,21 @@ def json_number(source, name: str, value, kinds=(int,)):
                           f"{'an integer' if kinds == (int,) else 'a number'}, "
                           f"got {value!r}")
     return value
+
+
+def json_array(source, name: str, value, ndim: int) -> np.ndarray:
+    """``value`` as a float array if it is an ``ndim``-level rectangular
+    list of JSON numbers (ints or floats, not bools or strings); else a
+    SchemaError naming ``source`` and the field ``name``."""
+    # as objects, a ragged or deeper list shows in the shape or the entries
+    arr = np.array(value, dtype=object)
+    if arr.ndim != ndim or any(type(v) not in (int, float) for v in arr.flat):
+        raise SchemaError(f"{source}: {name} must be a rectangular {ndim}-d "
+                          f"list of numbers")
+    try:
+        return arr.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError(f"{source}: {name} entries must be finite") from None
 
 
 def read_json(path):

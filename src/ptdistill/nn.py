@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import InvalidInputError, SchemaError, TrainingDivergenceError
-from .data import json_number, read_json
+from .data import json_array, json_number, read_json
 from .losses import TrainingLoss
 from .rng import derive_rng
 
@@ -160,16 +160,6 @@ class _Step:
         return float(np.mean(values))
 
 
-def loss_and_param_grads(model: MlpModel, x: np.ndarray, targets: np.ndarray,
-                         loss: TrainingLoss):
-    """Mean loss over the batch and its exact parameter gradients, computed
-    by the step ``train`` takes."""
-    x = _check_inputs(model, x)
-    step = _Step(model.layer_dims, x.shape[0])
-    value = step.loss_and_grads(model, x, targets, loss)
-    return value, step.dws, step.dbs
-
-
 def evaluate(model: MlpModel, x: np.ndarray, targets: np.ndarray,
              loss: TrainingLoss):
     """Full-batch mean loss and argmax accuracy against the targets."""
@@ -251,8 +241,10 @@ def load_model(path) -> MlpModel:
         model = MlpModel(
             layer_dims=[json_number(path, "layer_dims", d)
                         for d in doc["layer_dims"]],
-            weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
-            biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
+            weights=[json_array(path, f"weights[{i}]", w, 2)
+                     for i, w in enumerate(doc["weights"])],
+            biases=[json_array(path, f"biases[{i}]", b, 1)
+                    for i, b in enumerate(doc["biases"])],
             seed=json_number(path, "seed", doc["seed"]),
         )
     except (KeyError, TypeError, ValueError):

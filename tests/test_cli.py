@@ -468,6 +468,18 @@ class TestVerifyEquivalence:
         doc = json.loads(stdout)
         assert doc["max_abs_deviation"] <= 1e-6
 
+    def test_alias_runs_as_its_method(self, capsys):
+        """Every registry alias of an equivalence method is accepted."""
+        outputs = []
+        for method in ("temp", "temperature"):
+            code, stdout, err = run_cli(
+                capsys, "verify-equivalence", "--method", method,
+                "--param", "2.0", "--trials", "5")
+            assert code == 0, err
+            outputs.append(json.loads(stdout))
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["method"] == "temperature"
+
     def test_bad_order_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "verify-equivalence", "--method", "ls",
@@ -531,6 +543,9 @@ class TestMalformedDataset:
         ("spec-dim", "train.csv"),
         # no spec, so train.csv sets the dim; validation.csv lacks a column
         ("dropped-column", "validation.csv"),
+        # test.csv keeps its header, its rows lack a column, and its binary
+        # copy is gone, so the text is parsed
+        ("short-rows", "test.csv"),
     ])
     def test_is_schema_error_naming_the_split(self, workspace, capsys,
                                               tmp_path, command, case,
@@ -543,6 +558,12 @@ class TestMalformedDataset:
             meta["spec"]["dim"] = 30
             meta["spec"]["means"] = [row + [0.0] * 24
                                      for row in meta["spec"]["means"]]
+        elif case == "short-rows":
+            (bad_dir / "test.rows").unlink()
+            split = bad_dir / "test.csv"
+            header, *rows = split.read_text().splitlines()
+            split.write_text("".join(line + "\n" for line in [
+                header, *(row.split(",", 1)[1] for row in rows)]))
         else:
             meta["spec"] = None
             val = bad_dir / "validation.csv"
@@ -646,6 +667,20 @@ class TestConfigFile:
         doc = json.loads(stdout)
         assert sum(doc["split_sizes"].values()) == 40
 
+    def test_integer_for_a_float_option_is_recorded_as_float(self, capsys,
+                                                             tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sigma": 2}))
+        out_dir = tmp_path / "data"
+        code, _, err = run_cli(
+            capsys, "generate-data", "--config", str(config), "--n", "30",
+            "--dim", "4", "--out-dir", str(out_dir))
+        assert code == 0, err
+        manifest = json.loads(
+            (out_dir / "train.csv.manifest.json").read_text())
+        assert type(manifest["config"]["sigma"]) is float
+        assert manifest["config"]["sigma"] == 2.0
+
     def test_unknown_key_is_schema_error(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"banana": 1}))
@@ -696,6 +731,9 @@ class TestMalformedJson:
          "--coeffs {bad} --out {out}", "{bad}"),
         ("sweep --data-dir {data} --teacher {teacher} --configs {bad} "
          "--out {out}", "{bad}"),
+        # valid JSON, but one coefficient object rather than a list of them
+        ("sweep --data-dir {data} --teacher {teacher} --configs {coeffs} "
+         "--out {out}", "{coeffs}"),
         ("distill --data-dir {data} --teacher {bad} --method kl --out {out}",
          "{bad}"),
         ("eval --data-dir {data} --model {bad}", "{bad}"),
@@ -718,10 +756,10 @@ class TestMalformedJson:
          "{huge_data}/spec.json"),
         ("eval --data-dir {negative_data} --model {teacher}",
          "{negative_data}/spec.json"),
-    ], ids=["config", "coeffs", "configs", "teacher", "model", "spec",
-            "model-not-a-model", "model-shapes", "model-not-finite",
-            "spec-list", "split-sizes", "split-sizes-huge",
-            "split-sizes-negative"])
+    ], ids=["config", "coeffs", "configs", "configs-not-a-list", "teacher",
+            "model", "spec", "model-not-a-model", "model-shapes",
+            "model-not-finite", "spec-list", "split-sizes",
+            "split-sizes-huge", "split-sizes-negative"])
     def test_is_schema_error_naming_the_file(self, workspace, capsys,
                                              tmp_path, argv, culprit):
         _, data_dir, teacher = workspace
@@ -776,15 +814,21 @@ class TestMalformedJson:
         ("model", ("seed",), 1.5),
         ("model", ("seed",), "7"),
         ("model", ("layer_dims",), [6.7, 16, 3]),
+        ("spec", ("spec", "means", 2, 0), True),
+        ("model", ("weights", 0, 0, 0), "0.5"),
+        ("model", ("biases", 0, 0), True),
     ], ids=["spec-dim-float", "spec-classes-float", "split-size-fraction",
             "split-size-string", "spec-seed-fraction", "spec-seed-string",
             "spec-seed-null", "spec-sigma-bool", "model-seed-fraction",
-            "model-seed-string", "model-dims-fraction"])
+            "model-seed-string", "model-dims-fraction", "spec-mean-bool",
+            "model-weight-string", "model-bias-bool"])
     def test_integer_field_must_be_a_json_integer(self, workspace, capsys,
                                                   tmp_path, target, keys,
                                                   value):
-        # the workspace's dataset has dim 6, 3 classes and 300 train rows,
-        # its teacher layer_dims [6, 16, 3]; each value truncates to those
+        # the workspace's dataset has dim 6, 3 classes, 300 train rows and
+        # means[2][0] == 1, its teacher layer_dims [6, 16, 3]; each value
+        # truncates to those, and numpy would read each array entry as a
+        # number
         _, data_dir, teacher = workspace
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
@@ -825,8 +869,9 @@ class TestParserSurface:
             "train-teacher": {"--data-dir": str, "--arch": str, **train,
                               "--out": str},
             "distill": {"--data-dir": str, "--teacher": str,
-                        "--method": ("kl", "pt", "temp", "temperature", "ls",
-                                     "label_smoothing", "focal", "onehot"),
+                        "--method": ("onehot", "cross_entropy", "kl", "pt",
+                                     "temperature", "temp",
+                                     "label_smoothing", "ls", "focal"),
                         **train, "--out": str, "--max-order": int, **search,
                         "--search-seed": int, "--coeffs": str,
                         "--tau": float, "--delta": float, "--gamma": float},
@@ -836,8 +881,9 @@ class TestParserSurface:
             "solve-proxy": {"--teacher-probs": str, "--coeffs": str,
                             "--out": str, "--tolerance": float,
                             "--max-iterations": int},
-            "verify-equivalence": {"--method": ("ls", "label_smoothing",
-                                                "focal", "temperature"),
+            "verify-equivalence": {"--method": ("temperature", "temp",
+                                                "label_smoothing", "ls",
+                                                "focal"),
                                    "--param": float, "--order": int,
                                    "--trials": int, "--seed": int},
             "sweep": {"--data-dir": str, "--teacher": str, "--configs": str,
@@ -892,6 +938,7 @@ BAD_COEFFS = {
     "ragged_matrix": {**GOOD_COEFFS, "tie_classes": False,
                       "matrix": [[1.0], [1.0, 2.0], [1.0]]},
     "int_beyond_float": {**GOOD_COEFFS, "matrix": [[10 ** 400]] * 3},
+    "not_an_object": [GOOD_COEFFS],
     "nan_configs": [GOOD_COEFFS,  # a sweep list
                     {**GOOD_COEFFS, "matrix": [[float("nan")]] * 3}],
 }
@@ -903,6 +950,8 @@ ONE_LINE_CASES = [
                  id="more-classes-than-means"),
     pytest.param("generate-data --sigma nan --out-dir {out}", 2, False,
                  id="sigma-nan"),
+    pytest.param("generate-data --split 0.5,0.5 --out-dir {out}", 2, False,
+                 id="split-two-values"),
     pytest.param("generate-data --sigma inf --out-dir {out}", 2, False,
                  id="sigma-inf"),
     pytest.param("generate-data --config {nan_config} --out-dir {out}", 2,
@@ -918,6 +967,8 @@ ONE_LINE_CASES = [
                  id="gamma-nan"),
     pytest.param("search-coeffs --teacher-probs {probs} --labels {labels} "
                  "--range 0,inf --out {out}", 2, False, id="range-inf"),
+    pytest.param("search-coeffs --teacher-probs {probs} --labels {labels} "
+                 "--range 1 --out {out}", 2, False, id="range-one-value"),
     pytest.param("search-coeffs --teacher-probs {probs} --labels {labels} "
                  "--range=-1e308,1e308 --out {out}", 1, False,
                  id="range-width-overflows"),

@@ -185,6 +185,15 @@ class TestSplitCounts:
         counts = _split_counts(10, (0.34, 0.33, 0.33))
         assert counts == {"train": 4, "validation": 3, "test": 3}
 
+    @pytest.mark.parametrize("ratio", [(float("nan"), 0.5, 0.5),
+                                       (-0.5, 0.75, 0.75), (0.5, 0.5),
+                                       (0.5, 0.25, 0.2)])
+    def test_ratio_off_the_simplex(self, ratio):
+        # the train count is what the others leave, so a NaN there would
+        # otherwise pass unseen
+        with pytest.raises(InvalidInputError):
+            _split_counts(10, ratio)
+
 
 class TestTruePosterior:
     def test_rows_sum_to_one(self):

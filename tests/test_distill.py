@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ptdistill import nn, selection
-from ptdistill.core import InvalidInputError
+from ptdistill.core import InvalidInputError, softmax_rows
 from ptdistill.data import GaussianMixtureSpec, generate
 from ptdistill.distill import (
     DistillationReport,
@@ -14,6 +14,7 @@ from ptdistill.distill import (
     train_teacher,
 )
 from ptdistill.losses import PerturbationConfig, make_loss
+from ptdistill.proxy import solve_proxy_rows
 from ptdistill.selection import SearchSpec
 
 
@@ -151,6 +152,28 @@ class TestDistillStudent:
         x_test, y_test = data.split("test")
         teacher_acc = nn.accuracy(teacher, x_test, y_test)
         assert report.student_test_accuracy >= teacher_acc - 0.1
+
+
+class TestStudentLearnsTheProxy:
+    def test_fitted_student_is_the_proxy_teacher(self):
+        """A student trained to convergence on the PT loss outputs the proxy
+        teacher q*, not the teacher t: its gap to q* is a tenth of q*'s
+        distance from t at most. (An untied draw converged too slowly at
+        this budget, so the coefficients are tied.)"""
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(32, 8))
+        teacher = rng.dirichlet(np.ones(3), size=32)
+        cfg = PerturbationConfig.tied([1.5, 0.5], 3)
+        proxies, converged = solve_proxy_rows(teacher, cfg)
+        assert converged.all()
+        tc = nn.TrainConfig(learning_rate=0.05, batch_size=32, epochs=4000,
+                            seed=0)
+        student, _ = nn.train(nn.init([8, 64, 64, 3], seed=0), x, teacher,
+                              make_loss("pt", cfg=cfg), tc,
+                              record_history=False)
+        fitted = softmax_rows(nn.forward_rows(student, x))
+        assert (np.max(np.abs(fitted - proxies))
+                <= 0.1 * np.max(np.abs(proxies - teacher)))
 
 
 class TestSweepProxyTeachers:

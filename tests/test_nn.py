@@ -167,7 +167,10 @@ class TestBackprop:
             targets = rng.dirichlet(np.ones(3), size=5)
         else:
             targets = np.eye(3)[rng.integers(0, 3, size=5)]
-        value, dws, dbs = nn.loss_and_param_grads(model, x, targets, loss)
+        # the step train takes; a second one evaluates the perturbed models
+        step, probe = (nn._Step(model.layer_dims, len(x)) for _ in range(2))
+        step.loss_and_grads(model, x, targets, loss)
+        dws, dbs = step.dws, step.dbs
         h = 1e-6
         checks = 0
         for li in range(len(model.weights)):
@@ -176,17 +179,17 @@ class TestBackprop:
             for (i, j) in idxs:
                 pert = copy.deepcopy(model)
                 pert.weights[li][i, j] += h
-                up, _, _ = nn.loss_and_param_grads(pert, x, targets, loss)
+                up = probe.loss_and_grads(pert, x, targets, loss)
                 pert.weights[li][i, j] -= 2 * h
-                dn, _, _ = nn.loss_and_param_grads(pert, x, targets, loss)
+                dn = probe.loss_and_grads(pert, x, targets, loss)
                 fd = (up - dn) / (2 * h)
                 assert dws[li][i, j] == pytest.approx(fd, abs=2e-6, rel=1e-4)
                 checks += 1
             pert = copy.deepcopy(model)
             pert.biases[li][0] += h
-            up, _, _ = nn.loss_and_param_grads(pert, x, targets, loss)
+            up = probe.loss_and_grads(pert, x, targets, loss)
             pert.biases[li][0] -= 2 * h
-            dn, _, _ = nn.loss_and_param_grads(pert, x, targets, loss)
+            dn = probe.loss_and_grads(pert, x, targets, loss)
             assert dbs[li][0] == pytest.approx((up - dn) / (2 * h),
                                                abs=2e-6, rel=1e-4)
         assert checks == 4
