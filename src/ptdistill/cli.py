@@ -31,6 +31,7 @@ from . import __version__, nn
 from .core import DomainError, InvalidInputError, SchemaError, on_simplex
 from .data import (
     SPLIT_NAMES,
+    SPLIT_RATIO,
     GaussianMixtureSpec,
     dataset_files,
     file_digest,
@@ -51,7 +52,7 @@ from .distill import (
     train_teacher,
 )
 from .equivalence import METHODS, verify_equivalence
-from .losses import LOSSES, PerturbationConfig, loss_class
+from .losses import LOSSES, PARAM_RANGES, PerturbationConfig, loss_class
 from .nn import TrainConfig
 from .proxy import SolverConfig, _solve_rows
 from .selection import SearchSpec, best_trial, run_search
@@ -122,14 +123,13 @@ def write_json(path, doc) -> None:
 
 def write_manifest(command: str, config: dict, seeds: dict,
                    inputs: list, outputs: list, started: float,
-                   digests: dict | None = None) -> Path:
+                   digests: dict) -> Path:
     """Write ``<first-output>.manifest.json``; a file's digest is taken
     from ``digests`` (path to SHA-256 digest) when the command computed
     it, else the file is hashed here."""
     inputs = [Path(p) for p in inputs]
     outputs = [Path(p) for p in outputs]
-    known = digests or {}
-    digests = {p: known.get(p) or file_digest(p) for p in inputs + outputs}
+    digests = {p: digests.get(p) or file_digest(p) for p in inputs + outputs}
     doc = {
         "command": command,
         "config": config,
@@ -344,14 +344,15 @@ def cmd_eval(cfg: dict, digests: dict):
 # Command table: the one declaration of every command and option
 # ---------------------------------------------------------------------------
 
-# Each option maps to (kind, default); a default that a library field holds
-# is read from it. A kind is a type (int, float, str, or bool for a switch) or
+# Each option maps to (kind, default); a default the library holds is read
+# from its owner. A kind is a type (int, float, str, or bool for a switch) or
 # a tuple of choices. Options keep their order in --help and in a manifest.
 REQUIRED = object()  # the default of an option that must be given
 TRAINING = {"lr": (float, TrainConfig.learning_rate),
             "batch-size": (int, TrainConfig.batch_size),
             "epochs": (int, TrainConfig.epochs), "seed": (int, TrainConfig.seed)}
-SEARCH = {"trials": (int, SearchSpec.trials_per_order), "range": (str, "-1,10"),
+SEARCH = {"trials": (int, SearchSpec.trials_per_order),
+          "range": (str, "%g,%g" % SearchSpec.coefficient_range),
           "tie-classes": (bool, SearchSpec.tie_classes)}
 
 COMMANDS = {
@@ -359,8 +360,8 @@ COMMANDS = {
         "classes": (int, GaussianMixtureSpec.num_classes),
         "dim": (int, GaussianMixtureSpec.dim),
         "sigma": (float, GaussianMixtureSpec.sigma), "n": (int, 10000),
-        "split": (str, "0.9,0.05,0.05"), "seed": (int, GaussianMixtureSpec.seed),
-        "out-dir": (str, REQUIRED)}),
+        "split": (str, "%g,%g,%g" % SPLIT_RATIO),
+        "seed": (int, GaussianMixtureSpec.seed), "out-dir": (str, REQUIRED)}),
     "train-teacher": (cmd_train_teacher, "train the cross-entropy teacher", {
         "data-dir": (str, REQUIRED), "arch": (str, "30,128,128,3"),
         **TRAINING, "out": (str, REQUIRED)}),
@@ -368,8 +369,8 @@ COMMANDS = {
         "data-dir": (str, REQUIRED), "teacher": (str, REQUIRED),
         "method": (tuple(LOSSES), REQUIRED),
         **TRAINING, "out": (str, REQUIRED), "max-order": (int, None),
-        **SEARCH, "search-seed": (int, SearchSpec.seed), "tau": (float, None),
-        "delta": (float, None), "gamma": (float, None),
+        **SEARCH, "search-seed": (int, SearchSpec.seed),
+        **{name: (float, None) for name in PARAM_RANGES},
         "coeffs": (str, None)}),
     "search-coeffs": (cmd_search_coeffs,
                       "random search for perturbation coefficients", {

@@ -36,6 +36,7 @@ from .core import InvalidInputError, SchemaError, on_simplex, softmax_rows
 from .rng import derive_rng
 
 SPLIT_NAMES = ("train", "validation", "test")
+SPLIT_RATIO = (0.9, 0.05, 0.05)  # generate's default, in SPLIT_NAMES order
 # GaussianMixtureSpec.sample gives up after this many draws of class means
 # that collide.
 MAX_MEAN_DRAWS = 100_000
@@ -51,6 +52,11 @@ def _row_blocks(lo: int, hi: int):
     """Slices of the rows lo..hi, ``_BLOCK_ROWS`` at a time."""
     return (slice(start, min(start + _BLOCK_ROWS, hi))
             for start in range(lo, hi, _BLOCK_ROWS))
+
+
+def _distinct_rows(means: np.ndarray) -> bool:
+    """Whether no two class means are equal, -0.0 counting as 0.0."""
+    return len(set(map(bytes, means + 0.0))) == len(means)
 
 
 def _check_sizes(num_classes: int, dim: int) -> None:
@@ -85,6 +91,8 @@ class GaussianMixtureSpec:
             )
         if not np.all(np.isin(means, (-1.0, 0.0, 1.0))):
             raise InvalidInputError("mean entries must come from {-1, 0, 1}")
+        if not _distinct_rows(means):
+            raise InvalidInputError("class means must be distinct")
         means = means.copy()
         means.setflags(write=False)
         object.__setattr__(self, "means", means)
@@ -98,9 +106,7 @@ class GaussianMixtureSpec:
         rng = derive_rng(seed, "gaussian-means")
         for _ in range(MAX_MEAN_DRAWS):
             means = rng.integers(-1, 2, size=(num_classes, dim)).astype(float)
-            # entries are whole numbers, never -0.0, so equal rows are
-            # equal bytes
-            if len(set(map(bytes, means))) == num_classes:
+            if _distinct_rows(means):
                 return cls(num_classes=num_classes, dim=dim, sigma=sigma,
                            means=means, seed=seed)
         raise InvalidInputError(f"no {num_classes} distinct class means in "
@@ -161,7 +167,7 @@ def _split_counts(n: int, split_ratio) -> dict:
 
 
 def generate(spec: GaussianMixtureSpec, n: int,
-             split_ratio=(0.9, 0.05, 0.05)) -> LabeledDataset:
+             split_ratio=SPLIT_RATIO) -> LabeledDataset:
     """Draw n labeled points from the mixture, deterministically in the seed.
 
     The inputs are built in place from the noise draw (scale, then add the
@@ -184,7 +190,9 @@ def generate(spec: GaussianMixtureSpec, n: int,
 def true_posterior_rows(spec: GaussianMixtureSpec, x: np.ndarray) -> np.ndarray:
     """Exact Bayes posterior rows for a batch of inputs."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    sq = np.sum((x[:, None, :] - spec.means[None, :, :]) ** 2, axis=-1)
+    sq = np.empty((len(x), spec.num_classes))
+    for rows in _row_blocks(0, len(x)):  # one block's (rows, C, d) at a time
+        sq[rows] = np.sum((x[rows, None, :] - spec.means) ** 2, axis=-1)
     return softmax_rows(-sq / (2.0 * spec.sigma ** 2))
 
 
@@ -224,25 +232,23 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
     return header, rows
 
 
-def _copy_rows(path, width: int) -> int | None:
-    """How many ``width``-column rows the binary copy of the CSV ``path``
-    holds by its size (a seal plus whole rows), or None."""
+def _copy_holds(path, n: int, width: int) -> bool:
+    """Whether the binary copy of the CSV ``path`` is, by its size, a seal
+    and ``n`` rows of ``width`` columns."""
     try:
         size = os.stat(_copy_path(path)).st_size
     except OSError:  # no copy
-        return None
-    n, rest = divmod(size - _SEAL_BYTES, width * _COPY_DTYPE.itemsize)
-    return n if n >= 0 and not rest else None
+        return False
+    return n >= 0 and size == _SEAL_BYTES + n * width * _COPY_DTYPE.itemsize
 
 
-def _read_copy(path, n: int, width: int, digests: dict | None,
-               inputs=None, labels=None) -> bool:
+def _read_copy(path, digests: dict | None, inputs, labels) -> bool:
     """Whether the binary copy of the CSV ``path`` opens with the seal of
-    the CSV as it is now and of ``n`` rows of ``width`` columns after it.
+    the CSV as it is now and of as many rows as ``inputs`` holds after it.
 
-    The rows are read a block at a time into one buffer and hashed; with
-    ``inputs`` and ``labels`` given, each block's features and last column
-    are copied into their rows. The CSV's digest is recorded in
+    The rows are read a block at a time into one buffer and hashed, and
+    each block's features and last column are copied into their rows of
+    ``inputs`` and ``labels``. The CSV's digest is recorded in
     ``digests``. Nothing in the copy is parsed or unpickled.
     """
     # hashed first, so its read buffers are freed before the block buffer
@@ -250,7 +256,8 @@ def _read_copy(path, n: int, width: int, digests: dict | None,
     if digests is not None:
         digests[Path(path)] = csv_digest
     seal = hashlib.sha256(csv_digest)
-    block = np.empty((min(n, _BLOCK_ROWS), width), dtype=_COPY_DTYPE)
+    n, dim = inputs.shape
+    block = np.empty((min(n, _BLOCK_ROWS), dim + 1), dtype=_COPY_DTYPE)
     try:
         with open(_copy_path(path), "rb") as f:
             expected = f.read(_SEAL_BYTES)
@@ -259,8 +266,7 @@ def _read_copy(path, n: int, width: int, digests: dict | None,
                 if f.readinto(read) != read.nbytes:
                     return False
                 seal.update(read)
-                if inputs is not None:
-                    inputs[rows], labels[rows] = read[:, :-1], read[:, -1]
+                inputs[rows], labels[rows] = read[:, :-1], read[:, -1]
     except OSError:  # the copy went away
         return False
     return seal.digest() == expected
@@ -427,10 +433,12 @@ def load_dataset(in_dir, digests: dict | None = None) -> LabeledDataset:
                           f"object and a spec that is null or a spec object"
                           ) from None
 
-    def check_count(name, path, count):
-        if count != sizes[name]:
+    def parse(name, path):  # a split's CSV rows, as many as its size
+        rows = read_csv(path)[1]
+        if len(rows) != sizes[name]:
             raise SchemaError(f"{sidecar}: split_sizes gives {name} "
-                              f"{sizes[name]} rows, {path} has {count}")
+                              f"{sizes[name]} rows, {path} has {len(rows)}")
+        return rows
 
     n = sum(sizes.values())
     dim = spec.dim if spec else None
@@ -442,23 +450,17 @@ def load_dataset(in_dir, digests: dict | None = None) -> LabeledDataset:
         if header != [f"x_{i}" for i in range(dim)] + ["label"]:
             raise SchemaError(f"{path}: expected header x_0..x_{dim - 1},label, "
                               f"got {','.join(header)}")
-        count = _copy_rows(path, dim + 1)
-        # a copy of another length is checked against its seal only to
-        # report that length; one of the right length is read below
-        if count is None or (count != sizes[name] and not _read_copy(
-                path, count, dim + 1, digests)):
-            parsed[name] = read_csv(path)[1]
-            count = len(parsed[name])
-        check_count(name, path, count)
+        # a copy of another size is not read; its CSV gives the count
+        if not _copy_holds(path, sizes[name], dim + 1):
+            parsed[name] = parse(name, path)
     inputs = np.empty((n, dim))
     labels = np.empty(n)
     lo = 0
     for name, path in zip(SPLIT_NAMES, paths):
         hi = lo + sizes[name]
         if name not in parsed and not _read_copy(
-                path, hi - lo, dim + 1, digests, inputs[lo:hi], labels[lo:hi]):
-            parsed[name] = read_csv(path)[1]  # the CSV changed since its copy
-            check_count(name, path, len(parsed[name]))
+                path, digests, inputs[lo:hi], labels[lo:hi]):
+            parsed[name] = parse(name, path)  # the CSV changed since its copy
         if name in parsed:
             rows = parsed.pop(name)
             inputs[lo:hi], labels[lo:hi] = rows[:, :-1], rows[:, -1]

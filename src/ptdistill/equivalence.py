@@ -37,6 +37,7 @@ METHODS = ("label_smoothing", "focal", "temperature")
 # the smallest probability that allows sets the series order TOLERANCE needs.
 PROB_RANGE = (0.3, 0.7)
 TOLERANCE = 1e-6
+MAX_ORDER = 100_000  # required_order gives up past this order
 
 
 @dataclass(frozen=True)
@@ -110,18 +111,17 @@ def truncation_bound(x: float, order: int) -> float:
     return u ** (order + 1) / ((order + 1) * x)
 
 
-def required_order(prob_floor: float, tol: float, cap: int = 100_000) -> int:
+def required_order(prob_floor: float, tol: float) -> int:
     """Smallest truncation order whose tail bound at prob_floor is <= tol."""
-    for m in range(1, cap + 1):
+    for m in range(1, MAX_ORDER + 1):
         if truncation_bound(prob_floor, m) <= tol:
             return m
-    raise ConfigurationError(
-        f"no order up to {cap} achieves tolerance {tol!r} at {prob_floor!r}"
-    )
+    raise ConfigurationError(f"no order up to {MAX_ORDER} achieves tolerance "
+                             f"{tol!r} at {prob_floor!r}")
 
 
-def _sample_simplex(rng, num_classes: int, lo: float, hi: float) -> np.ndarray:
-    raw = rng.uniform(lo, hi, size=num_classes)
+def _sample_binary(rng) -> np.ndarray:
+    raw = rng.uniform(*PROB_RANGE, size=2)
     return raw / raw.sum()
 
 
@@ -135,13 +135,13 @@ def _fit_temperature_coefficient(teacher: np.ndarray, student: np.ndarray,
 
 
 def verify_equivalence(method: str, param: float, order: int, trials: int,
-                       seed: int, num_classes: int = 2) -> EquivalenceReport:
+                       seed: int) -> EquivalenceReport:
     """Numerically check one Appendix-style equivalence claim.
 
-    Samples ``trials`` random teacher/student pairs (per-class probabilities
-    uniform in ``PROB_RANGE`` then normalized), computes both losses, and
-    reports the maximum deviation after removing the analytic additive
-    constant.
+    Samples ``trials`` random binary teacher/student pairs (per-class
+    probabilities uniform in ``PROB_RANGE`` then normalized), computes both
+    losses, and reports the maximum deviation after removing the analytic
+    additive constant.
 
     The temperature check holds by construction: it fits eps from the
     temperature-scaled loss value and then compares against that same
@@ -151,16 +151,11 @@ def verify_equivalence(method: str, param: float, order: int, trials: int,
         raise InvalidInputError(f"unknown method {method!r}")
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
-    lo, hi = PROB_RANGE
     if method == "temperature":
-        if num_classes != 2:
-            raise InvalidInputError(
-                "the temperature containment check is defined for 2 classes only"
-            )
         temperature = make_loss("temperature", tau=param)
     else:
-        prob_floor = lo / (lo + (num_classes - 1) * hi)
-        needed = required_order(prob_floor, TOLERANCE)
+        lo, hi = PROB_RANGE
+        needed = required_order(lo / (lo + hi), TOLERANCE)
         if order < needed:
             raise ConfigurationError(
                 f"order {order} too small for tolerance {TOLERANCE!r}; "
@@ -172,8 +167,8 @@ def verify_equivalence(method: str, param: float, order: int, trials: int,
     for i in range(trials):
         rng = derive_rng(seed, "equivalence", i)
         if method == "label_smoothing":
-            t = _sample_simplex(rng, num_classes, lo, hi)
-            q = _sample_simplex(rng, num_classes, lo, hi)
+            t = _sample_binary(rng)
+            q = _sample_binary(rng)
             cfg = ls_coefficients(ProbVector(t), param, order)
             pt = float(pt_rows(t, q, cfg))
             sm = float(kl_rows(smooth_rows(t, param), q))
@@ -182,16 +177,16 @@ def verify_equivalence(method: str, param: float, order: int, trials: int,
             deviations[i] = abs((pt - sm) - analytic)
             constants[i] = pt - sm
         elif method == "focal":
-            t = _sample_simplex(rng, num_classes, lo, hi)
-            q = _sample_simplex(rng, num_classes, lo, hi)
+            t = _sample_binary(rng)
+            q = _sample_binary(rng)
             cfg = focal_coefficients(ProbVector(q), param, order)
             pt = float(pt_rows(t, q, cfg))
             fl = float(focal_rows(t, q, param))
             deviations[i] = abs(pt - fl)
             constants[i] = 0.0
         else:
-            t_logits = rng.uniform(-3.0, 3.0, size=num_classes)
-            s_logits = rng.uniform(-3.0, 3.0, size=num_classes)
+            t_logits = rng.uniform(-3.0, 3.0, size=2)
+            s_logits = rng.uniform(-3.0, 3.0, size=2)
             target = float(temperature.values_and_grads(t_logits, s_logits)[0])
             t = softmax_rows(t_logits)
             q = softmax_rows(s_logits)

@@ -26,7 +26,7 @@ from ptdistill.core import (
 )
 from ptdistill.data import GaussianMixtureSpec, write_csv
 from ptdistill.equivalence import focal_coefficients, ls_coefficients
-from ptdistill.losses import FocalKDLoss, SmoothedKLLoss
+from ptdistill.losses import LOSSES, PARAM_RANGES, FocalKDLoss, SmoothedKLLoss
 from ptdistill.nn import TrainConfig
 from ptdistill.proxy import SolverConfig, solve_proxy_rows
 from ptdistill.selection import SearchSpec, best_trial, run_search
@@ -756,10 +756,17 @@ class TestMalformedJson:
          "{huge_data}/spec.json"),
         ("eval --data-dir {negative_data} --model {teacher}",
          "{negative_data}/spec.json"),
+        # two class means equal as values, so the posterior is another
+        # mixture's
+        ("eval --data-dir {equal_means} --model {teacher}",
+         "{equal_means}/spec.json"),
+        ("eval --data-dir {signed_zero_means} --model {teacher}",
+         "{signed_zero_means}/spec.json"),
     ], ids=["config", "coeffs", "configs", "configs-not-a-list", "teacher",
             "model", "spec", "model-not-a-model", "model-shapes",
             "model-not-finite", "spec-list", "split-sizes",
-            "split-sizes-huge", "split-sizes-negative"])
+            "split-sizes-huge", "split-sizes-negative", "means-equal",
+            "means-signed-zero"])
     def test_is_schema_error_naming_the_file(self, workspace, capsys,
                                              tmp_path, argv, culprit):
         _, data_dir, teacher = workspace
@@ -780,6 +787,17 @@ class TestMalformedJson:
             shutil.copytree(data_dir, sized[key])
             meta = json.loads((sized[key] / "spec.json").read_text())
             meta["split_sizes"].update(sizes)
+            (sized[key] / "spec.json").write_text(json.dumps(meta))
+        # the workspace's first class mean holds zeros; as -0.0 they still
+        # equal it
+        for key, negate in [("equal_means", False),
+                            ("signed_zero_means", True)]:
+            sized[key] = tmp_path / key
+            shutil.copytree(data_dir, sized[key])
+            meta = json.loads((sized[key] / "spec.json").read_text())
+            means = meta["spec"]["means"]
+            assert 0.0 in means[0]
+            means[1] = [-v if negate and v == 0 else v for v in means[0]]
             (sized[key] / "spec.json").write_text(json.dumps(meta))
         model = json.loads(teacher.read_text())
         model["weights"][0] = model["weights"][0][:5]
@@ -1088,6 +1106,28 @@ class TestOneOwnerPerRule:
     def test_option_default_is_the_library_field(self, command, option,
                                                  owner, field):
         assert cli.COMMANDS[command][2][option][1] is getattr(owner, field)
+
+    @pytest.mark.parametrize("command,option,values,text", [
+        ("distill", "range", SearchSpec.coefficient_range, "-1,10"),
+        ("search-coeffs", "range", SearchSpec.coefficient_range, "-1,10"),
+        ("generate-data", "split", data.SPLIT_RATIO, "0.9,0.05,0.05"),
+    ])
+    def test_listed_default_is_the_library_value(self, command, option,
+                                                 values, text):
+        # the text a manifest records is unchanged
+        assert cli.COMMANDS[command][2][option][1] == text
+        assert tuple(map(float, text.split(","))) == tuple(values)
+
+    def test_generate_split_default_is_the_constant(self):
+        params = inspect.signature(data.generate).parameters
+        assert params["split_ratio"].default is data.SPLIT_RATIO
+
+    def test_loss_parameter_options_are_the_ranged_names(self):
+        options = cli.COMMANDS["distill"][2]
+        assert [key for key in options if key in PARAM_RANGES] == list(
+            PARAM_RANGES)
+        assert {cls.param for cls in LOSSES.values()} - {None, "cfg"} == set(
+            PARAM_RANGES)
 
     def test_sample_defaults_are_the_spec_fields(self):
         params = inspect.signature(GaussianMixtureSpec.sample).parameters

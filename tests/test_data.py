@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ptdistill import cli, data
-from ptdistill.core import InvalidInputError
+from ptdistill.core import InvalidInputError, SchemaError, softmax_rows
 from ptdistill.data import (
     GaussianMixtureSpec,
     LabeledDataset,
@@ -227,6 +227,22 @@ class TestTruePosterior:
         acc = np.mean(np.argmax(post, axis=1) == np.argmax(ds.labels, axis=1))
         assert acc > 0.8
 
+    def test_holds_one_block_of_differences(self):
+        spec = default_spec(seed=3)
+        x = derive_rng(0, "posterior-test").standard_normal((50_000, 30))
+        tracemalloc.start()
+        try:
+            got = true_posterior_rows(spec, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole (N, C, d) difference array would take 36 MB
+        block = data._BLOCK_ROWS * 3 * 30 * 8
+        assert peak <= block + 4 * got.nbytes
+        sq = np.sum((x[:, None, :] - spec.means[None, :, :]) ** 2, axis=-1)
+        expect = softmax_rows(-sq / (2.0 * spec.sigma ** 2))
+        assert got.tobytes() == expect.tobytes()
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -425,6 +441,19 @@ class TestBinaryCopies:
         block = data._BLOCK_ROWS * 31 * 8
         assert peak <= got.inputs.nbytes + got.labels.nbytes + block + 2 ** 20
 
+    def test_negative_split_size_fits_no_copy(self, tmp_path):
+        # by its size alone an 8-byte copy would hold -1 rows of 3 columns,
+        # and a seal alone holds 0 rows
+        save_dataset(generate(default_spec(dim=2), 30), tmp_path)
+        meta = json.loads((tmp_path / "spec.json").read_text())
+        meta["split_sizes"] = {"train": -1, "validation": 0, "test": 0}
+        (tmp_path / "spec.json").write_text(json.dumps(meta))
+        (tmp_path / "train.rows").write_bytes(bytes(8))
+        for name in ("validation", "test"):
+            (tmp_path / f"{name}.rows").write_bytes(bytes(32))
+        with pytest.raises(SchemaError, match="spec.json"):
+            load_dataset(tmp_path)
+
     @pytest.mark.parametrize("case,culprit", [
         ("split-sizes", "spec.json"), ("non-finite-cell", "train.csv")])
     def test_checks_hold_on_copies(self, tmp_path, monkeypatch, capsys,
@@ -447,5 +476,8 @@ class TestBinaryCopies:
                         "--arch", "6,8,3", "--epochs", "1",
                         "--out", str(tmp_path / "t.json")])
         err = capsys.readouterr().err
-        assert code == 2 and parsed == []
+        # a split whose copy holds another count than spec.json gives is
+        # counted from its CSV
+        assert code == 2 and parsed == (["train.csv"] if case == "split-sizes"
+                                        else [])
         assert len(err.splitlines()) == 1 and str(data_dir / culprit) in err
