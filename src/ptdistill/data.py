@@ -43,8 +43,8 @@ MAX_MEAN_DRAWS = 100_000
 # A split's binary copy: a SHA-256 seal, then its rows in this dtype.
 _SEAL_BYTES = 32
 _COPY_DTYPE = np.dtype("<f8")
-# Rows per block when the dataset is generated, written and read; the same
-# length as nn's inference block.
+# Rows per block when the dataset is generated, written and read; nn's
+# shortest inference block too.
 _BLOCK_ROWS = 8192
 
 
@@ -428,7 +428,9 @@ def load_dataset(in_dir, digests: dict | None = None) -> LabeledDataset:
         sizes = {name: json_number(sidecar, f"split_sizes.{name}",
                                    meta["split_sizes"][name])
                  for name in SPLIT_NAMES}
-    except (KeyError, TypeError, ValueError):  # ValueError: bad spec values
+    except InvalidInputError as exc:  # a spec value breaks one of its rules
+        raise SchemaError(f"{sidecar}: {exc}") from None
+    except (KeyError, TypeError):
         raise SchemaError(f"{sidecar}: expected an object with a split_sizes "
                           f"object and a spec that is null or a spec object"
                           ) from None

@@ -47,14 +47,6 @@ class EquivalenceReport:
     additive_constant: float
     samples_checked: int
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise InvalidInputError(f"unknown method {self.method!r}")
-        if self.max_abs_deviation < 0:
-            raise InvalidInputError("max_abs_deviation must be >= 0")
-        if self.samples_checked < 1:
-            raise InvalidInputError("samples_checked must be >= 1")
-
 
 def ls_coefficients(teacher: ProbVector, delta: float,
                     order: int) -> PerturbationConfig:

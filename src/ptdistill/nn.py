@@ -31,12 +31,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import InvalidInputError, SchemaError, TrainingDivergenceError
-from .data import json_array, json_number, read_json
+# forward_rows's shortest block (see "Memory layout" above) is data's,
+# bound at import so that patching data._BLOCK_ROWS leaves it as it is
+from .data import _BLOCK_ROWS, json_array, json_number, read_json
 from .losses import TrainingLoss
 from .rng import derive_rng
-
-# forward_rows's shortest block; see "Memory layout" above
-_BLOCK_ROWS = 8192
 
 
 @dataclass

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidInputError, SearchFailureError, entropy_rows
+from .core import (
+    InvalidInputError,
+    SearchFailureError,
+    entropy_rows,
+    on_simplex,
+)
 from .losses import PerturbationConfig
 from .proxy import solve_proxy_rows
 from .rng import derive_rng
@@ -28,12 +33,6 @@ class QualityScore:
     total: float
     distance_term: float
     entropy_term: float
-
-    def __post_init__(self):
-        if self.distance_term < 0 or self.entropy_term < 0:
-            raise InvalidInputError("score terms must be >= 0")
-        if abs(self.total - (self.distance_term + self.entropy_term)) > 1e-12:
-            raise InvalidInputError("total must equal the sum of its terms")
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,6 @@ class RiskGapTerms:
     l2_distance_mean: float
     entropy_sq_mean: float
     tvd_mean: float
-
-    def __post_init__(self):
-        if min(self.l2_distance_mean, self.entropy_sq_mean, self.tvd_mean) < 0:
-            raise InvalidInputError("risk-gap terms must be >= 0")
-        if self.tvd_mean > 1.0 + 1e-12:
-            raise InvalidInputError("tvd_mean must be <= 1")
 
 
 def _row_pair(first, second, names: tuple[str, str]) -> list[np.ndarray]:
@@ -104,9 +97,15 @@ def quality_score(proxies, labels) -> QualityScore:
 def risk_gap_terms(model_probs, reference) -> RiskGapTerms:
     """Measurable risk-gap terms plus the TVD diagnostic.
 
-    ``reference`` may be one-hot labels or closed-form posterior rows.
+    ``reference`` may be one-hot labels or closed-form posterior rows; both
+    must hold rows on the simplex.
     """
-    p, ref = _row_pair(model_probs, reference, ("model_probs", "reference"))
+    names = ("model_probs", "reference")
+    p, ref = _row_pair(model_probs, reference, names)
+    for rows, name in zip((p, ref), names):
+        if not on_simplex(rows):
+            raise InvalidInputError(f"{name} rows must be finite, in [0, 1] "
+                                    f"and sum to 1")
     l2, ent = _row_terms(p, ref)
     return RiskGapTerms(
         l2_distance_mean=l2, entropy_sq_mean=ent,

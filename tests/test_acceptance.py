@@ -233,12 +233,15 @@ def desk_scale():
                                    nn.TrainConfig(epochs=100, seed=seed))
         teachers[seed] = teacher
         stc = nn.TrainConfig(epochs=100, seed=seed + 100)
-        kl_student, _ = _train_student(teacher, data, make_loss("kl"), stc)
+        # no test reads the students' histories
+        kl_student, _ = _train_student(teacher, data, make_loss("kl"), stc,
+                                       record_history=False)
         cfg = best_trial(run_search(
             teacher_probs(teacher, x_val), y_val,
             SearchSpec(max_order=3, trials_per_order=100, seed=seed))).config
         pt_student, _ = _train_student(teacher, data,
-                                       make_loss("pt", cfg=cfg), stc)
+                                       make_loss("pt", cfg=cfg), stc,
+                                       record_history=False)
         accs.append((nn.accuracy(kl_student, x_test, y_test),
                      nn.accuracy(pt_student, x_test, y_test)))
 

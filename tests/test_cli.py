@@ -759,14 +759,19 @@ class TestMalformedJson:
         # two class means equal as values, so the posterior is another
         # mixture's
         ("eval --data-dir {equal_means} --model {teacher}",
-         "{equal_means}/spec.json"),
+         "{equal_means}/spec.json: class means must be distinct"),
         ("eval --data-dir {signed_zero_means} --model {teacher}",
-         "{signed_zero_means}/spec.json"),
+         "{signed_zero_means}/spec.json: class means must be distinct"),
+        # and each other value rule of the spec is named on the line
+        ("eval --data-dir {zero_sigma} --model {teacher}",
+         "{zero_sigma}/spec.json: sigma must be > 0"),
+        ("eval --data-dir {two_mean} --model {teacher}",
+         "{two_mean}/spec.json: mean entries must come from {{-1, 0, 1}}"),
     ], ids=["config", "coeffs", "configs", "configs-not-a-list", "teacher",
             "model", "spec", "model-not-a-model", "model-shapes",
             "model-not-finite", "spec-list", "split-sizes",
             "split-sizes-huge", "split-sizes-negative", "means-equal",
-            "means-signed-zero"])
+            "means-signed-zero", "sigma-zero", "mean-entry-two"])
     def test_is_schema_error_naming_the_file(self, workspace, capsys,
                                              tmp_path, argv, culprit):
         _, data_dir, teacher = workspace
@@ -798,6 +803,15 @@ class TestMalformedJson:
             means = meta["spec"]["means"]
             assert 0.0 in means[0]
             means[1] = [-v if negate and v == 0 else v for v in means[0]]
+            (sized[key] / "spec.json").write_text(json.dumps(meta))
+        for key, field, change in [
+                ("zero_sigma", "sigma", lambda spec: 0.0),
+                ("two_mean", "means",
+                 lambda spec: [[2.0] + row[1:] for row in spec["means"]])]:
+            sized[key] = tmp_path / key
+            shutil.copytree(data_dir, sized[key])
+            meta = json.loads((sized[key] / "spec.json").read_text())
+            meta["spec"][field] = change(meta["spec"])
             (sized[key] / "spec.json").write_text(json.dumps(meta))
         model = json.loads(teacher.read_text())
         model["weights"][0] = model["weights"][0][:5]

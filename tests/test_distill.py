@@ -7,7 +7,6 @@ from ptdistill import nn, selection
 from ptdistill.core import InvalidInputError, softmax_rows
 from ptdistill.data import GaussianMixtureSpec, generate
 from ptdistill.distill import (
-    DistillationReport,
     distill_student,
     sweep_proxy_teachers,
     teacher_probs,
@@ -222,12 +221,3 @@ class TestSweepProxyTeachers:
                                  [PerturbationConfig.zero(3, 1),
                                   PerturbationConfig.tied([1.0], 3)],
                                  quick_tc())
-
-
-class TestDistillationReport:
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            DistillationReport(method="kl", student_test_accuracy=1.5,
-                               teacher_vs_truth=None, teacher_vs_labels=None,
-                               chosen_config={}, seeds={},
-                               teacher_validation_accuracy=0.5)

@@ -194,7 +194,3 @@ class TestEquivalenceReport:
         d = asdict(rep)
         assert d["method"] == "focal"
         assert d["samples_checked"] == 10
-
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            EquivalenceReport("focal", -1.0, 0.0, 10)

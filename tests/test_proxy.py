@@ -5,7 +5,9 @@ from ptdistill import proxy
 from ptdistill.core import (
     SIMPLEX_ATOL,
     InvalidInputError,
+    SolverDivergenceError,
     clamp_probs,
+    on_simplex,
     softmax_rows,
 )
 from ptdistill.losses import PerturbationConfig, pt_grad_rows, pt_rows
@@ -281,6 +283,31 @@ class TestBatchSolvers:
         for i, (proxy_, norm, iters, _) in enumerate(alone):
             assert np.array_equal(proxies[i], proxy_)
             assert norms[i] == norm and iterations[i] == iters
+
+    @pytest.mark.parametrize("solver", [SolverConfig(max_iterations=1),
+                                        SolverConfig()],
+                             ids=["one-iteration", "default"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_extreme_coefficients_leave_proxies_finite(self, order, solver):
+        # no check on exit: a proxy is finite and on the simplex, or the
+        # solve stops at its start point; at order 1, 1e150 makes some
+        # trials' residuals non-finite from a finite start
+        rng = np.random.default_rng(79)
+        teachers = rng.dirichlet(np.full(4, 0.5), size=30)
+        teachers[::3, 1] = teachers[1::5, 3] = 0.0
+        teachers /= teachers.sum(axis=1, keepdims=True)
+        signs = np.where(rng.random((4, order)) < 0.5, -1.0, 1.0)
+        with np.errstate(all="ignore"):
+            for scale in (1e12, 1e150):
+                for eps in (signs, np.abs(signs), -np.abs(signs)):
+                    proxies, _, _, _ = _solve_rows(
+                        teachers, PerturbationConfig(order, scale * eps),
+                        solver)
+                    assert on_simplex(proxies)
+            with pytest.raises(SolverDivergenceError,
+                               match="at the start point"):
+                _solve_rows(teachers,
+                            PerturbationConfig(order, 1e300 * signs), solver)
 
     def test_rows_matches_batch(self):
         # the pipelines' entry point returns the full solve's arrays unchanged

@@ -6,8 +6,6 @@ from ptdistill.losses import PerturbationConfig
 from ptdistill import selection
 from ptdistill.proxy import solve_proxy_rows
 from ptdistill.selection import (
-    QualityScore,
-    RiskGapTerms,
     SearchSpec,
     best_trial,
     quality_score,
@@ -44,10 +42,6 @@ class TestQualityScore:
         with pytest.raises(InvalidInputError):
             quality_score(np.full((2, 2), 0.5), np.eye(3))
 
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            QualityScore(total=1.0, distance_term=0.2, entropy_term=0.2)
-
 
 class TestNegEntropySq:
     def test_zero_log_zero(self):
@@ -76,11 +70,16 @@ class TestRiskGapTerms:
         assert terms.l2_distance_mean == 0.0
         assert terms.tvd_mean == 0.0
 
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            RiskGapTerms(-0.1, 0.0, 0.0)
-        with pytest.raises(InvalidInputError):
-            RiskGapTerms(0.0, 0.0, 1.5)
+    @pytest.mark.parametrize("p,ref", [
+        # a TVD of 0.55 is in range, but the row sums to 1.1
+        ([[0.5, 0.6]], [[1.0, 0.0]]),
+        ([[1.0, 0.0]], [[0.5, 0.6]]),
+        ([[1.2, -0.2]], [[1.0, 0.0]]),
+        ([[np.nan, 1.0]], [[1.0, 0.0]]),
+    ], ids=["sum-model", "sum-reference", "negative", "nan"])
+    def test_rejects_rows_off_the_simplex(self, p, ref):
+        with pytest.raises(InvalidInputError, match="sum to 1"):
+            risk_gap_terms(p, ref)
 
 
 def small_validation_set(seed=0, n=40):
