@@ -217,6 +217,10 @@ def _search_spec(cfg: dict, seed_key: str) -> SearchSpec:
                       tie_classes=cfg["tie-classes"], seed=cfg[seed_key])
 
 
+# The splits train-teacher and distill hold in memory
+TRAINING_SPLITS = ("train", "validation")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands: each maps its options to (summary, seeds, inputs, outputs),
 # and adds the file digests it computes to ``digests`` for the manifest
@@ -233,7 +237,7 @@ def cmd_generate_data(cfg: dict, digests: dict):
 
 
 def cmd_train_teacher(cfg: dict, digests: dict):
-    ds = load_dataset(cfg["data-dir"], digests)
+    ds = load_dataset(cfg["data-dir"], digests, TRAINING_SPLITS)
     tc = _train_config(cfg)
     model, val_acc = train_teacher(ds, _parse_numbers(cfg, "arch", int), tc)
     nn.save_model(model, cfg["out"])
@@ -259,7 +263,8 @@ def cmd_distill(cfg: dict, digests: dict):
             raise SchemaError(f"--method {cfg['method']} requires --{loss_cls.param}")
         params[loss_cls.param] = cfg[loss_cls.param]
 
-    ds = load_dataset(cfg["data-dir"], digests)
+    # the student's test accuracy is scored as the test split is read
+    ds = load_dataset(cfg["data-dir"], digests, TRAINING_SPLITS)
     teacher = nn.load_model(cfg["teacher"])
     report = distill_student(teacher, ds, loss_cls.method, _train_config(cfg),
                              params=params, search_spec=search_spec)

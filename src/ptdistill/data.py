@@ -17,7 +17,9 @@ format; deleting the copies only makes the next load parse.
 
 A dataset is held once: ``generate``, ``save_dataset`` and
 ``load_dataset`` work in blocks of ``_BLOCK_ROWS`` rows beside it, and
-only the CSV-parse fallback holds a split's parsed rows too. The CSV
+only the CSV-parse fallback holds a split's parsed rows too.
+``load_dataset`` can leave splits on disk: each stays a ``SplitFile``
+whose ``read`` hands its rows to a function a block at a time. The CSV
 digests the seals take are handed back in a ``digests`` dict, so a caller
 that records them need not hash the files again.
 """
@@ -126,29 +128,46 @@ class GaussianMixtureSpec:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Inputs, one-hot labels, and a disjoint train/validation/test partition."""
+    """Inputs, one-hot labels, and a disjoint train/validation/test partition.
+
+    ``inputs`` and ``labels`` hold the rows of each split in SPLIT_NAMES
+    order, except the splits in ``files``, which ``load_dataset`` left on
+    disk; ``split_sizes`` counts every split.
+    """
 
     inputs: np.ndarray            # (N, d)
     labels: np.ndarray            # (N, C) one-hot
     split_sizes: dict = field(default_factory=dict)
     spec: GaussianMixtureSpec | None = None
+    files: dict = field(default_factory=dict)  # split name -> SplitFile
 
     def __post_init__(self):
-        if sum(self.split_sizes.values()) != self.inputs.shape[0]:
+        held = [n for n in self.split_sizes if n not in self.files]
+        if sum(self.split_sizes[n] for n in held) != self.inputs.shape[0]:
             raise InvalidInputError("split sizes must sum to N")
 
     def _bounds(self, name: str):
         if name not in SPLIT_NAMES or name not in self.split_sizes:
             raise InvalidInputError(f"unknown split {name!r}")
+        if name in self.files:
+            raise InvalidInputError(f"the {name} split was left on disk")
         before = SPLIT_NAMES[:SPLIT_NAMES.index(name)]
-        start = sum(self.split_sizes[n] for n in before)
+        start = sum(self.split_sizes[n] for n in before if n not in self.files)
         return start, start + self.split_sizes[name]
+
+    def rows(self, name: str) -> int:
+        """The row count of one named partition, held or on disk, which
+        must hold rows."""
+        if name not in SPLIT_NAMES or name not in self.split_sizes:
+            raise InvalidInputError(f"unknown split {name!r}")
+        if not self.split_sizes[name]:
+            raise InvalidInputError(f"the {name} split is empty")
+        return self.split_sizes[name]
 
     def split(self, name: str):
         """(inputs, labels) for one named partition, which must hold rows."""
+        self.rows(name)
         lo, hi = self._bounds(name)
-        if lo == hi:
-            raise InvalidInputError(f"the {name} split is empty")
         return self.inputs[lo:hi], self.labels[lo:hi]
 
 
@@ -239,37 +258,96 @@ def _copy_holds(path, n: int, width: int) -> bool:
         size = os.stat(_copy_path(path)).st_size
     except OSError:  # no copy
         return False
-    return n >= 0 and size == _SEAL_BYTES + n * width * _COPY_DTYPE.itemsize
+    return size == _SEAL_BYTES + n * width * _COPY_DTYPE.itemsize
 
 
-def _read_copy(path, digests: dict | None, inputs, labels) -> bool:
-    """Whether the binary copy of the CSV ``path`` opens with the seal of
-    the CSV as it is now and of as many rows as ``inputs`` holds after it.
+@dataclass(frozen=True)
+class SplitFile:
+    """A split CSV of a saved dataset, with the row count spec.json gives
+    it and its feature count, read a block at a time.
 
-    The rows are read a block at a time into one buffer and hashed, and
-    each block's features and last column are copied into their rows of
-    ``inputs`` and ``labels``. The CSV's digest is recorded in
-    ``digests``. Nothing in the copy is parsed or unpickled.
+    Every row read must have finite features and, given ``num_classes``,
+    a label that is an integer in [0, num_classes). ``digests``, if
+    given, gains the CSV's digest, keyed by ``path``, whenever the binary
+    copy is checked against it.
     """
-    # hashed first, so its read buffers are freed before the block buffer
-    csv_digest = file_digest(path)
-    if digests is not None:
-        digests[Path(path)] = csv_digest
-    seal = hashlib.sha256(csv_digest)
-    n, dim = inputs.shape
-    block = np.empty((min(n, _BLOCK_ROWS), dim + 1), dtype=_COPY_DTYPE)
-    try:
-        with open(_copy_path(path), "rb") as f:
-            expected = f.read(_SEAL_BYTES)
-            for rows in _row_blocks(0, n):
-                read = block[:rows.stop - rows.start]
-                if f.readinto(read) != read.nbytes:
-                    return False
-                seal.update(read)
-                inputs[rows], labels[rows] = read[:, :-1], read[:, -1]
-    except OSError:  # the copy went away
-        return False
-    return seal.digest() == expected
+
+    path: Path
+    rows: int
+    dim: int
+    num_classes: int | None = None
+    digests: dict | None = None
+
+    def parse(self) -> np.ndarray:
+        """The CSV's (rows, dim + 1) numbers, as many rows as spec.json gives."""
+        rows = read_csv(self.path)[1]
+        if len(rows) != self.rows:
+            raise SchemaError(f"{self.path.with_name('spec.json')}: split_sizes "
+                              f"gives {self.path.stem} {self.rows} rows, "
+                              f"{self.path} has {len(rows)}")
+        return rows
+
+    def read(self, blocks, fn, parsed: np.ndarray | None = None) -> list:
+        """``[fn(rows, inputs, labels) for rows in blocks]``, ``blocks``
+        being consecutive slices that cover the split, taken only once its
+        row count has been checked.
+
+        The blocks come from the binary copy, if its size fits, and the
+        results stand only if the seal matches the CSV as it is now and
+        exactly the bytes handed to ``fn``; otherwise they come from the
+        CSV's text, or ``parsed``, its rows already parsed. So ``fn`` must
+        have no effect that a pass over the text does not overwrite. A
+        block that breaks a check raises SchemaError once it is accepted.
+        """
+        if parsed is None and _copy_holds(self.path, self.rows, self.dim + 1):
+            blocks = list(blocks)
+            results = self._read_copy(blocks, fn)
+            if results is not None:
+                return results
+        if parsed is None:
+            parsed = self.parse()
+        return [self._checked(rows, parsed[rows], fn) for rows in blocks]
+
+    def _checked(self, rows: slice, block: np.ndarray, fn):
+        inputs, labels = block[:, :-1], block[:, -1]
+        if not np.isfinite(inputs).all():
+            raise SchemaError(f"{self.path}: feature cells must be finite")
+        if self.num_classes is not None:
+            _check_labels(labels, self.num_classes)
+        return fn(rows, inputs, labels)
+
+    def _read_copy(self, blocks: list, fn) -> list | None:
+        """The results over the binary copy's blocks, read into one buffer
+        and hashed (never parsed or unpickled), or None unless the copy
+        opens with the seal of the CSV as it is now and of the bytes read."""
+        # hashed first, so its read buffers are freed before the block buffer
+        csv_digest = file_digest(self.path)
+        if self.digests is not None:
+            self.digests[self.path] = csv_digest
+        seal = hashlib.sha256(csv_digest)
+        block = np.empty((max((rows.stop - rows.start for rows in blocks),
+                              default=0), self.dim + 1), dtype=_COPY_DTYPE)
+        results, error = [], None
+        try:
+            with open(_copy_path(self.path), "rb") as f:
+                expected = f.read(_SEAL_BYTES)
+                for rows in blocks:
+                    read = block[:rows.stop - rows.start]
+                    if f.readinto(read) != read.nbytes:
+                        return None
+                    seal.update(read)
+                    if error is None:
+                        try:
+                            results.append(self._checked(rows, read, fn))
+                        except SchemaError as exc:  # stands if the seal does
+                            error = exc
+        except OSError:  # the copy went away
+            return None
+        if seal.digest() != expected:
+            return None
+        if error is not None:
+            raise error
+        return results
 
 
 def file_digest(path) -> bytes:
@@ -324,13 +402,20 @@ def read_json(path):
                               ) from None
 
 
-def one_hot(labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
-    """One-hot rows for class indices, which must be integers in [0, C)."""
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    """Raise SchemaError unless every label is an integer in [0, C)."""
     whole = np.isfinite(labels) & (labels == np.floor(labels))
-    if num_classes is None:
-        num_classes = int(labels[whole].max(initial=0)) + 1
     if not np.all(whole & (labels >= 0) & (labels < num_classes)):
         raise SchemaError(f"labels must be integers in [0, {num_classes})")
+
+
+def one_hot(labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
+    """One-hot rows for class indices, which must be integers in [0, C);
+    without a C, the largest whole label sets it."""
+    if num_classes is None:
+        whole = np.isfinite(labels) & (labels == np.floor(labels))
+        num_classes = int(labels[whole].max(initial=0)) + 1
+    _check_labels(labels, num_classes)
     out = np.zeros((labels.size, num_classes))
     out[np.arange(labels.size), labels.astype(int)] = 1.0
     return out
@@ -407,18 +492,23 @@ def dataset_files(in_dir) -> list[Path]:
                                      for name in SPLIT_NAMES]
 
 
-def load_dataset(in_dir, digests: dict | None = None) -> LabeledDataset:
-    """The dataset ``save_dataset`` wrote to ``in_dir``.
+def load_dataset(in_dir, digests: dict | None = None,
+                 splits=SPLIT_NAMES) -> LabeledDataset:
+    """The dataset ``save_dataset`` wrote to ``in_dir``, holding the rows
+    of the ``splits`` named; every other split stays on disk as a
+    ``SplitFile`` in the dataset's ``files``, read when it is used.
 
-    Each split's rows come from its binary copy while that matches the
-    CSV, else from the CSV's text; the checks below hold either way. Each
-    split's header must be ``x_0..x_{d-1},label``, with d the spec's
-    dim, or the first split's when the spec is null, and its row count
-    must be the spec's ``split_sizes`` entry. The inputs and labels are
-    allocated once, after every count has been checked against the
-    files, and each copy is read into them a block at a time.
-    ``digests``, if given, gains the digest of each CSV that a copy was
-    checked against, keyed by its path.
+    Without a spec every split is held, since the labels of all of them
+    set the class count. Each split's rows come from its binary copy
+    while that matches the CSV, else from the CSV's text; the checks
+    below hold either way. Each split's header must be
+    ``x_0..x_{d-1},label``, with d the spec's dim, or the first split's
+    when the spec is null, and its row count must be the spec's
+    ``split_sizes`` entry. Every header is checked first, and the
+    inputs and labels are allocated once, after the count of each held
+    split has been checked against the files; each copy is read into
+    them a block at a time. ``digests``, if given, gains the digest of
+    each CSV that a copy was checked against, keyed by its path.
     """
     sidecar, *paths = dataset_files(in_dir)
     meta = read_json(sidecar)
@@ -434,17 +524,15 @@ def load_dataset(in_dir, digests: dict | None = None) -> LabeledDataset:
         raise SchemaError(f"{sidecar}: expected an object with a split_sizes "
                           f"object and a spec that is null or a spec object"
                           ) from None
+    for name, size in sizes.items():
+        if size < 0:
+            raise SchemaError(f"{sidecar}: split_sizes.{name} must be >= 0, "
+                              f"got {size}")
+    if spec is None:
+        splits = SPLIT_NAMES
 
-    def parse(name, path):  # a split's CSV rows, as many as its size
-        rows = read_csv(path)[1]
-        if len(rows) != sizes[name]:
-            raise SchemaError(f"{sidecar}: split_sizes gives {name} "
-                              f"{sizes[name]} rows, {path} has {len(rows)}")
-        return rows
-
-    n = sum(sizes.values())
     dim = spec.dim if spec else None
-    parsed = {}  # the rows of each split read from its text
+    files, parsed = {}, {}  # parsed: the rows of a held split read from text
     for name, path in zip(SPLIT_NAMES, paths):
         header = _read_header(path)
         if dim is None:
@@ -452,31 +540,31 @@ def load_dataset(in_dir, digests: dict | None = None) -> LabeledDataset:
         if header != [f"x_{i}" for i in range(dim)] + ["label"]:
             raise SchemaError(f"{path}: expected header x_0..x_{dim - 1},label, "
                               f"got {','.join(header)}")
+        files[name] = SplitFile(path, sizes[name], dim,
+                                spec.num_classes if spec else None, digests)
         # a copy of another size is not read; its CSV gives the count
-        if not _copy_holds(path, sizes[name], dim + 1):
-            parsed[name] = parse(name, path)
+        if name in splits and not _copy_holds(path, sizes[name], dim + 1):
+            parsed[name] = files[name].parse()
+    held = [name for name in SPLIT_NAMES if name in splits]
+    n = sum(sizes[name] for name in held)
     inputs = np.empty((n, dim))
     labels = np.empty(n)
     lo = 0
-    for name, path in zip(SPLIT_NAMES, paths):
+    for name in held:
         hi = lo + sizes[name]
-        if name not in parsed and not _read_copy(
-                path, digests, inputs[lo:hi], labels[lo:hi]):
-            parsed[name] = parse(name, path)  # the CSV changed since its copy
-        if name in parsed:
-            rows = parsed.pop(name)
-            inputs[lo:hi], labels[lo:hi] = rows[:, :-1], rows[:, -1]
-        # one block's flags at a time
-        if not all(np.isfinite(inputs[rows]).all()
-                   for rows in _row_blocks(lo, hi)):
-            raise SchemaError(f"{path}: feature cells must be finite")
+
+        def fill(rows, block_inputs, block_labels, at=lo):
+            inputs[at + rows.start:at + rows.stop] = block_inputs
+            labels[at + rows.start:at + rows.stop] = block_labels
+        split = files.pop(name)
+        split.read(_row_blocks(0, split.rows), fill, parsed.pop(name, None))
         # without a spec the largest label sets the class count
         top = np.max(labels[lo:hi], initial=0)
         if spec is None and top >= n:
-            raise SchemaError(f"{path}: label {top:g} implies more classes "
-                              f"than the dataset's {n} rows")
+            raise SchemaError(f"{split.path}: label {top:g} implies more "
+                              f"classes than the dataset's {n} rows")
         lo = hi
     return LabeledDataset(inputs=inputs,
                           labels=one_hot(labels,
                                          spec.num_classes if spec else None),
-                          split_sizes=sizes, spec=spec)
+                          split_sizes=sizes, spec=spec, files=files)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import nn, selection
 from .core import InvalidInputError, softmax_rows
-from .data import LabeledDataset, true_posterior_rows
+from .data import SPLIT_NAMES, LabeledDataset, true_posterior_rows
 from .losses import PerturbationConfig, loss_class, make_loss
 from .nn import MlpModel, TrainConfig
 from .proxy import solve_proxy_rows
@@ -59,6 +59,15 @@ def train_teacher(data: LabeledDataset, arch, tc: TrainConfig):
     return model, nn.accuracy(model, *data.split("validation"))
 
 
+def split_accuracy(model: MlpModel, data: LabeledDataset, name: str) -> float:
+    """The model's argmax accuracy on one named split: the held rows, or
+    a split ``load_dataset`` left on disk, scored as it is read."""
+    if name in data.files:
+        split = data.files[name]
+        return nn.block_accuracy(model, split.rows, split.read)
+    return nn.accuracy(model, *data.split(name))
+
+
 def teacher_diagnostics(teacher: MlpModel, data: LabeledDataset, split: str):
     """(accuracy, risk-gap terms vs labels, vs truth or None) on one split."""
     x, y = data.split(split)
@@ -97,9 +106,9 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
     params = dict(params or {})
     method = loss_class(method).method
     # every split is needed; an empty one fails before any training
-    data.split("train")
+    for name in SPLIT_NAMES:
+        data.rows(name)
     x_val, y_val = data.split("validation")
-    x_test, y_test = data.split("test")
     _check_outputs(teacher, data, "teacher")
     chosen: dict = {"method": method, **params}
     if method == "pt":
@@ -121,7 +130,7 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
     loss = make_loss(method, **params)
     student, history = _train_student(teacher, data, loss, tc)
 
-    test_acc = nn.accuracy(student, x_test, y_test)
+    test_acc = split_accuracy(student, data, "test")
     teacher_val_acc, vs_labels, vs_truth = teacher_diagnostics(
         teacher, data, "validation")
     seeds = {
@@ -170,7 +179,7 @@ def sweep_proxy_teachers(teacher: MlpModel, data: LabeledDataset,
     _check_outputs(teacher, data, "teacher")
     probs_val = teacher_probs(teacher, x_val)
     truth = true_posterior_rows(data.spec, x_val)
-    x_test, y_test = data.split("test")
+    data.rows("test")
 
     points = []
     for cfg in configs:
@@ -181,7 +190,7 @@ def sweep_proxy_teachers(teacher: MlpModel, data: LabeledDataset,
         points.append(SweepPoint(
             l2_distance_to_truth=terms.l2_distance_mean,
             tvd_to_truth=terms.tvd_mean,
-            student_test_accuracy=nn.accuracy(student, x_test, y_test),
+            student_test_accuracy=split_accuracy(student, data, "test"),
             converged_fraction=float(np.mean(converged)),
         ))
     return points

@@ -16,12 +16,16 @@ Memory layout:
   shorter batch uses their leading rows.
 * The forward pass adds the bias in place (``a = h @ w; a += b``), so a
   layer costs one array of its output size, never a second temporary.
-* ``forward_rows`` runs N rows as ``max(1, N // 8192)`` near-equal blocks
-  of 8,192 to 16,383 rows that share one set of hidden buffers, and the
-  last layer writes into the block's rows of the logits. Inference memory
-  is then bounded by the block, not N. Blocks that long take the same BLAS
-  kernel path as one full-batch product, so the logits are the same bits;
-  short blocks (a few thousand rows) can move their last bits.
+* ``forward_rows`` runs N rows as the ``inference_blocks(N)``:
+  ``max(1, N // 8192)`` near-equal blocks of 8,192 to 16,383 rows that
+  share one set of hidden buffers, and the last layer writes into the
+  block's rows of the logits. Inference memory is then bounded by the
+  block, not N. Blocks that long take the same BLAS kernel path as one
+  full-batch product, so the logits are the same bits; short blocks (a
+  few thousand rows) can move their last bits. Each block is its own
+  single block, so accuracy counted block by block over rows handed in
+  those blocks (``block_accuracy``) sees the same logits. ``train``
+  allocates one set of these buffers for all of its epochs' evaluations.
 """
 from __future__ import annotations
 
@@ -112,18 +116,34 @@ def _forward_layers(model: MlpModel, x: np.ndarray,
     return layers
 
 
-def forward_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Batched logits for an (N, d) input matrix, computed in row blocks."""
+def _block_count(n: int) -> int:
+    return max(1, n // _BLOCK_ROWS)
+
+
+def inference_blocks(n: int):
+    """The row blocks ``forward_rows`` runs n rows in: ``max(1, n // 8192)``
+    near-equal slices, made one at a time."""
+    count = _block_count(n)
+    return (slice(k * n // count, (k + 1) * n // count) for k in range(count))
+
+
+def inference_buffers(model: MlpModel, n: int) -> list[np.ndarray]:
+    """Hidden-layer buffers for the longest of ``inference_blocks(n)``."""
+    longest = -(-n // _block_count(n))
+    return [np.empty((longest, d)) for d in model.layer_dims[1:-1]]
+
+
+def forward_rows(model: MlpModel, x: np.ndarray,
+                 hidden: list[np.ndarray] | None = None) -> np.ndarray:
+    """Batched logits for an (N, d) input matrix, computed in row blocks;
+    ``hidden``, if given, holds ``inference_buffers`` for at least N rows."""
     x = _check_inputs(model, x)
-    n = x.shape[0]
-    blocks = max(1, n // _BLOCK_ROWS)
-    logits = np.empty((n, model.layer_dims[-1]))
-    longest = -(-n // blocks)
-    hidden = [np.empty((longest, d)) for d in model.layer_dims[1:-1]]
-    for k in range(blocks):
-        lo, hi = k * n // blocks, (k + 1) * n // blocks
-        _forward_layers(model, x[lo:hi],
-                        [h[:hi - lo] for h in hidden] + [logits[lo:hi]])
+    logits = np.empty((x.shape[0], model.layer_dims[-1]))
+    if hidden is None:
+        hidden = inference_buffers(model, x.shape[0])
+    for rows in inference_blocks(x.shape[0]):
+        _forward_layers(model, x[rows], [h[:rows.stop - rows.start]
+                                         for h in hidden] + [logits[rows]])
     return logits
 
 
@@ -160,17 +180,33 @@ class _Step:
 
 
 def evaluate(model: MlpModel, x: np.ndarray, targets: np.ndarray,
-             loss: TrainingLoss):
-    """Full-batch mean loss and argmax accuracy against the targets."""
-    logits = forward_rows(model, x)
+             loss: TrainingLoss, hidden: list[np.ndarray] | None = None):
+    """Full-batch mean loss and argmax accuracy against the targets;
+    ``hidden`` as for ``forward_rows``."""
+    logits = forward_rows(model, x, hidden)
     values, _ = loss.values_and_grads(targets, logits)
     acc = float(np.mean(np.argmax(logits, axis=1) == np.argmax(targets, axis=1)))
     return float(np.mean(values)), acc
 
 
+def block_accuracy(model: MlpModel, n: int, read) -> float:
+    """Argmax accuracy over n rows that ``read(blocks, score)`` hands to
+    ``score(rows, inputs, labels)`` (labels as class indices) one block of
+    ``inference_blocks(n)`` at a time, returning the correct counts."""
+    hidden = inference_buffers(model, n)
+
+    def score(rows, inputs, labels):
+        logits = forward_rows(model, inputs, hidden)
+        return int(np.count_nonzero(np.argmax(logits, axis=1) == labels))
+    return sum(read(inference_blocks(n), score)) / n
+
+
 def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
-    logits = forward_rows(model, x)
-    return float(np.mean(np.argmax(logits, axis=1) == np.argmax(labels, axis=1)))
+    """Argmax accuracy against one-hot labels."""
+    x = _check_inputs(model, x)
+    classes = np.argmax(labels, axis=1)
+    return block_accuracy(model, len(x), lambda blocks, score: [
+        score(rows, x[rows], classes[rows]) for rows in blocks])
 
 
 def _all_finite(model: MlpModel) -> bool:
@@ -198,6 +234,8 @@ def train(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
     model = MlpModel(dims, *_param_views(dims, params), seed=model.seed)
     n = inputs.shape[0]
     step = _Step(dims, min(tc.batch_size, n))
+    # one set of inference buffers serves every epoch's evaluation
+    hidden = inference_buffers(model, n) if record_history else None
     history = []
     for epoch in range(tc.epochs):
         order = derive_rng(tc.seed, "epoch-shuffle", epoch).permutation(n)
@@ -217,7 +255,7 @@ def train(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
                     f"non-finite parameter at epoch {epoch}, batch start {start}"
                 )
         if record_history:
-            mean_loss, acc = evaluate(model, inputs, targets, loss)
+            mean_loss, acc = evaluate(model, inputs, targets, loss, hidden)
             history.append({"epoch": epoch, "loss": mean_loss,
                             "accuracy": acc})
     return model, history

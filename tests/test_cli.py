@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,15 @@ from ptdistill.selection import SearchSpec, best_trial, run_search
 
 def write_probs(path, rows):
     write_csv(path, [f"p_{i}" for i in range(rows.shape[1])], [rows])
+
+
+def reseal(split_csv):
+    """Rewrite a split's binary copy to match its CSV as it is now: the
+    seal over the CSV's digest and the rows, then the rows."""
+    rows = data.read_csv(split_csv)[1].astype("<f8").tobytes()
+    seal = hashlib.sha256(hashlib.sha256(split_csv.read_bytes()).digest()
+                          + rows).digest()
+    split_csv.with_suffix(".rows").write_bytes(seal + rows)
 
 
 def run_cli(capsys, *argv):
@@ -338,6 +348,32 @@ class TestDistill:
         assert code == 2
         assert err == "error: --method temp requires --tau\n"
 
+    def test_holds_train_and_validation_rows(self, capsys, tmp_path):
+        # 40,000 rows split 0.05/0.05/0.9: 4,000 held rows, and 36,000 test
+        # rows scored as the four 9,000-row inference blocks are read
+        data_dir, teacher = tmp_path / "data", tmp_path / "t.json"
+        assert cli.run(["generate-data", "--n", "40000", "--split",
+                        "0.05,0.05,0.9", "--out-dir", str(data_dir)]) == 0
+        assert cli.run(["train-teacher", "--data-dir", str(data_dir),
+                        "--arch", "30,4,3", "--epochs", "1",
+                        "--out", str(teacher)]) == 0
+        tracemalloc.start()
+        try:
+            code = cli.run(["distill", "--data-dir", str(data_dir),
+                            "--teacher", str(teacher), "--method", "kl",
+                            "--epochs", "1", "--out", str(tmp_path / "r.json")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        held = 4_000 * (30 + 3) * 8   # inputs and one-hot labels
+        hidden = 9_000 * 4 * 8        # one inference block's hidden layer
+        # the slack covers the block read from the test split's copy (31
+        # columns against the hidden layer's 4), its logits and the
+        # student's training buffers; holding the test rows (36,000 x 33
+        # x 8 bytes) breaks it, as every split held took 9.2 times the sum
+        assert peak <= 4 * (held + hidden)
+
 
 def write_search_inputs(tmp_path, labels, probs):
     write_probs(tmp_path / "probs.csv", probs)
@@ -546,6 +582,8 @@ class TestMalformedDataset:
         # test.csv keeps its header, its rows lack a column, and its binary
         # copy is gone, so the text is parsed
         ("short-rows", "test.csv"),
+        # a NaN test cell, in the CSV and in its sealed copy alike
+        ("test-nan", "test.csv"),
     ])
     def test_is_schema_error_naming_the_split(self, workspace, capsys,
                                               tmp_path, command, case,
@@ -558,6 +596,12 @@ class TestMalformedDataset:
             meta["spec"]["dim"] = 30
             meta["spec"]["means"] = [row + [0.0] * 24
                                      for row in meta["spec"]["means"]]
+        elif case == "test-nan":
+            split = bad_dir / "test.csv"
+            lines = split.read_text().splitlines()
+            lines[-1] = "nan" + lines[-1][lines[-1].index(","):]
+            split.write_text("\n".join(lines) + "\n")
+            reseal(split)
         elif case == "short-rows":
             (bad_dir / "test.rows").unlink()
             split = bad_dir / "test.csv"
@@ -579,6 +623,32 @@ class TestMalformedDataset:
         assert code == 2 and stdout == ""
         assert len(err.splitlines()) == 1 and str(bad_dir / culprit) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "distill"])
+    @pytest.mark.parametrize("label,sealed", [
+        ("3", True), ("-1", True), ("1.5", True), ("3", False)],
+        ids=["3-sealed", "-1-sealed", "1.5-sealed", "3-edited-csv"])
+    def test_bad_test_label_is_one_line(self, workspace, capsys, tmp_path,
+                                        command, label, sealed):
+        # the line a bad label gave when every split was held
+        _, data_dir, teacher = workspace
+        bad_dir = tmp_path / "data"
+        shutil.copytree(data_dir, bad_dir)
+        split = bad_dir / "test.csv"
+        lines = split.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + label
+        split.write_text("\n".join(lines) + "\n")
+        if sealed:
+            reseal(split)
+        out = tmp_path / "out.json"
+        argv = {"eval": ["--model", str(teacher)],
+                "distill": ["--teacher", str(teacher), "--method", "kl",
+                            "--epochs", "1", "--out", str(out)]}[command]
+        code, stdout, err = run_cli(capsys, command, "--data-dir",
+                                    str(bad_dir), *argv)
+        assert code == 2 and stdout == ""
+        assert err == "error: labels must be integers in [0, 3)\n"
+        assert list(tmp_path.glob("out.json*")) == []
 
 
 class TestEmptySplits:
@@ -603,19 +673,37 @@ class TestEmptySplits:
         assert json.loads(stdout)["validation_accuracy"] is None
         assert len(recwarn) == 0
 
-    @pytest.mark.parametrize("argv,split", [
+    @pytest.fixture(scope="class")
+    def no_test(self, tmp_path_factory):
+        """A dataset generated with --split 0.5,0.5,0: only test.csv is
+        header-only."""
+        root = tmp_path_factory.mktemp("no-test")
+        data_dir = root / "data"
+        assert cli.run(["generate-data", "--n", "60", "--dim", "6",
+                        "--split", "0.5,0.5,0", "--out-dir", str(data_dir)]) == 0
+        return root, data_dir
+
+    @pytest.mark.parametrize("argv,split,dataset", [
         (["distill", "--teacher", "{t}", "--method", "kl", "--epochs", "1",
-          "--out", "{root}/kl.json"], "validation"),
-        (["eval", "--model", "{t}", "--split", "test"], "test"),
-    ], ids=["distill-kl", "eval-test"])
-    def test_command_needing_rows_is_domain_error(self, train_only, capsys,
-                                                  recwarn, argv, split):
-        root, data_dir = train_only
+          "--out", "{root}/kl.json"], "validation", "train_only"),
+        (["eval", "--model", "{t}", "--split", "test"], "test", "train_only"),
+        (["distill", "--teacher", "{t}", "--method", "kl", "--epochs", "1",
+          "--out", "{root}/kl.json"], "test", "no_test"),
+    ], ids=["distill-kl", "eval-test", "distill-kl-no-test"])
+    def test_command_needing_rows_is_domain_error(self, capsys, recwarn,
+                                                  monkeypatch, request,
+                                                  argv, split, dataset):
+        root, data_dir = request.getfixturevalue(dataset)
         teacher = root / "t.json"
         if not teacher.exists():
             assert cli.run(["train-teacher", "--data-dir", str(data_dir),
                             "--arch", "6,8,3", "--epochs", "1",
                             "--out", str(teacher)]) == 0
+        capsys.readouterr()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the splits")
+        monkeypatch.setattr(nn, "train", no_training)
         argv = [a.format(t=teacher, root=root) for a in argv]
         code, stdout, err = run_cli(capsys, argv[0], "--data-dir",
                                     str(data_dir), *argv[1:])
@@ -756,6 +844,13 @@ class TestMalformedJson:
          "{huge_data}/spec.json"),
         ("eval --data-dir {negative_data} --model {teacher}",
          "{negative_data}/spec.json"),
+        # the same for the test split, which distill reads after training
+        ("distill --data-dir {test_sizes} --teacher {teacher} --method kl "
+         "--epochs 1 --out {out}", "{test_sizes}/spec.json"),
+        ("distill --data-dir {test_huge} --teacher {teacher} --method kl "
+         "--epochs 1 --out {out}", "{test_huge}/spec.json"),
+        ("distill --data-dir {test_negative} --teacher {teacher} --method kl "
+         "--epochs 1 --out {out}", "{test_negative}/spec.json"),
         # two class means equal as values, so the posterior is another
         # mixture's
         ("eval --data-dir {equal_means} --model {teacher}",
@@ -770,7 +865,8 @@ class TestMalformedJson:
     ], ids=["config", "coeffs", "configs", "configs-not-a-list", "teacher",
             "model", "spec", "model-not-a-model", "model-shapes",
             "model-not-finite", "spec-list", "split-sizes",
-            "split-sizes-huge", "split-sizes-negative", "means-equal",
+            "split-sizes-huge", "split-sizes-negative", "test-size",
+            "test-size-huge", "test-size-negative", "means-equal",
             "means-signed-zero", "sigma-zero", "mean-entry-two"])
     def test_is_schema_error_naming_the_file(self, workspace, capsys,
                                              tmp_path, argv, culprit):
@@ -787,7 +883,10 @@ class TestMalformedJson:
         sized = {}
         for key, sizes in [("sizes_data", {"train": 301, "test": 149}),
                            ("huge_data", {"train": 10 ** 12}),
-                           ("negative_data", {"train": -1})]:
+                           ("negative_data", {"train": -1}),
+                           ("test_sizes", {"test": 149}),
+                           ("test_huge", {"test": 10 ** 12}),
+                           ("test_negative", {"test": -1})]:
             sized[key] = tmp_path / key
             shutil.copytree(data_dir, sized[key])
             meta = json.loads((sized[key] / "spec.json").read_text())

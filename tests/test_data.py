@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptdistill import cli, data
+from ptdistill import cli, data, nn
 from ptdistill.core import InvalidInputError, SchemaError, softmax_rows
 from ptdistill.data import (
     GaussianMixtureSpec,
@@ -23,6 +23,7 @@ from ptdistill.data import (
     save_dataset,
     true_posterior_rows,
 )
+from ptdistill.distill import split_accuracy
 from ptdistill.rng import derive_rng
 
 
@@ -271,6 +272,18 @@ class TestSerialization:
         assert len(recwarn) == 0
 
 
+class TestSplitSelection:
+    def test_specless_class_count_counts_every_split(self, tmp_path):
+        # label 2 sits only in test.csv; without a spec it sets C = 3
+        ds = generate(default_spec(seed=16, dim=3), 60, (0.5, 0.25, 0.25))
+        labels = np.zeros(60)
+        labels[45:] = 2
+        save_dataset(LabeledDataset(ds.inputs, data.one_hot(labels),
+                                    ds.split_sizes), tmp_path)
+        got = load_dataset(tmp_path, None, ("train", "validation"))
+        assert got.files == {} and got.labels.shape == (60, 3)
+
+
 class TestLabeledDataset:
     def test_rejects_inconsistent_sizes(self):
         with pytest.raises(InvalidInputError):
@@ -357,7 +370,7 @@ class TestBinaryCopies:
 
     @pytest.mark.parametrize("damage", [
         "truncated", "garbage", "flipped-byte", "few-columns",
-        "other-run", "object-dtype"])
+        "other-run", "object-dtype", "nan-cell", "bad-label"])
     def test_damaged_copy_is_parsed_never_unpickled(self, saved, tmp_path,
                                                     monkeypatch, recwarn,
                                                     damage):
@@ -379,6 +392,12 @@ class TestBinaryCopies:
                                   (0.5, 0.25, 0.25)), other)
             return (other / "train.rows").read_bytes()
 
+        def edited(cell, value):
+            # rows that fail a check, under the seal of the rows saved
+            bad = rows.copy()
+            bad[cell] = value
+            return seal + bad.astype("<f8").tobytes()
+
         def npy(array):
             with io.BytesIO() as f:
                 np.save(f, array, allow_pickle=True)
@@ -391,6 +410,8 @@ class TestBinaryCopies:
             "few-columns": lambda: seal + rows[:, :-1].tobytes(),
             "other-run": other_run,
             "object-dtype": lambda: npy(rows.astype(object)),
+            "nan-cell": lambda: edited((0, 0), math.nan),
+            "bad-label": lambda: edited((0, -1), 7.0),
         }[damage]()
         assert damaged != raw
         copy.write_bytes(damaged)
@@ -440,6 +461,44 @@ class TestBinaryCopies:
         assert parsed == [] and got.inputs.tobytes() == ds.inputs.tobytes()
         block = data._BLOCK_ROWS * 31 * 8
         assert peak <= got.inputs.nbytes + got.labels.nbytes + block + 2 ** 20
+
+    @pytest.mark.parametrize("rows,damage", [
+        # one block, the last single blocks and the first two-block splits
+        # of nn.inference_blocks, and a criterion-7 test split
+        (1, None), (8_191, None), (8_192, None), (16_383, None),
+        (16_384, None), (90_000, None),
+        # two blocks from a copy that is scored, then refused by its seal
+        # (the CSV changed), and from a copy refused by its size
+        (16_384, "edited-csv"), (16_384, "truncated-copy")])
+    def test_unheld_split_is_scored_as_read(self, tmp_path, monkeypatch,
+                                            rows, damage):
+        spec = default_spec(seed=15, dim=4)
+        drawn = generate(spec, rows + 2)
+        ds = LabeledDataset(drawn.inputs, drawn.labels,
+                            {"train": 1, "validation": 1, "test": rows}, spec)
+        save_dataset(ds, tmp_path)
+        test_csv = tmp_path / "test.csv"
+        if damage == "edited-csv":  # the last 100 labels move class
+            lines = test_csv.read_text().splitlines()
+            lines[-100:] = [f"{line.rsplit(',', 1)[0]},{(int(line[-1]) + 1) % 3}"
+                            for line in lines[-100:]]
+            test_csv.write_text("\n".join(lines) + "\n")
+        elif damage == "truncated-copy":
+            copy = tmp_path / "test.rows"
+            copy.write_bytes(copy.read_bytes()[:-8])
+        model = nn.init([4, 8, 3], seed=rows)
+        digests = {}
+        parsed = spy_on_parsing(monkeypatch)
+        held = load_dataset(tmp_path, digests, ("train", "validation"))
+        assert set(held.files) == {"test"} and len(held.inputs) == 2
+        assert parsed == [] and test_csv not in digests
+        got = split_accuracy(model, held, "test")
+        # a copy whose size does not fit is never hashed
+        assert parsed == ([] if damage is None else ["test.csv"])
+        assert (test_csv in digests) == (damage != "truncated-copy")
+        assert got == nn.accuracy(model, *load_dataset(tmp_path).split("test"))
+        saved = nn.accuracy(model, *ds.split("test"))
+        assert (got == saved) == (damage != "edited-csv")
 
     def test_negative_split_size_fits_no_copy(self, tmp_path):
         # by its size alone an 8-byte copy would hold -1 rows of 3 columns,

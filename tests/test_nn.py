@@ -302,6 +302,21 @@ class TestTrain:
             nn.train(model, np.zeros((1, 2)), np.eye(2)[:1],
                      self.HugeGradient(), tc)
 
+    def test_one_set_of_inference_buffers(self, monkeypatch):
+        # the per-epoch evaluations share one set of hidden buffers
+        x, labels = self.make_toy()
+        made = []
+        inference_buffers = nn.inference_buffers
+
+        def spy(model, n):
+            made.append(n)
+            return inference_buffers(model, n)
+        monkeypatch.setattr(nn, "inference_buffers", spy)
+        _, history = nn.train(nn.init([2, 4, 2], seed=0), x, labels,
+                              make_loss("cross_entropy"),
+                              nn.TrainConfig(epochs=5, seed=0))
+        assert len(history) == 5 and made == [len(x)]
+
     def test_zero_epochs_is_identity(self):
         x, labels = self.make_toy(n=8)
         model = nn.init([2, 2], seed=0)
