@@ -13,13 +13,14 @@ configuration, seeds, input digests, and output digests, so a run can be
 reproduced and checked bit-for-bit.
 
 Exit codes: 0 success, 1 domain error or a size beyond memory (single line
-on stderr), 2 usage or file/schema error.
+on stderr), 2 usage or file/schema error, or a closed stdout.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -32,10 +33,10 @@ from .core import DomainError, InvalidInputError, SchemaError, on_simplex
 from .data import (
     SPLIT_NAMES,
     SPLIT_RATIO,
+    DatasetDraw,
     GaussianMixtureSpec,
     dataset_files,
     file_digest,
-    generate,
     json_array,
     json_number,
     load_dataset,
@@ -230,9 +231,9 @@ def cmd_generate_data(cfg: dict, digests: dict):
     spec = GaussianMixtureSpec.sample(
         seed=cfg["seed"], num_classes=cfg["classes"], dim=cfg["dim"],
         sigma=cfg["sigma"])
-    ds = generate(spec, cfg["n"], _parse_numbers(cfg, "split", count=3))
-    written = save_dataset(ds, cfg["out-dir"], digests)
-    summary = {"out_dir": str(cfg["out-dir"]), "split_sizes": ds.split_sizes}
+    draw = DatasetDraw(spec, cfg["n"], _parse_numbers(cfg, "split", count=3))
+    written = save_dataset(draw, cfg["out-dir"], digests)
+    summary = {"out_dir": str(cfg["out-dir"]), "split_sizes": draw.split_sizes}
     return summary, {"seed": cfg["seed"]}, [], written
 
 
@@ -448,7 +449,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except BrokenPipeError as exc:
+        # Python flushes stdout again at exit; that flush goes nowhere now
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

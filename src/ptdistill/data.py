@@ -15,9 +15,11 @@ read, so an edited CSV is parsed again, and so is a damaged copy; the
 same checks run on the rows either way. The CSV stays the interchange
 format; deleting the copies only makes the next load parse.
 
-A dataset is held once: ``generate``, ``save_dataset`` and
-``load_dataset`` work in blocks of ``_BLOCK_ROWS`` rows beside it, and
-only the CSV-parse fallback holds a split's parsed rows too.
+A saved dataset need not be held: ``save_dataset`` writes each block of
+``_BLOCK_ROWS`` rows as it comes from a ``DatasetDraw``, which holds only
+the labels, or from a held ``LabeledDataset``. ``generate`` fills held
+arrays by the same rule, and ``load_dataset`` reads into them a block at
+a time; only the CSV-parse fallback holds a split's parsed rows too.
 ``load_dataset`` can leave splits on disk: each stays a ``SplitFile``
 whose ``read`` hands its rows to a function a block at a time. The CSV
 digests the seals take are handed back in a ``digests`` dict, so a caller
@@ -170,6 +172,17 @@ class LabeledDataset:
         lo, hi = self._bounds(name)
         return self.inputs[lo:hi], self.labels[lo:hi]
 
+    @property
+    def dim(self) -> int:
+        return self.inputs.shape[1]
+
+    def blocks(self, name: str):
+        """One held split's rows as (inputs, class indices) blocks of up to
+        ``_BLOCK_ROWS`` rows."""
+        lo, hi = self._bounds(name)
+        for rows in _row_blocks(lo, hi):
+            yield self.inputs[rows], np.argmax(self.labels[rows], axis=1)
+
 
 def _split_counts(n: int, split_ratio) -> dict:
     ratio = np.asarray(split_ratio, dtype=float)
@@ -185,25 +198,56 @@ def _split_counts(n: int, split_ratio) -> dict:
     return {"train": n_train, "validation": n_val, "test": n_test}
 
 
+class DatasetDraw:
+    """n labeled points being drawn from the mixture, deterministically in
+    the seed: the labels in full, then each input row, a block at a time,
+    as its class mean plus sigma times the next dim standard normals (the
+    values of ``means[y] + sigma * noise`` from one (n, dim) draw)."""
+
+    def __init__(self, spec: GaussianMixtureSpec, n: int,
+                 split_ratio=SPLIT_RATIO):
+        if n < spec.num_classes:
+            raise InvalidInputError("need at least one example per class")
+        self.spec, self.dim = spec, spec.dim
+        self.split_sizes = _split_counts(n, split_ratio)
+        self._rng = derive_rng(spec.seed, "gaussian-samples")
+        # int64, as the dtype fixes the stream
+        self.labels = self._rng.integers(0, spec.num_classes, size=n)
+        self._starts: dict = {}  # split name -> generator state at its start
+
+    def fill(self, rows: slice, out: np.ndarray) -> None:
+        """Draw the inputs of the labels ``rows`` into ``out``, a contiguous
+        (rows, dim) array."""
+        self._rng.standard_normal(out=out)
+        out *= self.spec.sigma
+        out += self.spec.means[self.labels[rows]]
+
+    def blocks(self, name: str):
+        """A split's (inputs, labels) blocks, drawn into one buffer. Splits
+        are drawn in SPLIT_NAMES order; one drawn again restarts the stream
+        where its first pass began."""
+        before = SPLIT_NAMES[:SPLIT_NAMES.index(name)]
+        lo = sum(self.split_sizes[n] for n in before)
+        hi = lo + self.split_sizes[name]
+        self._rng.bit_generator.state = self._starts.setdefault(
+            name, self._rng.bit_generator.state)
+        buffer = np.empty((min(hi - lo, _BLOCK_ROWS), self.dim))
+        for rows in _row_blocks(lo, hi):
+            inputs = buffer[:rows.stop - rows.start]
+            self.fill(rows, inputs)
+            yield inputs, self.labels[rows]
+
+
 def generate(spec: GaussianMixtureSpec, n: int,
              split_ratio=SPLIT_RATIO) -> LabeledDataset:
-    """Draw n labeled points from the mixture, deterministically in the seed.
-
-    The inputs are built in place from the noise draw (scale, then add the
-    class means block by block), the same values as
-    ``means[y] + sigma * noise``.
-    """
-    if n < spec.num_classes:
-        raise InvalidInputError("need at least one example per class")
-    counts = _split_counts(n, split_ratio)
-    rng = derive_rng(spec.seed, "gaussian-samples")
-    y = rng.integers(0, spec.num_classes, size=n)
-    inputs = rng.standard_normal(size=(n, spec.dim))
-    inputs *= spec.sigma
+    """Draw n labeled points from the mixture, held (see ``DatasetDraw``)."""
+    draw = DatasetDraw(spec, n, split_ratio)
+    inputs = np.empty((n, spec.dim))
     for rows in _row_blocks(0, n):
-        inputs[rows] += spec.means[y[rows]]
-    return LabeledDataset(inputs=inputs, labels=one_hot(y, spec.num_classes),
-                          split_sizes=counts, spec=spec)
+        draw.fill(rows, inputs[rows])
+    return LabeledDataset(inputs=inputs,
+                          labels=one_hot(draw.labels, spec.num_classes),
+                          split_sizes=draw.split_sizes, spec=spec)
 
 
 def true_posterior_rows(spec: GaussianMixtureSpec, x: np.ndarray) -> np.ndarray:
@@ -439,34 +483,29 @@ def _copy_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".rows")
 
 
-def _split_blocks(ds: LabeledDataset, name: str):
-    """A split's rows as saved, its inputs then its label, in blocks of up
-    to ``_BLOCK_ROWS`` rows that share one buffer: a block is overwritten
-    when the next is made."""
-    lo, hi = ds._bounds(name)
-    block = np.empty((min(hi - lo, _BLOCK_ROWS), ds.inputs.shape[1] + 1),
-                     dtype=_COPY_DTYPE)
-    for rows in _row_blocks(lo, hi):
-        out = block[:rows.stop - rows.start]
-        out[:, :-1] = ds.inputs[rows]
-        out[:, -1] = np.argmax(ds.labels[rows], axis=1)
-        yield out
-
-
-def save_dataset(ds: LabeledDataset, out_dir,
-                 digests: dict | None = None) -> list[Path]:
+def save_dataset(ds, out_dir, digests: dict | None = None) -> list[Path]:
     """Write ``dataset_files(out_dir)`` and a binary copy of each split's
     rows; returns the split CSVs, then the spec, then the copies.
 
-    Each split is written a block at a time, so the writes hold one block
-    beside the dataset. ``digests``, if given, gains each CSV's digest,
-    keyed by its path.
+    ``ds``, a ``LabeledDataset`` or a ``DatasetDraw``, gives its ``spec``,
+    ``split_sizes``, ``dim`` and each split's rows as ``blocks(name)``,
+    written as they come, so the writes hold one block beside ``ds``.
+    ``digests``, if given, gains each CSV's digest, keyed by its path.
     """
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     sidecar, *paths = dataset_files(out_dir)
-    header = [f"x_{i}" for i in range(ds.inputs.shape[1])] + ["label"]
+    header = [f"x_{i}" for i in range(ds.dim)] + ["label"]
+    block = np.empty((min(sum(ds.split_sizes.values()), _BLOCK_ROWS),
+                      ds.dim + 1), dtype=_COPY_DTYPE)
+
+    def saved_rows(name):  # a split's rows as saved: inputs, then label
+        for inputs, labels in ds.blocks(name):
+            out = block[:len(inputs)]
+            out[:, :-1] = inputs
+            out[:, -1] = labels
+            yield out
     for name, path in zip(SPLIT_NAMES, paths):
-        write_csv(path, header, _split_blocks(ds, name))
+        write_csv(path, header, saved_rows(name))
         csv_digest = file_digest(path)
         if digests is not None:
             digests[path] = csv_digest
@@ -474,7 +513,7 @@ def save_dataset(ds: LabeledDataset, out_dir,
         with open(_copy_path(path), "wb") as f:
             # the seal opens the copy; it is written once the rows are hashed
             f.seek(_SEAL_BYTES)
-            for rows in _split_blocks(ds, name):
+            for rows in saved_rows(name):
                 seal.update(rows)
                 rows.tofile(f)
             f.seek(0)

@@ -161,6 +161,30 @@ class TestGenerateData:
                 assert digest == hashlib.sha256(
                     Path(path).read_bytes()).hexdigest()
 
+    def test_peak_grows_by_the_labels_alone(self, tmp_path, monkeypatch,
+                                            capsys):
+        # 64-row blocks, so that both sizes span many blocks and tracing
+        # every savetxt allocation stays quick
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 64)
+        peaks = []
+        for n in (100, 2000, 8000):  # the first run fills lazy caches
+            tracemalloc.start()
+            try:
+                assert cli.run(["generate-data", "--n", str(n),
+                                "--out-dir", str(tmp_path / str(n))]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        capsys.readouterr()
+        # the labels are drawn in full, 8 bytes a row, and a block of the
+        # inputs at a time. The slack covers the class each savetxt call
+        # makes, a reference cycle that waits for the collector; the
+        # (8000, 30) inputs alone would take 1.9 MB.
+        assert peaks[2] - peaks[1] <= 8 * 6000 + 2 ** 19
+        # the digest of the CSV just written reads it through 1 MiB
+        assert max(peaks[1:]) <= 8 * 8000 + 2 * 2 ** 20
+
     def test_missing_out_dir_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "generate-data", "--n", "10")
         assert code == 2
@@ -1196,6 +1220,21 @@ class TestOneErrorLine:
         assert all(name in err for name in named)
         assert _files(tmp_path) == before
         assert not names["out"].exists()
+
+
+class TestClosedStdout:
+    def test_is_one_error_line(self):
+        # stdout is closed before the summary line is printed, as when the
+        # command is piped into `true`
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ptdistill.cli", "verify-equivalence",
+             "--method", "ls", "--param", "0.1", "--trials", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+        assert err == "error: [Errno 32] Broken pipe\n"
 
 
 class TestOneOwnerPerRule:

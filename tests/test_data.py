@@ -13,6 +13,7 @@ import pytest
 from ptdistill import cli, data, nn
 from ptdistill.core import InvalidInputError, SchemaError, softmax_rows
 from ptdistill.data import (
+    SPLIT_NAMES,
     GaussianMixtureSpec,
     LabeledDataset,
     _check_sizes,
@@ -243,6 +244,38 @@ class TestTruePosterior:
         sq = np.sum((x[:, None, :] - spec.means[None, :, :]) ** 2, axis=-1)
         expect = softmax_rows(-sq / (2.0 * spec.sigma ** 2))
         assert got.tobytes() == expect.tobytes()
+
+
+class TestStreamedDataset:
+    @pytest.mark.parametrize("size", [0, 1, 15, 16, 17])
+    def test_generate_data_writes_the_held_bytes(self, tmp_path, monkeypatch,
+                                                 size):
+        # 16-row blocks: validation and test hold `size` rows, 0, 1 and one
+        # block less, exactly and more; train holds two blocks and a row
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 16)
+        n = 33 + 2 * size
+        ratio = [rows / n for rows in (33, size, size)]
+        streamed, held = tmp_path / "streamed", tmp_path / "held"
+        assert cli.run(["generate-data", "--n", str(n), "--dim", "3",
+                        "--seed", "5", "--split", ",".join(map(repr, ratio)),
+                        "--out-dir", str(streamed)]) == 0
+        spec = default_spec(seed=5, dim=3)
+        ds = generate(spec, n, ratio)
+        assert ds.split_sizes == {"train": 33, "validation": size,
+                                  "test": size}
+        written = save_dataset(ds, held)
+        assert {p.name for p in streamed.iterdir()} == {
+            p.name for p in written} | {"train.csv.manifest.json"}
+        for path in written:
+            assert (streamed / path.name).read_bytes() == path.read_bytes()
+        # both are one (n, d) draw after the labels
+        rng = derive_rng(spec.seed, "gaussian-samples")
+        y = rng.integers(0, spec.num_classes, size=n)
+        x = spec.means[y] + spec.sigma * rng.standard_normal(size=(n, 3))
+        assert ds.inputs.tobytes() == x.tobytes()
+        copies = b"".join((streamed / f"{name}.rows").read_bytes()[32:]
+                          for name in SPLIT_NAMES)
+        assert copies == np.column_stack([x, y]).tobytes()
 
 
 class TestSerialization:

@@ -6,15 +6,17 @@ import pytest
 from ptdistill import nn, selection
 from ptdistill.core import InvalidInputError, softmax_rows
 from ptdistill.data import GaussianMixtureSpec, generate
+from ptdistill.data import true_posterior_rows
 from ptdistill.distill import (
     distill_student,
     sweep_proxy_teachers,
+    teacher_diagnostics,
     teacher_probs,
     train_teacher,
 )
 from ptdistill.losses import PerturbationConfig, make_loss
 from ptdistill.proxy import solve_proxy_rows
-from ptdistill.selection import SearchSpec
+from ptdistill.selection import SearchSpec, risk_gap_terms
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +65,27 @@ class TestTrainTeacher:
                               teacher_probs(teacher, x_train),
                               make_loss("kl"), quick_tc())
         assert report.student_history == history
+
+    @pytest.mark.parametrize("split", ["validation", "test"])
+    def test_diagnostics_run_the_network_once(self, small_setup, monkeypatch,
+                                              split):
+        spec, data, teacher, _ = small_setup
+        forwarded = []
+        forward_rows = nn.forward_rows
+
+        def spy(model, x, *args):
+            forwarded.append(len(x))
+            return forward_rows(model, x, *args)
+        monkeypatch.setattr(nn, "forward_rows", spy)
+        acc, vs_labels, vs_truth = teacher_diagnostics(teacher, data, split)
+        assert forwarded == [225]
+        monkeypatch.undo()
+        # the bits of the two passes made before
+        x, y = data.split(split)
+        probs = teacher_probs(teacher, x)
+        assert acc == nn.accuracy(teacher, x, y)
+        assert vs_labels == risk_gap_terms(probs, y)
+        assert vs_truth == risk_gap_terms(probs, true_posterior_rows(spec, x))
 
     def test_empty_train_split_rejected(self):
         spec = GaussianMixtureSpec.sample(seed=0, dim=3)
