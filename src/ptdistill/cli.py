@@ -218,7 +218,7 @@ def _search_spec(cfg: dict, seed_key: str) -> SearchSpec:
                       tie_classes=cfg["tie-classes"], seed=cfg[seed_key])
 
 
-# The splits train-teacher and distill hold in memory
+# The splits train-teacher, distill and sweep hold in memory
 TRAINING_SPLITS = ("train", "validation")
 
 
@@ -321,7 +321,7 @@ def cmd_sweep(cfg: dict, digests: dict):
         raise SchemaError(f"{cfg['configs']}: expected a JSON list of configs")
     configs = [coeffs_from_dict(d, f"{cfg['configs']}[{i}]")
                for i, d in enumerate(doc)]
-    ds = load_dataset(cfg["data-dir"], digests)
+    ds = load_dataset(cfg["data-dir"], digests, TRAINING_SPLITS)
     teacher = nn.load_model(cfg["teacher"])
     points = sweep_proxy_teachers(teacher, ds, configs, _train_config(cfg))
     out_doc = [asdict(p) for p in points]
@@ -336,7 +336,7 @@ def cmd_sweep(cfg: dict, digests: dict):
 
 
 def cmd_eval(cfg: dict, digests: dict):
-    ds = load_dataset(cfg["data-dir"], digests)
+    ds = load_dataset(cfg["data-dir"], digests, (cfg["split"],))
     acc, vs_labels, vs_truth = teacher_diagnostics(
         nn.load_model(cfg["model"]), ds, cfg["split"])
     doc = {"split": cfg["split"], "accuracy": acc,

@@ -11,9 +11,10 @@ copy of its rows (``train.csv`` -> ``train.rows``): a seal, the SHA-256
 of the CSV's digest followed by the rows, then the rows as raw
 little-endian float64 values. ``load_dataset`` reads the copy in place of
 parsing the text only while the seal matches the CSV on disk and the rows
-read, so an edited CSV is parsed again, and so is a damaged copy; the
-same checks run on the rows either way. The CSV stays the interchange
-format; deleting the copies only makes the next load parse.
+read, and those rows pass the checks; any doubt about a copy means the CSV
+decides, so an edited CSV is parsed again, and so is a damaged copy. The
+CSV stays the interchange format; deleting the copies only makes the next
+load parse.
 
 A saved dataset need not be held: ``save_dataset`` writes each block of
 ``_BLOCK_ROWS`` rows as it comes from a ``DatasetDraw``, which holds only
@@ -336,12 +337,13 @@ class SplitFile:
         being consecutive slices that cover the split, taken only once its
         row count has been checked.
 
-        The blocks come from the binary copy, if its size fits, and the
-        results stand only if the seal matches the CSV as it is now and
-        exactly the bytes handed to ``fn``; otherwise they come from the
-        CSV's text, or ``parsed``, its rows already parsed. So ``fn`` must
-        have no effect that a pass over the text does not overwrite. A
-        block that breaks a check raises SchemaError once it is accepted.
+        The blocks come from the binary copy, and the results stand only if
+        its size fits, every block reads and passes the checks, and the seal
+        matches the CSV as it is now and exactly the bytes handed to ``fn``.
+        Any doubt about the copy means the CSV decides: the blocks come from
+        its text, or ``parsed``, its rows already parsed, and a block there
+        that breaks a check raises SchemaError. So ``fn`` must have no
+        effect that a pass over the text does not overwrite.
         """
         if parsed is None and _copy_holds(self.path, self.rows, self.dim + 1):
             blocks = list(blocks)
@@ -363,7 +365,7 @@ class SplitFile:
     def _read_copy(self, blocks: list, fn) -> list | None:
         """The results over the binary copy's blocks, read into one buffer
         and hashed (never parsed or unpickled), or None unless the copy
-        opens with the seal of the CSV as it is now and of the bytes read."""
+        checks out as ``read`` says."""
         # hashed first, so its read buffers are freed before the block buffer
         csv_digest = file_digest(self.path)
         if self.digests is not None:
@@ -371,7 +373,7 @@ class SplitFile:
         seal = hashlib.sha256(csv_digest)
         block = np.empty((max((rows.stop - rows.start for rows in blocks),
                               default=0), self.dim + 1), dtype=_COPY_DTYPE)
-        results, error = [], None
+        results = []
         try:
             with open(_copy_path(self.path), "rb") as f:
                 expected = f.read(_SEAL_BYTES)
@@ -380,18 +382,10 @@ class SplitFile:
                     if f.readinto(read) != read.nbytes:
                         return None
                     seal.update(read)
-                    if error is None:
-                        try:
-                            results.append(self._checked(rows, read, fn))
-                        except SchemaError as exc:  # stands if the seal does
-                            error = exc
-        except OSError:  # the copy went away
+                    results.append(self._checked(rows, read, fn))
+        except (OSError, SchemaError):  # the copy went away, or a check failed
             return None
-        if seal.digest() != expected:
-            return None
-        if error is not None:
-            raise error
-        return results
+        return results if seal.digest() == expected else None
 
 
 def file_digest(path) -> bytes:
@@ -539,8 +533,8 @@ def load_dataset(in_dir, digests: dict | None = None,
 
     Without a spec every split is held, since the labels of all of them
     set the class count. Each split's rows come from its binary copy
-    while that matches the CSV, else from the CSV's text; the checks
-    below hold either way. Each split's header must be
+    if that checks out (see ``SplitFile.read``), else from the CSV's text;
+    the checks below hold either way. Each split's header must be
     ``x_0..x_{d-1},label``, with d the spec's dim, or the first split's
     when the spec is null, and its row count must be the spec's
     ``split_sizes`` entry. Every header is checked first, and the

@@ -26,6 +26,7 @@ from ptdistill.core import (
     TrainingDivergenceError,
 )
 from ptdistill.data import GaussianMixtureSpec, write_csv
+from ptdistill.distill import sweep_proxy_teachers
 from ptdistill.equivalence import focal_coefficients, ls_coefficients
 from ptdistill.losses import LOSSES, PARAM_RANGES, FocalKDLoss, SmoothedKLLoss
 from ptdistill.nn import TrainConfig
@@ -276,6 +277,38 @@ class TestTrainTeacher:
         assert not out.exists()
 
 
+# The rows of the wide_test_split dataset held for training (4,000 inputs
+# and one-hot labels), and one 9,000-row inference block's hidden layer
+TRAINING_ROWS_BYTES = 4_000 * (30 + 3) * 8
+HIDDEN_BLOCK_BYTES = 9_000 * 4 * 8
+
+
+@pytest.fixture(scope="module")
+def wide_test_split(tmp_path_factory):
+    """40,000 rows split 0.05/0.05/0.9 and a one-epoch 30,4,3 teacher: a
+    command that holds only what it computes on scores the 36,000 test
+    rows as the four 9,000-row inference blocks are read."""
+    root = tmp_path_factory.mktemp("wide_test_split")
+    data_dir, teacher = root / "data", root / "t.json"
+    assert cli.run(["generate-data", "--n", "40000", "--split",
+                    "0.05,0.05,0.9", "--out-dir", str(data_dir)]) == 0
+    assert cli.run(["train-teacher", "--data-dir", str(data_dir),
+                    "--arch", "30,4,3", "--epochs", "1",
+                    "--out", str(teacher)]) == 0
+    return data_dir, teacher
+
+
+def traced_run(*argv):
+    """A command's exit code and the peak of the memory traced while it
+    runs."""
+    tracemalloc.start()
+    try:
+        code = cli.run(list(argv))
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestDistill:
     def test_kl(self, workspace, capsys, tmp_path):
         _, data_dir, teacher = workspace
@@ -372,31 +405,18 @@ class TestDistill:
         assert code == 2
         assert err == "error: --method temp requires --tau\n"
 
-    def test_holds_train_and_validation_rows(self, capsys, tmp_path):
-        # 40,000 rows split 0.05/0.05/0.9: 4,000 held rows, and 36,000 test
-        # rows scored as the four 9,000-row inference blocks are read
-        data_dir, teacher = tmp_path / "data", tmp_path / "t.json"
-        assert cli.run(["generate-data", "--n", "40000", "--split",
-                        "0.05,0.05,0.9", "--out-dir", str(data_dir)]) == 0
-        assert cli.run(["train-teacher", "--data-dir", str(data_dir),
-                        "--arch", "30,4,3", "--epochs", "1",
-                        "--out", str(teacher)]) == 0
-        tracemalloc.start()
-        try:
-            code = cli.run(["distill", "--data-dir", str(data_dir),
-                            "--teacher", str(teacher), "--method", "kl",
-                            "--epochs", "1", "--out", str(tmp_path / "r.json")])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    def test_holds_train_and_validation_rows(self, wide_test_split,
+                                             tmp_path):
+        data_dir, teacher = wide_test_split
+        code, peak = traced_run(
+            "distill", "--data-dir", str(data_dir), "--teacher", str(teacher),
+            "--method", "kl", "--epochs", "1", "--out", str(tmp_path / "r.json"))
         assert code == 0
-        held = 4_000 * (30 + 3) * 8   # inputs and one-hot labels
-        hidden = 9_000 * 4 * 8        # one inference block's hidden layer
         # the slack covers the block read from the test split's copy (31
         # columns against the hidden layer's 4), its logits and the
         # student's training buffers; holding the test rows (36,000 x 33
         # x 8 bytes) breaks it, as every split held took 9.2 times the sum
-        assert peak <= 4 * (held + hidden)
+        assert peak <= 4 * (TRAINING_ROWS_BYTES + HIDDEN_BLOCK_BYTES)
 
 
 def write_search_inputs(tmp_path, labels, probs):
@@ -582,6 +602,27 @@ class TestSweep:
         assert code == 2
         assert len(err.splitlines()) == 1 and "'matrix'" in err
 
+    def test_holds_train_and_validation_rows(self, wide_test_split,
+                                             tmp_path):
+        data_dir, teacher = wide_test_split
+        configs = [{"order": 1, "tie_classes": True, "matrix": [[c]] * 3}
+                   for c in (0.0, 2.0)]
+        (tmp_path / "configs.json").write_text(json.dumps(configs))
+        out = tmp_path / "sweep.json"
+        code, peak = traced_run(
+            "sweep", "--data-dir", str(data_dir), "--teacher", str(teacher),
+            "--configs", str(tmp_path / "configs.json"), "--epochs", "1",
+            "--out", str(out))
+        assert code == 0
+        # the slack as for distill; every split held took 2.3 times the bound
+        assert peak <= 4 * (TRAINING_ROWS_BYTES + HIDDEN_BLOCK_BYTES)
+        held = sweep_proxy_teachers(
+            nn.load_model(teacher), data.load_dataset(data_dir),
+            [cli.coeffs_from_dict(c, "configs") for c in configs],
+            TrainConfig(epochs=1))
+        assert ([p["student_test_accuracy"] for p in json.loads(out.read_text())]
+                == [p.student_test_accuracy for p in held])
+
 
 class TestEval:
     def test_end_to_end(self, workspace, capsys):
@@ -592,6 +633,17 @@ class TestEval:
         assert code == 0
         doc = json.loads(stdout)
         assert set(doc) == {"split", "accuracy", "vs_labels", "vs_truth"}
+
+    def test_holds_the_scored_split_rows(self, wide_test_split):
+        data_dir, teacher = wide_test_split
+        code, peak = traced_run("eval", "--data-dir", str(data_dir),
+                                "--model", str(teacher), "--split",
+                                "validation")
+        assert code == 0
+        # 2,000 held rows; the slack covers the copy's read block, the
+        # posterior's (rows, classes, dim) temporaries and the risk-gap
+        # terms; every split held took 3.8 times the bound
+        assert peak <= 4 * (TRAINING_ROWS_BYTES // 2 + HIDDEN_BLOCK_BYTES)
 
 
 class TestMalformedDataset:
@@ -863,8 +915,9 @@ class TestMalformedJson:
         # split_sizes that do not match the rows of the split CSVs
         ("eval --data-dir {sizes_data} --model {teacher}",
          "{sizes_data}/spec.json"),
-        # and sizes no dataset could be allocated at, or none at all
-        ("eval --data-dir {huge_data} --model {teacher}",
+        # and sizes no dataset could be allocated at, or none at all; eval
+        # holds only the split it scores
+        ("eval --data-dir {huge_data} --model {teacher} --split train",
          "{huge_data}/spec.json"),
         ("eval --data-dir {negative_data} --model {teacher}",
          "{negative_data}/spec.json"),
@@ -886,12 +939,18 @@ class TestMalformedJson:
          "{zero_sigma}/spec.json: sigma must be > 0"),
         ("eval --data-dir {two_mean} --model {teacher}",
          "{two_mean}/spec.json: mean entries must come from {{-1, 0, 1}}"),
+        ("eval --data-dir {short_means} --model {teacher}",
+         "{short_means}/spec.json: means must have shape (3, 6), got (3, 5)"),
+        # a split header that is not text
+        ("eval --data-dir {binary_header} --model {teacher}",
+         "{binary_header}/train.csv"),
     ], ids=["config", "coeffs", "configs", "configs-not-a-list", "teacher",
             "model", "spec", "model-not-a-model", "model-shapes",
             "model-not-finite", "spec-list", "split-sizes",
             "split-sizes-huge", "split-sizes-negative", "test-size",
             "test-size-huge", "test-size-negative", "means-equal",
-            "means-signed-zero", "sigma-zero", "mean-entry-two"])
+            "means-signed-zero", "sigma-zero", "mean-entry-two",
+            "means-row-short", "header-not-text"])
     def test_is_schema_error_naming_the_file(self, workspace, capsys,
                                              tmp_path, argv, culprit):
         _, data_dir, teacher = workspace
@@ -930,12 +989,18 @@ class TestMalformedJson:
         for key, field, change in [
                 ("zero_sigma", "sigma", lambda spec: 0.0),
                 ("two_mean", "means",
-                 lambda spec: [[2.0] + row[1:] for row in spec["means"]])]:
+                 lambda spec: [[2.0] + row[1:] for row in spec["means"]]),
+                ("short_means", "means",
+                 lambda spec: [row[:-1] for row in spec["means"]])]:
             sized[key] = tmp_path / key
             shutil.copytree(data_dir, sized[key])
             meta = json.loads((sized[key] / "spec.json").read_text())
             meta["spec"][field] = change(meta["spec"])
             (sized[key] / "spec.json").write_text(json.dumps(meta))
+        sized["binary_header"] = tmp_path / "binary_header"
+        shutil.copytree(data_dir, sized["binary_header"])
+        train_csv = sized["binary_header"] / "train.csv"
+        train_csv.write_bytes(b"\xff" + train_csv.read_bytes())
         model = json.loads(teacher.read_text())
         model["weights"][0] = model["weights"][0][:5]
         misshapen = tmp_path / "misshapen.json"
@@ -1100,65 +1165,80 @@ BAD_COEFFS = {
 
 ONE_LINE_CASES = [
     pytest.param("generate-data --dim 0 --out-dir {out}", 1, True,
-                 id="dim-0"),
+                 "", id="dim-0"),
     pytest.param("generate-data --classes 4 --dim 1 --out-dir {out}", 1, True,
-                 id="more-classes-than-means"),
+                 "", id="more-classes-than-means"),
     pytest.param("generate-data --sigma nan --out-dir {out}", 2, False,
-                 id="sigma-nan"),
+                 "", id="sigma-nan"),
     pytest.param("generate-data --split 0.5,0.5 --out-dir {out}", 2, False,
-                 id="split-two-values"),
+                 "", id="split-two-values"),
     pytest.param("generate-data --sigma inf --out-dir {out}", 2, False,
-                 id="sigma-inf"),
+                 "", id="sigma-inf"),
     pytest.param("generate-data --config {nan_config} --out-dir {out}", 2,
-                 False, id="config-sigma-nan"),
+                 False, "", id="config-sigma-nan"),
     pytest.param("solve-proxy --teacher-probs {probs} --coeffs {coeffs} "
-                 "--tolerance nan --out {out}", 2, False, id="tolerance-nan"),
+                 "--tolerance nan --out {out}", 2, False, "",
+                 id="tolerance-nan"),
     pytest.param("train-teacher --data-dir {data} --arch 6,16,3 --lr nan "
-                 "--out {out}", 2, False, id="lr-nan"),
+                 "--out {out}", 2, False, "", id="lr-nan"),
     pytest.param("distill --data-dir {data} --teacher {teacher} --method temp "
-                 "--tau nan --out {out}", 2, False, id="tau-nan"),
+                 "--tau nan --out {out}", 2, False, "", id="tau-nan"),
     pytest.param("distill --data-dir {data} --teacher {teacher} "
                  "--method focal --gamma nan --out {out}", 2, False,
-                 id="gamma-nan"),
+                 "", id="gamma-nan"),
     pytest.param("search-coeffs --teacher-probs {probs} --labels {labels} "
-                 "--range 0,inf --out {out}", 2, False, id="range-inf"),
+                 "--range 0,inf --out {out}", 2, False, "", id="range-inf"),
     pytest.param("search-coeffs --teacher-probs {probs} --labels {labels} "
-                 "--range 1 --out {out}", 2, False, id="range-one-value"),
+                 "--range 1 --out {out}", 2, False, "", id="range-one-value"),
     pytest.param("search-coeffs --teacher-probs {probs} --labels {labels} "
                  "--range=-1e308,1e308 --out {out}", 1, False,
-                 id="range-width-overflows"),
-    pytest.param("eval --data-dir {nan_data} --model {teacher}", 2, False,
-                 id="nan-feature-cell"),
-    pytest.param("eval --data-dir {inf_data} --model {teacher}", 2, False,
-                 id="inf-feature-cell"),
+                 "", id="range-width-overflows"),
+    # a non-finite cell in the validation split, the one eval reads
+    pytest.param("eval --data-dir {nan_data} --model {teacher} "
+                 "--split validation", 2, False, "", id="nan-feature-cell"),
+    pytest.param("eval --data-dir {inf_data} --model {teacher} "
+                 "--split validation", 2, False, "", id="inf-feature-cell"),
     pytest.param("train-teacher --data-dir {data} --arch 6,16,3 --lr 1e300 "
-                 "--epochs 1 --out {out}", 1, False, id="lr-overflows"),
+                 "--epochs 1 --out {out}", 1, False, "", id="lr-overflows"),
     pytest.param("search-coeffs --teacher-probs {probs} --labels {labels} "
                  "--range 1e308,1.7e308 --out {out}", 1, False,
-                 id="coefficients-overflow"),
+                 "", id="coefficients-overflow"),
     pytest.param("train-teacher --data-dir {data} --arch 6,16,3 --epochs 1 "
-                 "--out {a_dir}", 2, False, id="out-is-a-directory"),
+                 "--out {a_dir}", 2, False, "", id="out-is-a-directory"),
     pytest.param("eval --data-dir {teacher} --model {teacher}", 2, False,
-                 id="data-dir-is-a-file"),
+                 "", id="data-dir-is-a-file"),
     pytest.param("generate-data --n 60 --dim 6 --out-dir {teacher}", 2, False,
-                 id="out-dir-is-a-file"),
+                 "", id="out-dir-is-a-file"),
     # 8 bytes a row times 1e16 rows is 71 PiB, past any address space, so
     # the allocation fails at once
     pytest.param("generate-data --n 10000000000000000 --dim 2 --out-dir {out}",
-                 1, False, id="n-beyond-memory"),
+                 1, False, "", id="n-beyond-memory"),
+    # a size whose validation and test splits leave no training rows, and
+    # fewer rows than classes
+    pytest.param("generate-data --n 3 --split 0,0.5,0.5 --out-dir {out}", 1,
+                 False, "split ratio leaves no training data",
+                 id="split-leaves-no-train"),
+    pytest.param("generate-data --n 2 --classes 3 --out-dir {out}", 1, False,
+                 "need at least one example per class",
+                 id="fewer-rows-than-classes"),
+    pytest.param("verify-equivalence --method ls --param 0.1 --trials 0", 1,
+                 False, "trials must be >= 1", id="trials-0"),
+    pytest.param("search-coeffs --teacher-probs {header_probs} --labels "
+                 "{header_labels} --out {out}", 1, False,
+                 "teacher_val must be nonempty", id="header-only-inputs"),
     *(pytest.param("solve-proxy --teacher-probs {probs} --coeffs {%s} "
-                   "--out {out}" % key, 2, False, id=f"coeffs-{key}")
+                   "--out {out}" % key, 2, False, "", id=f"coeffs-{key}")
       for key in BAD_COEFFS if key != "nan_configs"),
     pytest.param("sweep --data-dir {data} --teacher {teacher} --configs "
                  "{nan_configs} --epochs 1 --out {out}", 2, False,
-                 id="sweep-config-nan-entry"),
+                 "", id="sweep-config-nan-entry"),
     # JSON nested past the parser's recursion limit
     pytest.param("solve-proxy --teacher-probs {probs} --coeffs {deep} "
-                 "--out {out}", 2, False, id="coeffs-deep"),
+                 "--out {out}", 2, False, "", id="coeffs-deep"),
     pytest.param("generate-data --config {deep} --out-dir {out}", 2, False,
-                 id="config-deep"),
+                 "", id="config-deep"),
     pytest.param("solve-proxy --teacher-probs {probs} --coeffs {two_classes} "
-                 "--out {out}", 1, False, id="coeffs-for-other-classes"),
+                 "--out {out}", 1, False, "", id="coeffs-for-other-classes"),
 ]
 
 
@@ -1168,9 +1248,9 @@ def _files(root: Path) -> dict:
 
 
 class TestOneErrorLine:
-    @pytest.mark.parametrize("argv,code,hung", ONE_LINE_CASES)
+    @pytest.mark.parametrize("argv,code,hung,says", ONE_LINE_CASES)
     def test_exit_code_one_line_no_file(self, workspace, capsys, recwarn,
-                                        tmp_path, argv, code, hung):
+                                        tmp_path, argv, code, hung, says):
         _, data_dir, teacher = workspace
         names = {"data": tmp_path / "data", "teacher": tmp_path / "t.json",
                  "out": tmp_path / "out", "a_dir": tmp_path / "a_dir"}
@@ -1197,6 +1277,10 @@ class TestOneErrorLine:
                                               [0.2, 0.5, 0.3]]))
         names["labels"] = tmp_path / "labels.csv"
         names["labels"].write_text("label\n0\n1\n")
+        names["header_probs"] = tmp_path / "header_probs.csv"
+        names["header_probs"].write_text("p_0,p_1,p_2\n")
+        names["header_labels"] = tmp_path / "header_labels.csv"
+        names["header_labels"].write_text("label\n")
         names["coeffs"] = tmp_path / "coeffs.json"
         names["coeffs"].write_text(json.dumps(
             {"order": 1, "tie_classes": True, "matrix": [[1.0]] * 3}))
@@ -1216,7 +1300,7 @@ class TestOneErrorLine:
             assert len(recwarn) == 0
         assert got == code, err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert "Traceback" not in err
+        assert "Traceback" not in err and says in err
         assert all(name in err for name in named)
         assert _files(tmp_path) == before
         assert not names["out"].exists()

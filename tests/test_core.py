@@ -36,6 +36,10 @@ class TestProbVector:
         with pytest.raises(InvalidInputError):
             ProbVector([np.nan, 1.0])
 
+    def test_rejects_matrix(self):
+        with pytest.raises(InvalidInputError, match="1-d vector"):
+            ProbVector([[0.5, 0.5]])
+
     def test_immutable(self):
         p = ProbVector([0.5, 0.5])
         with pytest.raises(ValueError):

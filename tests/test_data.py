@@ -403,7 +403,9 @@ class TestBinaryCopies:
 
     @pytest.mark.parametrize("damage", [
         "truncated", "garbage", "flipped-byte", "few-columns",
-        "other-run", "object-dtype", "nan-cell", "bad-label"])
+        "other-run", "object-dtype", "nan-cell", "bad-label",
+        # copies that pass the size check, then read short or are gone
+        "short-read", "vanished"])
     def test_damaged_copy_is_parsed_never_unpickled(self, saved, tmp_path,
                                                     monkeypatch, recwarn,
                                                     damage):
@@ -445,9 +447,16 @@ class TestBinaryCopies:
             "object-dtype": lambda: npy(rows.astype(object)),
             "nan-cell": lambda: edited((0, 0), math.nan),
             "bad-label": lambda: edited((0, -1), 7.0),
+            "short-read": lambda: raw[:-8],
+            "vanished": lambda: None,
         }[damage]()
         assert damaged != raw
-        copy.write_bytes(damaged)
+        if damaged is None:
+            copy.unlink()
+        else:
+            copy.write_bytes(damaged)
+        if damage in ("short-read", "vanished"):
+            monkeypatch.setattr(data, "_copy_holds", lambda *args: True)
         unpickled = []
 
         def no_unpickling(*args, **kwargs):
@@ -501,8 +510,10 @@ class TestBinaryCopies:
         (1, None), (8_191, None), (8_192, None), (16_383, None),
         (16_384, None), (90_000, None),
         # two blocks from a copy that is scored, then refused by its seal
-        # (the CSV changed), and from a copy refused by its size
-        (16_384, "edited-csv"), (16_384, "truncated-copy")])
+        # (the CSV changed), from a copy refused by its size, and from
+        # copies that pass the size check, then read short or are gone
+        (16_384, "edited-csv"), (16_384, "truncated-copy"),
+        (16_384, "short-copy"), (16_384, "vanished-copy")])
     def test_unheld_split_is_scored_as_read(self, tmp_path, monkeypatch,
                                             rows, damage):
         spec = default_spec(seed=15, dim=4)
@@ -516,7 +527,7 @@ class TestBinaryCopies:
             lines[-100:] = [f"{line.rsplit(',', 1)[0]},{(int(line[-1]) + 1) % 3}"
                             for line in lines[-100:]]
             test_csv.write_text("\n".join(lines) + "\n")
-        elif damage == "truncated-copy":
+        elif damage in ("truncated-copy", "short-copy"):
             copy = tmp_path / "test.rows"
             copy.write_bytes(copy.read_bytes()[:-8])
         model = nn.init([4, 8, 3], seed=rows)
@@ -525,6 +536,12 @@ class TestBinaryCopies:
         held = load_dataset(tmp_path, digests, ("train", "validation"))
         assert set(held.files) == {"test"} and len(held.inputs) == 2
         assert parsed == [] and test_csv not in digests
+        with pytest.raises(InvalidInputError, match="left on disk"):
+            held.split("test")
+        if damage in ("short-copy", "vanished-copy"):
+            monkeypatch.setattr(data, "_copy_holds", lambda *args: True)
+        if damage == "vanished-copy":
+            (tmp_path / "test.rows").unlink()
         got = split_accuracy(model, held, "test")
         # a copy whose size does not fit is never hashed
         assert parsed == ([] if damage is None else ["test.csv"])
@@ -569,7 +586,7 @@ class TestBinaryCopies:
                         "--out", str(tmp_path / "t.json")])
         err = capsys.readouterr().err
         # a split whose copy holds another count than spec.json gives is
-        # counted from its CSV
-        assert code == 2 and parsed == (["train.csv"] if case == "split-sizes"
-                                        else [])
+        # counted from its CSV, and one whose copy fails a check is
+        # checked on its CSV
+        assert code == 2 and parsed == ["train.csv"]
         assert len(err.splitlines()) == 1 and str(data_dir / culprit) in err

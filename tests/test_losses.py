@@ -88,6 +88,10 @@ class TestPtLoss:
         with pytest.raises(InvalidInputError):
             pt_rows(np.array([0.5, 0.5]), np.array([0.5, 0.5]), cfg)
 
+    def test_coefficients_must_be_a_matrix(self):
+        with pytest.raises(InvalidInputError, match=r"\(C, M\) matrix"):
+            PerturbationConfig(1, np.array([1.0, 1.0, 1.0]))
+
     def test_tied_flag_needs_equal_rows(self):
         with pytest.raises(InvalidInputError, match="equal coefficient rows"):
             PerturbationConfig(1, np.array([[1.0], [2.0], [3.0]]),
@@ -399,6 +403,10 @@ class TestTrainingLosses:
     def test_unknown_name(self):
         with pytest.raises(InvalidInputError):
             make_loss("nope")
+
+    def test_missing_param(self):
+        with pytest.raises(InvalidInputError, match="needs 'tau'"):
+            make_loss("temperature")
 
     @pytest.mark.parametrize("alias,params,cls,targets", [
         ("onehot", {}, CrossEntropyLoss, "labels"),
