@@ -48,8 +48,8 @@ from .data import (
 )
 from .distill import (
     distill_student,
+    score_split,
     sweep_proxy_teachers,
-    teacher_diagnostics,
     train_teacher,
 )
 from .equivalence import METHODS, verify_equivalence
@@ -336,9 +336,9 @@ def cmd_sweep(cfg: dict, digests: dict):
 
 
 def cmd_eval(cfg: dict, digests: dict):
-    ds = load_dataset(cfg["data-dir"], digests, (cfg["split"],))
-    acc, vs_labels, vs_truth = teacher_diagnostics(
-        nn.load_model(cfg["model"]), ds, cfg["split"])
+    ds = load_dataset(cfg["data-dir"], digests, splits=())
+    [(acc, vs_labels, vs_truth)] = score_split(
+        [nn.load_model(cfg["model"])], ds, cfg["split"], diagnose=True)
     doc = {"split": cfg["split"], "accuracy": acc,
            "vs_labels": asdict(vs_labels)}
     if vs_truth is not None:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import nn, selection
 from .core import InvalidInputError, softmax_rows
-from .data import SPLIT_NAMES, LabeledDataset, true_posterior_rows
+from .data import SPLIT_NAMES, LabeledDataset, one_hot, true_posterior_rows
 from .losses import PerturbationConfig, loss_class, make_loss
 from .nn import MlpModel, TrainConfig
 from .proxy import solve_proxy_rows
@@ -56,30 +56,53 @@ def train_teacher(data: LabeledDataset, arch, tc: TrainConfig):
                         record_history=False)
     if not data.split_sizes["validation"]:
         return model, None
-    return model, nn.accuracy(model, *data.split("validation"))
+    return model, score_split([model], data, "validation")[0]
 
 
-def split_accuracy(model: MlpModel, data: LabeledDataset, name: str) -> float:
-    """The model's argmax accuracy on one named split: the held rows, or
-    a split ``load_dataset`` left on disk, scored as it is read."""
+def score_split(models: list[MlpModel], data: LabeledDataset, name: str,
+                diagnose: bool = False) -> list:
+    """Each model's argmax accuracy on one named split, or with ``diagnose``
+    its (accuracy, risk-gap terms vs labels, vs truth or None).
+
+    The split, held or a ``SplitFile``, is read one block of
+    ``nn.inference_blocks`` at a time, so the logits have the bits of one
+    ``forward_rows`` call. The models share one architecture and, unless
+    diagnosing, one set of hidden buffers (diagnosing, each block's are
+    freed before the posterior's temporaries are made). Only per-row
+    values outlive a block, and each mean is taken once over the split.
+    """
+    n, spec = data.rows(name), data.spec
+    for model in models:
+        _check_outputs(model, data, "model")
     if name in data.files:
-        split = data.files[name]
-        return nn.block_accuracy(model, split.rows, split.read)
-    return nn.accuracy(model, *data.split(name))
+        read = data.files[name].read
+    else:
+        x, y = data.split(name)
+        classes = np.argmax(y, axis=1)
 
+        def read(blocks, fn):
+            return [fn(rows, x[rows], classes[rows]) for rows in blocks]
+    hidden = None if diagnose else nn.inference_buffers(models[0], n)
 
-def teacher_diagnostics(teacher: MlpModel, data: LabeledDataset, split: str):
-    """(accuracy, risk-gap terms vs labels, vs truth or None) on one split."""
-    x, y = data.split(split)
-    # one forward pass for both; the accuracy has nn.accuracy's bits, as
-    # forward_rows runs the same blocks
-    logits = nn.forward_rows(teacher, x)
-    probs = softmax_rows(logits)
-    acc = np.count_nonzero(np.argmax(logits, axis=1) == np.argmax(y, axis=1))
-    vs_truth = None
-    if data.spec is not None:
-        vs_truth = risk_gap_terms(probs, true_posterior_rows(data.spec, x))
-    return acc / len(x), risk_gap_terms(probs, y), vs_truth
+    def score(rows, inputs, labels):
+        # returned, not kept, as read may score a block again from the CSV
+        logits = [nn.forward_rows(model, inputs, hidden) for model in models]
+        counts = [np.count_nonzero(np.argmax(z, axis=1) == labels)
+                  for z in logits]
+        if not diagnose:
+            return counts, None, None, None
+        truth = None if spec is None else true_posterior_rows(spec, inputs)
+        return (counts, one_hot(labels, data.labels.shape[1]), truth,
+                [softmax_rows(z) for z in logits])
+    counts, labels, truth, probs = zip(*read(nn.inference_blocks(n), score))
+    accuracies = [sum(correct) / n for correct in zip(*counts)]
+    if not diagnose:
+        return accuracies
+    labels = np.concatenate(labels)
+    truth = None if spec is None else np.concatenate(truth)
+    return [(acc, risk_gap_terms(p, labels),
+             None if spec is None else risk_gap_terms(p, truth))
+            for acc, p in zip(accuracies, map(np.concatenate, zip(*probs)))]
 
 
 def _train_student(teacher: MlpModel, data: LabeledDataset, loss,
@@ -134,9 +157,9 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
     loss = make_loss(method, **params)
     student, history = _train_student(teacher, data, loss, tc)
 
-    test_acc = split_accuracy(student, data, "test")
-    teacher_val_acc, vs_labels, vs_truth = teacher_diagnostics(
-        teacher, data, "validation")
+    [test_acc] = score_split([student], data, "test")
+    [(teacher_val_acc, vs_labels, vs_truth)] = score_split(
+        [teacher], data, "validation", diagnose=True)
     seeds = {
         "teacher_init": teacher.seed,
         "student_init": tc.seed,
@@ -185,16 +208,13 @@ def sweep_proxy_teachers(teacher: MlpModel, data: LabeledDataset,
     truth = true_posterior_rows(data.spec, x_val)
     data.rows("test")
 
-    points = []
+    # the students are scored together, in one pass over the test split
+    solved, students = [], []
     for cfg in configs:
         proxies, converged = solve_proxy_rows(probs_val, cfg)
-        terms = risk_gap_terms(proxies, truth)
-        student, _ = _train_student(teacher, data, make_loss("pt", cfg=cfg), tc,
-                                    record_history=False)
-        points.append(SweepPoint(
-            l2_distance_to_truth=terms.l2_distance_mean,
-            tvd_to_truth=terms.tvd_mean,
-            student_test_accuracy=split_accuracy(student, data, "test"),
-            converged_fraction=float(np.mean(converged)),
-        ))
-    return points
+        solved.append((risk_gap_terms(proxies, truth), np.mean(converged)))
+        students.append(_train_student(teacher, data, make_loss("pt", cfg=cfg),
+                                       tc, record_history=False)[0])
+    return [SweepPoint(terms.l2_distance_mean, terms.tvd_mean, acc, float(frac))
+            for (terms, frac), acc in zip(solved,
+                                          score_split(students, data, "test"))]

@@ -23,9 +23,9 @@ Memory layout:
   block, not N. Blocks that long take the same BLAS kernel path as one
   full-batch product, so the logits are the same bits; short blocks (a
   few thousand rows) can move their last bits. Each block is its own
-  single block, so accuracy counted block by block over rows handed in
-  those blocks (``block_accuracy``) sees the same logits. ``train``
-  allocates one set of these buffers for all of its epochs' evaluations.
+  single block, so rows handed to ``forward_rows`` one of those blocks at
+  a time get the same logits. ``train`` allocates one set of these
+  buffers for all of its epochs' evaluations.
 """
 from __future__ import annotations
 
@@ -187,26 +187,6 @@ def evaluate(model: MlpModel, x: np.ndarray, targets: np.ndarray,
     values, _ = loss.values_and_grads(targets, logits)
     acc = float(np.mean(np.argmax(logits, axis=1) == np.argmax(targets, axis=1)))
     return float(np.mean(values)), acc
-
-
-def block_accuracy(model: MlpModel, n: int, read) -> float:
-    """Argmax accuracy over n rows that ``read(blocks, score)`` hands to
-    ``score(rows, inputs, labels)`` (labels as class indices) one block of
-    ``inference_blocks(n)`` at a time, returning the correct counts."""
-    hidden = inference_buffers(model, n)
-
-    def score(rows, inputs, labels):
-        logits = forward_rows(model, inputs, hidden)
-        return int(np.count_nonzero(np.argmax(logits, axis=1) == labels))
-    return sum(read(inference_blocks(n), score)) / n
-
-
-def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
-    """Argmax accuracy against one-hot labels."""
-    x = _check_inputs(model, x)
-    classes = np.argmax(labels, axis=1)
-    return block_accuracy(model, len(x), lambda blocks, score: [
-        score(rows, x[rows], classes[rows]) for rows in blocks])
 
 
 def _all_finite(model: MlpModel) -> bool:

@@ -15,8 +15,8 @@ from ptdistill import cli, equivalence, nn
 from ptdistill.core import softmax_rows
 from ptdistill.data import GaussianMixtureSpec, generate, load_dataset, \
     write_csv
-from ptdistill.distill import _train_student, teacher_probs, train_teacher, \
-    sweep_proxy_teachers
+from ptdistill.distill import _train_student, score_split, teacher_probs, \
+    train_teacher, sweep_proxy_teachers
 from ptdistill.equivalence import truncation_bound, verify_equivalence
 from ptdistill.losses import (
     PerturbationConfig,
@@ -224,7 +224,6 @@ def desk_scale():
     spec = GaussianMixtureSpec.sample(seed=0)
     data = generate(spec, 100_000, (0.05, 0.05, 0.9))
     x_val, y_val = data.split("validation")
-    x_test, y_test = data.split("test")
 
     accs = []
     teachers = {}
@@ -242,8 +241,7 @@ def desk_scale():
         pt_student, _ = _train_student(teacher, data,
                                        make_loss("pt", cfg=cfg), stc,
                                        record_history=False)
-        accs.append((nn.accuracy(kl_student, x_test, y_test),
-                     nn.accuracy(pt_student, x_test, y_test)))
+        accs.append(score_split([kl_student, pt_student], data, "test"))
 
     # sweep: spread 12 candidates across the score range of a short search
     traj = run_search(teacher_probs(teachers[0], x_val), y_val,

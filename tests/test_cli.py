@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from ptdistill.core import (
     SearchFailureError,
     SolverDivergenceError,
     TrainingDivergenceError,
+    softmax_rows,
 )
 from ptdistill.data import GaussianMixtureSpec, write_csv
 from ptdistill.distill import sweep_proxy_teachers
@@ -31,7 +33,8 @@ from ptdistill.equivalence import focal_coefficients, ls_coefficients
 from ptdistill.losses import LOSSES, PARAM_RANGES, FocalKDLoss, SmoothedKLLoss
 from ptdistill.nn import TrainConfig
 from ptdistill.proxy import SolverConfig, solve_proxy_rows
-from ptdistill.selection import SearchSpec, best_trial, run_search
+from ptdistill.selection import SearchSpec, best_trial, risk_gap_terms, \
+    run_search
 
 
 def write_probs(path, rows):
@@ -145,13 +148,22 @@ class TestGenerateData:
         monkeypatch.setattr(cli, "file_digest", spy)
         data_dir, teacher = tmp_path / "data", tmp_path / "teacher.json"
         csvs = data.dataset_files(data_dir)[1:]
+        # sweep scores its four students in one pass over the test split
+        configs = tmp_path / "configs.json"
+        configs.write_text(json.dumps([
+            {"order": 1, "tie_classes": True, "matrix": [[c]] * 3}
+            for c in (0.0, 1.0, 2.0, 5.0)]))
         for argv, manifest in [
                 (["generate-data", "--dim", "6", "--n", "600",
                   "--out-dir", str(data_dir)],
                  data_dir / "train.csv.manifest.json"),
                 (["train-teacher", "--data-dir", str(data_dir),
                   "--arch", "6,8,3", "--epochs", "1", "--out", str(teacher)],
-                 tmp_path / "teacher.json.manifest.json")]:
+                 tmp_path / "teacher.json.manifest.json"),
+                (["sweep", "--data-dir", str(data_dir), "--teacher",
+                  str(teacher), "--configs", str(configs), "--epochs", "1",
+                  "--out", str(tmp_path / "sweep.json")],
+                 tmp_path / "sweep.json.manifest.json")]:
             hashed.clear()
             assert cli.run(argv) == 0
             assert [hashed.count(path) for path in csvs] == [1, 1, 1]
@@ -281,6 +293,11 @@ class TestTrainTeacher:
 # and one-hot labels), and one 9,000-row inference block's hidden layer
 TRAINING_ROWS_BYTES = 4_000 * (30 + 3) * 8
 HIDDEN_BLOCK_BYTES = 9_000 * 4 * 8
+# One 9,000-row block as read from a split's binary copy (30 inputs and the
+# label), and the posterior's (rows, classes, dim) squared differences for
+# one 8,192-row block
+READ_BLOCK_BYTES = 9_000 * 31 * 8
+POSTERIOR_BLOCK_BYTES = 8_192 * 3 * 30 * 8
 
 
 @pytest.fixture(scope="module")
@@ -644,6 +661,52 @@ class TestEval:
         # posterior's (rows, classes, dim) temporaries and the risk-gap
         # terms; every split held took 3.8 times the bound
         assert peak <= 4 * (TRAINING_ROWS_BYTES // 2 + HIDDEN_BLOCK_BYTES)
+
+    def test_holds_no_test_rows(self, wide_test_split):
+        data_dir, teacher = wide_test_split
+        code, peak = traced_run("eval", "--data-dir", str(data_dir),
+                                "--model", str(teacher), "--split", "test")
+        assert code == 0
+        # one inference block, and for each of the 36,000 test rows the
+        # model's probabilities, the posterior and the one-hot labels (3
+        # classes each), kept by block and then joined; holding the test
+        # rows took 1.4 times the bound
+        per_row = 36_000 * 3 * 3 * 8
+        assert peak <= READ_BLOCK_BYTES + POSTERIOR_BLOCK_BYTES + 2 * per_row
+
+    def test_specless_dataset_reports_no_truth(self, workspace, capsys,
+                                               tmp_path):
+        _, data_dir, teacher = workspace
+        bare = tmp_path / "bare"
+        shutil.copytree(data_dir, bare)
+        meta = json.loads((bare / "spec.json").read_text())
+        meta["spec"] = None
+        (bare / "spec.json").write_text(json.dumps(meta))
+        held, model = data.load_dataset(bare), nn.load_model(teacher)
+
+        def expected(split):
+            """Accuracy and terms vs labels on the held rows."""
+            x, y = held.split(split)
+            logits = nn.forward_rows(model, x)
+            return (np.mean(np.argmax(logits, axis=1) == np.argmax(y, axis=1)),
+                    asdict(risk_gap_terms(softmax_rows(logits), y)))
+        for split in data.SPLIT_NAMES:
+            code, stdout, err = run_cli(
+                capsys, "eval", "--data-dir", str(bare), "--model",
+                str(teacher), "--split", split)
+            assert code == 0, err
+            doc = json.loads(stdout)
+            assert "vs_truth" not in doc
+            assert (doc["accuracy"], doc["vs_labels"]) == expected(split)
+        out = tmp_path / "kl.json"
+        code, _, err = run_cli(
+            capsys, "distill", "--data-dir", str(bare), "--teacher",
+            str(teacher), "--method", "kl", "--epochs", "1", "--out", str(out))
+        assert code == 0, err
+        report = json.loads(out.read_text())
+        assert report["teacher_vs_truth"] is None
+        assert (report["teacher_validation_accuracy"],
+                report["teacher_vs_labels"]) == expected("validation")
 
 
 class TestMalformedDataset:
@@ -1239,6 +1302,9 @@ ONE_LINE_CASES = [
                  "", id="config-deep"),
     pytest.param("solve-proxy --teacher-probs {probs} --coeffs {two_classes} "
                  "--out {out}", 1, False, "", id="coeffs-for-other-classes"),
+    pytest.param("eval --data-dir {data} --model {four_outputs}", 1, False,
+                 "the model has 4 outputs but the dataset has 3 classes",
+                 id="eval-model-outputs"),
 ]
 
 
@@ -1284,6 +1350,8 @@ class TestOneErrorLine:
         names["coeffs"] = tmp_path / "coeffs.json"
         names["coeffs"].write_text(json.dumps(
             {"order": 1, "tie_classes": True, "matrix": [[1.0]] * 3}))
+        names["four_outputs"] = tmp_path / "four_outputs.json"
+        nn.save_model(nn.init([6, 8, 4], 0), names["four_outputs"])
         before = _files(tmp_path)
         named = [str(names[key]) for key in [*BAD_COEFFS, "deep"]
                  if f"{{{key}}}" in argv]

@@ -24,7 +24,7 @@ from ptdistill.data import (
     save_dataset,
     true_posterior_rows,
 )
-from ptdistill.distill import split_accuracy
+from ptdistill.distill import score_split
 from ptdistill.rng import derive_rng
 
 
@@ -542,13 +542,18 @@ class TestBinaryCopies:
             monkeypatch.setattr(data, "_copy_holds", lambda *args: True)
         if damage == "vanished-copy":
             (tmp_path / "test.rows").unlink()
-        got = split_accuracy(model, held, "test")
+        [got] = score_split([model], held, "test")
         # a copy whose size does not fit is never hashed
         assert parsed == ([] if damage is None else ["test.csv"])
         assert (test_csv in digests) == (damage != "truncated-copy")
-        assert got == nn.accuracy(model, *load_dataset(tmp_path).split("test"))
-        saved = nn.accuracy(model, *ds.split("test"))
+        from_csv = load_dataset(tmp_path)
+        assert [got] == score_split([model], from_csv, "test")
+        [saved] = score_split([model], ds, "test")
         assert (got == saved) == (damage != "edited-csv")
+        # diagnostics too have the bits of the rows the CSV holds, though a
+        # copy refused by its seal was scored before the CSV
+        assert (score_split([model], held, "test", diagnose=True)
+                == score_split([model], from_csv, "test", diagnose=True))
 
     def test_negative_split_size_fits_no_copy(self, tmp_path):
         # by its size alone an 8-byte copy would hold -1 rows of 3 columns,

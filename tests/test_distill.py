@@ -9,8 +9,8 @@ from ptdistill.data import GaussianMixtureSpec, generate
 from ptdistill.data import true_posterior_rows
 from ptdistill.distill import (
     distill_student,
+    score_split,
     sweep_proxy_teachers,
-    teacher_diagnostics,
     teacher_probs,
     train_teacher,
 )
@@ -77,13 +77,17 @@ class TestTrainTeacher:
             forwarded.append(len(x))
             return forward_rows(model, x, *args)
         monkeypatch.setattr(nn, "forward_rows", spy)
-        acc, vs_labels, vs_truth = teacher_diagnostics(teacher, data, split)
+        [(acc, vs_labels, vs_truth)] = score_split([teacher], data, split,
+                                                   diagnose=True)
         assert forwarded == [225]
         monkeypatch.undo()
-        # the bits of the two passes made before
+        # the bits of a pass without diagnostics, and of one forward_rows
+        # call on the whole split
         x, y = data.split(split)
-        probs = teacher_probs(teacher, x)
-        assert acc == nn.accuracy(teacher, x, y)
+        logits = nn.forward_rows(teacher, x)
+        probs = softmax_rows(logits)
+        assert [acc] == score_split([teacher], data, split)
+        assert acc == np.mean(np.argmax(logits, axis=1) == np.argmax(y, axis=1))
         assert vs_labels == risk_gap_terms(probs, y)
         assert vs_truth == risk_gap_terms(probs, true_posterior_rows(spec, x))
 
@@ -171,8 +175,7 @@ class TestDistillStudent:
         report = distill_student(
             teacher, data, "kl", nn.TrainConfig(learning_rate=5e-3,
                                                 epochs=30, seed=2))
-        x_test, y_test = data.split("test")
-        teacher_acc = nn.accuracy(teacher, x_test, y_test)
+        [teacher_acc] = score_split([teacher], data, "test")
         assert report.student_test_accuracy >= teacher_acc - 0.1
 
 

@@ -6,8 +6,18 @@ import pytest
 
 from ptdistill import nn
 from ptdistill.core import InvalidInputError, TrainingDivergenceError
+from ptdistill.data import LabeledDataset
+from ptdistill.distill import score_split
 from ptdistill.losses import PerturbationConfig, TrainingLoss, make_loss
 from ptdistill.rng import derive_rng
+
+
+def accuracy(model, x, labels):
+    """The model's argmax accuracy on rows held as a dataset's test split."""
+    held = LabeledDataset(x, labels, {"train": 0, "validation": 0,
+                                      "test": len(x)})
+    [acc] = score_split([model], held, "test")
+    return acc
 
 
 def flat_params(model):
@@ -339,7 +349,7 @@ class TestEvaluateAndAccuracy:
         model.weights[0] = np.array([[1.0, -1.0], [0.0, 0.0]])
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
         labels = np.eye(2)
-        assert nn.accuracy(model, x, labels) == 1.0
+        assert accuracy(model, x, labels) == 1.0
 
     def test_evaluate_matches_parts(self):
         rng = np.random.default_rng(91)
@@ -350,7 +360,7 @@ class TestEvaluateAndAccuracy:
         mean_loss, acc = nn.evaluate(model, x, targets, loss)
         values, _ = loss.values_and_grads(targets, nn.forward_rows(model, x))
         assert mean_loss == pytest.approx(float(np.mean(values)), abs=1e-14)
-        assert acc == nn.accuracy(model, x, targets)
+        assert acc == accuracy(model, x, targets)
 
 
 class TestSerialization:
