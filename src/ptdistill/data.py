@@ -8,7 +8,7 @@ softmax_c(-||x - mu_c||^2 / (2 sigma^2)).
 A saved dataset is a directory of one CSV per split and a JSON sidecar
 with the spec. Beside each split CSV, ``save_dataset`` writes a binary
 copy of its rows (``train.csv`` -> ``train.rows``): a seal, the SHA-256
-of the CSV's digest followed by the rows, then the rows as raw
+of the rows followed by the CSV's digest, then the rows as raw
 little-endian float64 values. ``load_dataset`` reads the copy in place of
 parsing the text only while the seal matches the CSV on disk and the rows
 read, and those rows pass the checks; any doubt about a copy means the CSV
@@ -16,11 +16,13 @@ decides, so an edited CSV is parsed again, and so is a damaged copy. The
 CSV stays the interchange format; deleting the copies only makes the next
 load parse.
 
-A saved dataset need not be held: ``save_dataset`` writes each block of
-``_BLOCK_ROWS`` rows as it comes from a ``DatasetDraw``, which holds only
-the labels, or from a held ``LabeledDataset``. ``generate`` fills held
-arrays by the same rule, and ``load_dataset`` reads into them a block at
-a time; only the CSV-parse fallback holds a split's parsed rows too.
+A saved dataset is never held: ``save_dataset`` draws each block of
+``_BLOCK_ROWS`` rows from a ``DatasetDraw``, which holds only the labels,
+and writes it to the CSV and the copy at once, so each split is drawn
+once; the seal is written last, once the CSV is hashed. ``generate``
+fills held arrays by the same rule, and ``load_dataset`` reads into them
+a block at a time; only the CSV-parse fallback holds a split's parsed
+rows too.
 ``load_dataset`` can leave splits on disk: each stays a ``SplitFile``
 whose ``read`` hands its rows to a function a block at a time. The CSV
 digests the seals take are handed back in a ``digests`` dict, so a caller
@@ -149,15 +151,6 @@ class LabeledDataset:
         if sum(self.split_sizes[n] for n in held) != self.inputs.shape[0]:
             raise InvalidInputError("split sizes must sum to N")
 
-    def _bounds(self, name: str):
-        if name not in SPLIT_NAMES or name not in self.split_sizes:
-            raise InvalidInputError(f"unknown split {name!r}")
-        if name in self.files:
-            raise InvalidInputError(f"the {name} split was left on disk")
-        before = SPLIT_NAMES[:SPLIT_NAMES.index(name)]
-        start = sum(self.split_sizes[n] for n in before if n not in self.files)
-        return start, start + self.split_sizes[name]
-
     def rows(self, name: str) -> int:
         """The row count of one named partition, held or on disk, which
         must hold rows."""
@@ -170,19 +163,12 @@ class LabeledDataset:
     def split(self, name: str):
         """(inputs, labels) for one named partition, which must hold rows."""
         self.rows(name)
-        lo, hi = self._bounds(name)
+        if name in self.files:
+            raise InvalidInputError(f"the {name} split was left on disk")
+        before = SPLIT_NAMES[:SPLIT_NAMES.index(name)]
+        lo = sum(self.split_sizes[n] for n in before if n not in self.files)
+        hi = lo + self.split_sizes[name]
         return self.inputs[lo:hi], self.labels[lo:hi]
-
-    @property
-    def dim(self) -> int:
-        return self.inputs.shape[1]
-
-    def blocks(self, name: str):
-        """One held split's rows as (inputs, class indices) blocks of up to
-        ``_BLOCK_ROWS`` rows."""
-        lo, hi = self._bounds(name)
-        for rows in _row_blocks(lo, hi):
-            yield self.inputs[rows], np.argmax(self.labels[rows], axis=1)
 
 
 def _split_counts(n: int, split_ratio) -> dict:
@@ -209,34 +195,18 @@ class DatasetDraw:
                  split_ratio=SPLIT_RATIO):
         if n < spec.num_classes:
             raise InvalidInputError("need at least one example per class")
-        self.spec, self.dim = spec, spec.dim
+        self.spec = spec
         self.split_sizes = _split_counts(n, split_ratio)
         self._rng = derive_rng(spec.seed, "gaussian-samples")
         # int64, as the dtype fixes the stream
         self.labels = self._rng.integers(0, spec.num_classes, size=n)
-        self._starts: dict = {}  # split name -> generator state at its start
 
     def fill(self, rows: slice, out: np.ndarray) -> None:
-        """Draw the inputs of the labels ``rows`` into ``out``, a contiguous
-        (rows, dim) array."""
+        """Draw the inputs of the labels ``rows``, the rows after those drawn
+        so far, into ``out``, a contiguous (rows, dim) array."""
         self._rng.standard_normal(out=out)
         out *= self.spec.sigma
         out += self.spec.means[self.labels[rows]]
-
-    def blocks(self, name: str):
-        """A split's (inputs, labels) blocks, drawn into one buffer. Splits
-        are drawn in SPLIT_NAMES order; one drawn again restarts the stream
-        where its first pass began."""
-        before = SPLIT_NAMES[:SPLIT_NAMES.index(name)]
-        lo = sum(self.split_sizes[n] for n in before)
-        hi = lo + self.split_sizes[name]
-        self._rng.bit_generator.state = self._starts.setdefault(
-            name, self._rng.bit_generator.state)
-        buffer = np.empty((min(hi - lo, _BLOCK_ROWS), self.dim))
-        for rows in _row_blocks(lo, hi):
-            inputs = buffer[:rows.stop - rows.start]
-            self.fill(rows, inputs)
-            yield inputs, self.labels[rows]
 
 
 def generate(spec: GaussianMixtureSpec, n: int,
@@ -370,7 +340,7 @@ class SplitFile:
         csv_digest = file_digest(self.path)
         if self.digests is not None:
             self.digests[self.path] = csv_digest
-        seal = hashlib.sha256(csv_digest)
+        seal = hashlib.sha256()
         block = np.empty((max((rows.stop - rows.start for rows in blocks),
                               default=0), self.dim + 1), dtype=_COPY_DTYPE)
         results = []
@@ -385,6 +355,7 @@ class SplitFile:
                     results.append(self._checked(rows, read, fn))
         except (OSError, SchemaError):  # the copy went away, or a check failed
             return None
+        seal.update(csv_digest)
         return results if seal.digest() == expected else None
 
 
@@ -477,44 +448,49 @@ def _copy_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".rows")
 
 
-def save_dataset(ds, out_dir, digests: dict | None = None) -> list[Path]:
+def save_dataset(draw: DatasetDraw, out_dir,
+                 digests: dict | None = None) -> list[Path]:
     """Write ``dataset_files(out_dir)`` and a binary copy of each split's
     rows; returns the split CSVs, then the spec, then the copies.
 
-    ``ds``, a ``LabeledDataset`` or a ``DatasetDraw``, gives its ``spec``,
-    ``split_sizes``, ``dim`` and each split's rows as ``blocks(name)``,
-    written as they come, so the writes hold one block beside ``ds``.
-    ``digests``, if given, gains each CSV's digest, keyed by its path.
+    Each block of a split that ``draw`` draws goes to the CSV and to the
+    copy as it comes, so the writes hold one block beside ``draw``. The
+    seal opens the copy but is written last, once the CSV is closed and
+    hashed, so an interrupted write leaves a seal that fails. ``digests``,
+    if given, gains each CSV's digest, keyed by its path.
     """
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     sidecar, *paths = dataset_files(out_dir)
-    header = [f"x_{i}" for i in range(ds.dim)] + ["label"]
-    block = np.empty((min(sum(ds.split_sizes.values()), _BLOCK_ROWS),
-                      ds.dim + 1), dtype=_COPY_DTYPE)
-
-    def saved_rows(name):  # a split's rows as saved: inputs, then label
-        for inputs, labels in ds.blocks(name):
-            out = block[:len(inputs)]
-            out[:, :-1] = inputs
-            out[:, -1] = labels
-            yield out
+    dim = draw.spec.dim
+    header = [f"x_{i}" for i in range(dim)] + ["label"]
+    inputs = np.empty((min(len(draw.labels), _BLOCK_ROWS), dim))
+    block = np.empty((len(inputs), dim + 1), dtype=_COPY_DTYPE)
+    hi = 0
     for name, path in zip(SPLIT_NAMES, paths):
-        write_csv(path, header, saved_rows(name))
-        csv_digest = file_digest(path)
+        lo, hi = hi, hi + draw.split_sizes[name]
+        seal = hashlib.sha256()
+        with open(_copy_path(path), "wb") as copy:
+            copy.seek(_SEAL_BYTES)
+
+            def saved_rows():  # the split's rows as drawn: inputs, then label
+                for rows in _row_blocks(lo, hi):
+                    out = block[:rows.stop - rows.start]
+                    draw.fill(rows, inputs[:len(out)])
+                    out[:, :-1] = inputs[:len(out)]
+                    out[:, -1] = draw.labels[rows]
+                    seal.update(out)
+                    out.tofile(copy)
+                    yield out
+            write_csv(path, header, saved_rows())
+            csv_digest = file_digest(path)
+            seal.update(csv_digest)
+            copy.seek(0)
+            copy.write(seal.digest())
         if digests is not None:
             digests[path] = csv_digest
-        seal = hashlib.sha256(csv_digest)
-        with open(_copy_path(path), "wb") as f:
-            # the seal opens the copy; it is written once the rows are hashed
-            f.seek(_SEAL_BYTES)
-            for rows in saved_rows(name):
-                seal.update(rows)
-                rows.tofile(f)
-            f.seek(0)
-            f.write(seal.digest())
     with open(sidecar, "w") as f:
-        json.dump({"spec": ds.spec.to_dict() if ds.spec else None,
-                   "split_sizes": ds.split_sizes}, f, indent=2)
+        json.dump({"spec": draw.spec.to_dict(),
+                   "split_sizes": draw.split_sizes}, f, indent=2)
     return paths + [sidecar] + [_copy_path(path) for path in paths]
 
 

@@ -140,11 +140,13 @@ def distill_student(teacher: MlpModel, data: LabeledDataset, method: str,
     chosen: dict = {"method": method, **params}
     if method == "pt":
         cfg = chosen.pop("cfg", None)
-        if cfg is None:
-            if search_spec is None:
-                raise InvalidInputError(
-                    "method 'pt' needs either a fixed cfg or a SearchSpec"
-                )
+        if cfg is not None:  # here, not first inside nn.train
+            cfg.check_classes(y_val.shape[1])
+        elif search_spec is None:
+            raise InvalidInputError(
+                "method 'pt' needs either a fixed cfg or a SearchSpec"
+            )
+        else:
             # through the module object, like nn's functions, so a wrapper
             # set on selection.run_search sees this search too
             best = selection.best_trial(selection.run_search(
@@ -207,6 +209,8 @@ def sweep_proxy_teachers(teacher: MlpModel, data: LabeledDataset,
     probs_val = teacher_probs(teacher, x_val)
     truth = true_posterior_rows(data.spec, x_val)
     data.rows("test")
+    for cfg in configs:  # before the first student trains
+        cfg.check_classes(probs_val.shape[1])
 
     # the students are scored together, in one pass over the test split
     solved, students = [], []

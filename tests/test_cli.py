@@ -43,10 +43,10 @@ def write_probs(path, rows):
 
 def reseal(split_csv):
     """Rewrite a split's binary copy to match its CSV as it is now: the
-    seal over the CSV's digest and the rows, then the rows."""
+    seal over the rows and the CSV's digest, then the rows."""
     rows = data.read_csv(split_csv)[1].astype("<f8").tobytes()
-    seal = hashlib.sha256(hashlib.sha256(split_csv.read_bytes()).digest()
-                          + rows).digest()
+    seal = hashlib.sha256(rows + hashlib.sha256(split_csv.read_bytes())
+                          .digest()).digest()
     split_csv.with_suffix(".rows").write_bytes(seal + rows)
 
 
@@ -712,6 +712,26 @@ class TestEval:
 class TestMalformedDataset:
     """Split CSVs whose header disagrees with the dataset's dim."""
 
+    def test_resealed_copy_is_read(self, workspace, tmp_path, monkeypatch):
+        # so the sealed cases below reach their checks through the copy
+        _, data_dir, _ = workspace
+        resealed = tmp_path / "data"
+        shutil.copytree(data_dir, resealed)
+        for name in ("train", "validation", "test"):
+            copy = resealed / f"{name}.rows"
+            saved = copy.read_bytes()
+            reseal(resealed / f"{name}.csv")
+            assert copy.read_bytes() == saved
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def spy(path, *args, **kwargs):
+            parsed.append(path)
+            return loadtxt(path, *args, **kwargs)
+        monkeypatch.setattr(np, "loadtxt", spy)
+        data.load_dataset(resealed)
+        assert parsed == []
+
     @pytest.mark.parametrize("command", ["eval", "distill"])
     @pytest.mark.parametrize("case,culprit", [
         # spec.json says dim 30 (with 30-entry means); the CSVs hold 6 inputs
@@ -878,6 +898,36 @@ class TestTeacherWidth:
         assert code == 1 and stdout == ""
         assert err == ("error: InvalidInputError: the teacher has 4 outputs "
                        "but the dataset has 3 classes\n")
+        assert not out.exists()
+
+
+class TestCoefficientClasses:
+    @pytest.mark.parametrize("argv", [
+        ["distill", "--method", "pt", "--coeffs", "{two}"],
+        ["sweep", "--configs", "{configs}"],
+    ], ids=["distill", "sweep"])
+    def test_is_domain_error_before_training(self, workspace, capsys,
+                                             tmp_path, monkeypatch, argv):
+        # a 2-class matrix for the 3-class dataset; the sweep's comes second
+        _, data_dir, teacher = workspace
+        three = {"order": 1, "tie_classes": True, "matrix": [[0.5]] * 3}
+        two = {"order": 1, "tie_classes": True, "matrix": [[0.5]] * 2}
+        files = {"two": tmp_path / "two.json",
+                 "configs": tmp_path / "configs.json"}
+        files["two"].write_text(json.dumps(two))
+        files["configs"].write_text(json.dumps([three, two]))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the coefficients")
+        monkeypatch.setattr(nn, "train", no_training)
+        out = tmp_path / "out.json"
+        code, stdout, err = run_cli(
+            capsys, argv[0], "--data-dir", str(data_dir), "--teacher",
+            str(teacher), *[a.format(**files) for a in argv[1:]],
+            "--epochs", "1", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == ("error: InvalidInputError: coefficients are for 2 "
+                       "classes, inputs have 3\n")
         assert not out.exists()
 
 
@@ -1488,7 +1538,7 @@ class TestOneOwnerPerRule:
                                           "c.csv")]
         monkeypatch.setattr(data, "dataset_files", renamed)
         spec = GaussianMixtureSpec.sample(seed=0, dim=2)
-        written = data.save_dataset(data.generate(spec, 20), tmp_path)
+        written = data.save_dataset(data.DatasetDraw(spec, 20), tmp_path)
         sidecar, *splits = renamed(tmp_path)
         # each split's binary copy of its rows follows the dataset files
         assert written == splits + [sidecar] + [

@@ -14,6 +14,8 @@ from ptdistill import cli, data, nn
 from ptdistill.core import InvalidInputError, SchemaError, softmax_rows
 from ptdistill.data import (
     SPLIT_NAMES,
+    SPLIT_RATIO,
+    DatasetDraw,
     GaussianMixtureSpec,
     LabeledDataset,
     _check_sizes,
@@ -23,6 +25,7 @@ from ptdistill.data import (
     read_csv,
     save_dataset,
     true_posterior_rows,
+    write_csv,
 )
 from ptdistill.distill import score_split
 from ptdistill.rng import derive_rng
@@ -30,6 +33,13 @@ from ptdistill.rng import derive_rng
 
 def default_spec(seed=0, **kw):
     return GaussianMixtureSpec.sample(seed=seed, **kw)
+
+
+def save_drawn(out_dir, spec, n, split_ratio=SPLIT_RATIO):
+    """Save the dataset ``generate`` draws, as generate-data does; return
+    it held."""
+    save_dataset(DatasetDraw(spec, n, split_ratio), out_dir)
+    return generate(spec, n, split_ratio)
 
 
 class TestGaussianMixtureSpec:
@@ -263,11 +273,26 @@ class TestStreamedDataset:
         ds = generate(spec, n, ratio)
         assert ds.split_sizes == {"train": 33, "validation": size,
                                   "test": size}
-        written = save_dataset(ds, held)
         assert {p.name for p in streamed.iterdir()} == {
-            p.name for p in written} | {"train.csv.manifest.json"}
-        for path in written:
-            assert (streamed / path.name).read_bytes() == path.read_bytes()
+            "spec.json", "train.csv.manifest.json",
+            *(f"{name}.{ext}" for name in SPLIT_NAMES for ext in ("csv",
+                                                                   "rows"))}
+        assert json.loads((streamed / "spec.json").read_text()) == {
+            "spec": spec.to_dict(), "split_sizes": ds.split_sizes}
+        # each split's CSV, and its copy sealed over its rows and then the
+        # CSV's digest, hold generate's rows
+        held.mkdir()
+        saved = np.column_stack([ds.inputs, np.argmax(ds.labels, axis=1)])
+        bounds = np.cumsum([0] + [ds.split_sizes[name] for name in SPLIT_NAMES])
+        for name, lo, hi in zip(SPLIT_NAMES, bounds, bounds[1:]):
+            write_csv(held / f"{name}.csv", ["x_0", "x_1", "x_2", "label"],
+                      [saved[lo:hi]])
+            csv = (streamed / f"{name}.csv").read_bytes()
+            assert csv == (held / f"{name}.csv").read_bytes()
+            rows = saved[lo:hi].tobytes()
+            seal = hashlib.sha256(rows + hashlib.sha256(csv).digest())
+            assert (streamed / f"{name}.rows").read_bytes() == (
+                seal.digest() + rows)
         # both are one (n, d) draw after the labels
         rng = derive_rng(spec.seed, "gaussian-samples")
         y = rng.integers(0, spec.num_classes, size=n)
@@ -277,11 +302,25 @@ class TestStreamedDataset:
                           for name in SPLIT_NAMES)
         assert copies == np.column_stack([x, y]).tobytes()
 
+    def test_generate_data_draws_each_row_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 16)
+        drawn = []
+        fill = DatasetDraw.fill
+
+        def spy(draw, rows, out):
+            drawn.extend(range(rows.start, rows.stop))
+            fill(draw, rows, out)
+        monkeypatch.setattr(DatasetDraw, "fill", spy)
+        assert cli.run(["generate-data", "--n", "100", "--dim", "3",
+                        "--split", "0.5,0.25,0.25",
+                        "--out-dir", str(tmp_path)]) == 0
+        assert drawn == list(range(100))
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        ds = generate(default_spec(seed=11, dim=4), 60, (0.5, 0.25, 0.25))
-        save_dataset(ds, tmp_path)
+        ds = save_drawn(tmp_path, default_spec(seed=11, dim=4), 60,
+                        (0.5, 0.25, 0.25))
         again = load_dataset(tmp_path)
         np.testing.assert_allclose(again.inputs, ds.inputs, atol=0)
         np.testing.assert_array_equal(again.labels, ds.labels)
@@ -290,8 +329,8 @@ class TestSerialization:
         assert again.spec.sigma == ds.spec.sigma
 
     def test_csv_headers(self, tmp_path):
-        ds = generate(default_spec(seed=11, dim=3), 30, (0.5, 0.25, 0.25))
-        save_dataset(ds, tmp_path)
+        save_dataset(DatasetDraw(default_spec(seed=11, dim=3), 30,
+                                 (0.5, 0.25, 0.25)), tmp_path)
         first = (tmp_path / "train.csv").read_text().splitlines()[0]
         assert first == "x_0,x_1,x_2,label"
 
@@ -311,8 +350,12 @@ class TestSplitSelection:
         ds = generate(default_spec(seed=16, dim=3), 60, (0.5, 0.25, 0.25))
         labels = np.zeros(60)
         labels[45:] = 2
-        save_dataset(LabeledDataset(ds.inputs, data.one_hot(labels),
-                                    ds.split_sizes), tmp_path)
+        rows = np.column_stack([ds.inputs, labels])
+        for name, lo, hi in zip(SPLIT_NAMES, (0, 30, 45), (30, 45, 60)):
+            write_csv(tmp_path / f"{name}.csv", ["x_0", "x_1", "x_2", "label"],
+                      [rows[lo:hi]])
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"spec": None, "split_sizes": ds.split_sizes}))
         got = load_dataset(tmp_path, None, ("train", "validation"))
         assert got.files == {} and got.labels.shape == (60, 3)
 
@@ -348,9 +391,8 @@ class TestBinaryCopies:
 
     @pytest.fixture
     def saved(self, tmp_path):
-        ds = generate(default_spec(seed=13, dim=4), 300, (0.5, 0.25, 0.25))
-        save_dataset(ds, tmp_path)
-        return ds, tmp_path
+        return save_drawn(tmp_path, default_spec(seed=13, dim=4), 300,
+                          (0.5, 0.25, 0.25)), tmp_path
 
     def parsed_only(self, in_dir):
         """The dataset as read from its CSVs alone."""
@@ -378,9 +420,24 @@ class TestBinaryCopies:
         _, rows = read_csv(in_dir / "validation.csv")
         csv_digest = hashlib.sha256(
             (in_dir / "validation.csv").read_bytes()).digest()
-        seal = hashlib.sha256(csv_digest + rows.astype("<f8").tobytes())
+        seal = hashlib.sha256(rows.astype("<f8").tobytes() + csv_digest)
         assert (in_dir / "validation.rows").read_bytes() == (
             seal.digest() + rows.astype("<f8").tobytes())
+
+    def test_copy_sealed_digest_first_is_parsed(self, saved, monkeypatch):
+        # copies whose seal hashes the CSV's digest before the rows, the
+        # order an older save_dataset wrote, are refused, rows and all
+        _, in_dir = saved
+        for name in SPLIT_NAMES:
+            csv = in_dir / f"{name}.csv"
+            rows = read_csv(csv)[1].astype("<f8").tobytes()
+            seal = hashlib.sha256(hashlib.sha256(csv.read_bytes()).digest()
+                                  + rows)
+            (in_dir / f"{name}.rows").write_bytes(seal.digest() + rows)
+        parsed = spy_on_parsing(monkeypatch)
+        got = load_dataset(in_dir)
+        assert parsed == ["train.csv", "validation.csv", "test.csv"]
+        assert_same_dataset(got, self.parsed_only(in_dir))
 
     def test_copies_need_no_file_digest_from_hashlib(self, saved,
                                                      monkeypatch):
@@ -423,8 +480,8 @@ class TestBinaryCopies:
         def other_run():
             # a whole copy, seal and rows, from a dataset of the same shape
             other = tmp_path / "other"
-            save_dataset(generate(default_spec(seed=14, dim=4), 300,
-                                  (0.5, 0.25, 0.25)), other)
+            save_dataset(DatasetDraw(default_spec(seed=14, dim=4), 300,
+                                     (0.5, 0.25, 0.25)), other)
             return (other / "train.rows").read_bytes()
 
         def edited(cell, value):
@@ -477,10 +534,10 @@ class TestBinaryCopies:
         block = 64 * 31 * 8
         peaks = []
         for n in (1000, 4000):
-            ds = generate(default_spec(seed=12), n, (0.05, 0.05, 0.9))
+            draw = DatasetDraw(default_spec(seed=12), n, (0.05, 0.05, 0.9))
             tracemalloc.start()
             try:
-                save_dataset(ds, tmp_path / str(n))
+                save_dataset(draw, tmp_path / str(n))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -491,8 +548,8 @@ class TestBinaryCopies:
         assert peaks[1] - peaks[0] <= 2 ** 18
 
     def test_read_holds_no_second_copy(self, tmp_path, monkeypatch):
-        ds = generate(default_spec(seed=14), 50_000, (0.05, 0.05, 0.9))
-        save_dataset(ds, tmp_path)
+        ds = save_drawn(tmp_path, default_spec(seed=14), 50_000,
+                        (0.05, 0.05, 0.9))
         parsed = spy_on_parsing(monkeypatch)
         tracemalloc.start()
         try:
@@ -516,11 +573,10 @@ class TestBinaryCopies:
         (16_384, "short-copy"), (16_384, "vanished-copy")])
     def test_unheld_split_is_scored_as_read(self, tmp_path, monkeypatch,
                                             rows, damage):
-        spec = default_spec(seed=15, dim=4)
-        drawn = generate(spec, rows + 2)
-        ds = LabeledDataset(drawn.inputs, drawn.labels,
-                            {"train": 1, "validation": 1, "test": rows}, spec)
-        save_dataset(ds, tmp_path)
+        n = rows + 2
+        ds = save_drawn(tmp_path, default_spec(seed=15, dim=4), n,
+                        (1 / n, 1 / n, rows / n))
+        assert ds.split_sizes == {"train": 1, "validation": 1, "test": rows}
         test_csv = tmp_path / "test.csv"
         if damage == "edited-csv":  # the last 100 labels move class
             lines = test_csv.read_text().splitlines()
@@ -558,7 +614,7 @@ class TestBinaryCopies:
     def test_negative_split_size_fits_no_copy(self, tmp_path):
         # by its size alone an 8-byte copy would hold -1 rows of 3 columns,
         # and a seal alone holds 0 rows
-        save_dataset(generate(default_spec(dim=2), 30), tmp_path)
+        save_dataset(DatasetDraw(default_spec(dim=2), 30), tmp_path)
         meta = json.loads((tmp_path / "spec.json").read_text())
         meta["split_sizes"] = {"train": -1, "validation": 0, "test": 0}
         (tmp_path / "spec.json").write_text(json.dumps(meta))
@@ -573,17 +629,21 @@ class TestBinaryCopies:
     def test_checks_hold_on_copies(self, tmp_path, monkeypatch, capsys,
                                    case, culprit):
         data_dir = tmp_path / "data"
+        if case == "non-finite-cell":  # the first input drawn is a NaN
+            fill = DatasetDraw.fill
+
+            def nan_first(draw, rows, out):
+                fill(draw, rows, out)
+                if rows.start == 0:
+                    out[0, 0] = math.nan
+            monkeypatch.setattr(DatasetDraw, "fill", nan_first)
+        assert cli.run(["generate-data", "--n", "60", "--dim", "6",
+                        "--out-dir", str(data_dir)]) == 0
         if case == "split-sizes":
-            assert cli.run(["generate-data", "--n", "60", "--dim", "6",
-                            "--out-dir", str(data_dir)]) == 0
             meta = json.loads((data_dir / "spec.json").read_text())
             meta["split_sizes"]["train"] += 1
             meta["split_sizes"]["test"] -= 1
             (data_dir / "spec.json").write_text(json.dumps(meta))
-        else:
-            ds = generate(default_spec(dim=6), 60)
-            ds.inputs[0, 0] = math.nan
-            save_dataset(ds, data_dir)
         capsys.readouterr()
         parsed = spy_on_parsing(monkeypatch)
         code = cli.run(["train-teacher", "--data-dir", str(data_dir),
