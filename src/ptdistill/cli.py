@@ -35,6 +35,7 @@ from .data import (
     SPLIT_RATIO,
     DatasetDraw,
     GaussianMixtureSpec,
+    check_labels,
     dataset_files,
     file_digest,
     json_array,
@@ -77,7 +78,6 @@ def read_labels_csv(path) -> np.ndarray:
     if header != ["label"]:
         raise SchemaError(f"{path}: expected header 'label', "
                           f"got {','.join(header)!r}")
-    # class indices as written; one_hot checks them against the class count
     return rows[:, 0]
 
 
@@ -277,7 +277,9 @@ def cmd_distill(cfg: dict, digests: dict):
 
 def cmd_search_coeffs(cfg: dict, digests: dict):
     probs = read_probs_csv(cfg["teacher-probs"])
-    labels = one_hot(read_labels_csv(cfg["labels"]), probs.shape[1])
+    labels = read_labels_csv(cfg["labels"])
+    check_labels(cfg["labels"], labels, probs.shape[1])
+    labels = one_hot(labels, probs.shape[1])
     trials = run_search(probs, labels, _search_spec(cfg, "seed"))
     best = best_trial(trials)
     doc = {
@@ -402,8 +404,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, its subparsers' too, leave through ``run``'s handler."""
+
+    def error(self, message):
+        raise SchemaError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ptdistill",
         description="Perturbed distillation loss, proxy-teacher solver, and "
                     "coefficient search on synthetic Gaussian data.",
@@ -425,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Run one command; write its manifest, then print its summary."""
-    args = build_parser().parse_args(argv)
     started = time.time()
     try:
+        args = build_parser().parse_args(argv)
         # a floating-point event surfaces as one of the errors below, if at
         # all, not as numpy warnings ahead of the error line
         with np.errstate(all="ignore"):

@@ -281,10 +281,10 @@ class SplitFile:
     """A split CSV of a saved dataset, with the row count spec.json gives
     it and its feature count, read a block at a time.
 
-    Every row read must have finite features and, given ``num_classes``,
-    a label that is an integer in [0, num_classes). ``digests``, if
-    given, gains the CSV's digest, keyed by ``path``, whenever the binary
-    copy is checked against it.
+    Every row read, from the copy or the CSV, must have finite features
+    and labels that ``check_labels`` passes for ``num_classes``. ``digests``,
+    if given, gains the CSV's digest, keyed by ``path``, whenever the
+    binary copy is checked against it.
     """
 
     path: Path
@@ -328,8 +328,7 @@ class SplitFile:
         inputs, labels = block[:, :-1], block[:, -1]
         if not np.isfinite(inputs).all():
             raise SchemaError(f"{self.path}: feature cells must be finite")
-        if self.num_classes is not None:
-            _check_labels(labels, self.num_classes)
+        check_labels(self.path, labels, self.num_classes)
         return fn(rows, inputs, labels)
 
     def _read_copy(self, blocks: list, fn) -> list | None:
@@ -411,20 +410,18 @@ def read_json(path):
                               ) from None
 
 
-def _check_labels(labels: np.ndarray, num_classes: int) -> None:
-    """Raise SchemaError unless every label is an integer in [0, C)."""
-    whole = np.isfinite(labels) & (labels == np.floor(labels))
-    if not np.all(whole & (labels >= 0) & (labels < num_classes)):
-        raise SchemaError(f"labels must be integers in [0, {num_classes})")
+def check_labels(source, labels: np.ndarray, num_classes: int | None) -> None:
+    """Raise a SchemaError naming ``source`` unless every label is an
+    integer in [0, num_classes), or, with no class count, >= 0."""
+    ok = np.isfinite(labels) & (labels == np.floor(labels)) & (labels >= 0)
+    if not np.all(ok if num_classes is None else ok & (labels < num_classes)):
+        raise SchemaError(f"{source}: labels must be integers " + (
+            ">= 0" if num_classes is None else f"in [0, {num_classes})"))
 
 
-def one_hot(labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
-    """One-hot rows for class indices, which must be integers in [0, C);
-    without a C, the largest whole label sets it."""
-    if num_classes is None:
-        whole = np.isfinite(labels) & (labels == np.floor(labels))
-        num_classes = int(labels[whole].max(initial=0)) + 1
-    _check_labels(labels, num_classes)
+def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """One-hot rows for labels drawn, or passed by ``check_labels``, as
+    integers in [0, num_classes); nothing is checked here."""
     out = np.zeros((labels.size, num_classes))
     out[np.arange(labels.size), labels.astype(int)] = 1.0
     return out
@@ -573,7 +570,6 @@ def load_dataset(in_dir, digests: dict | None = None,
             raise SchemaError(f"{split.path}: label {top:g} implies more "
                               f"classes than the dataset's {n} rows")
         lo = hi
-    return LabeledDataset(inputs=inputs,
-                          labels=one_hot(labels,
-                                         spec.num_classes if spec else None),
+    num_classes = spec.num_classes if spec else int(labels.max(initial=0)) + 1
+    return LabeledDataset(inputs=inputs, labels=one_hot(labels, num_classes),
                           split_sizes=sizes, spec=spec, files=files)

@@ -158,33 +158,27 @@ def verify_equivalence(method: str, param: float, order: int, trials: int,
     constants = np.zeros(trials)
     for i in range(trials):
         rng = derive_rng(seed, "equivalence", i)
-        if method == "label_smoothing":
-            t = _sample_binary(rng)
-            q = _sample_binary(rng)
-            cfg = ls_coefficients(ProbVector(t), param, order)
-            pt = float(pt_rows(t, q, cfg))
-            sm = float(kl_rows(smooth_rows(t, param), q))
-            analytic = float(entropy_rows(smooth_rows(t, param))
-                             - entropy_rows(t))
-            deviations[i] = abs((pt - sm) - analytic)
-            constants[i] = pt - sm
-        elif method == "focal":
-            t = _sample_binary(rng)
-            q = _sample_binary(rng)
-            cfg = focal_coefficients(ProbVector(q), param, order)
-            pt = float(pt_rows(t, q, cfg))
-            fl = float(focal_rows(t, q, param))
-            deviations[i] = abs(pt - fl)
-            constants[i] = 0.0
-        else:
+        # allowed: the additive constant, None where the equivalence is exact
+        if method == "temperature":
             t_logits = rng.uniform(-3.0, 3.0, size=2)
             s_logits = rng.uniform(-3.0, 3.0, size=2)
             target = float(temperature.values_and_grads(t_logits, s_logits)[0])
-            t = softmax_rows(t_logits)
-            q = softmax_rows(s_logits)
-            cfg = _fit_temperature_coefficient(t, q, target)
-            deviations[i] = abs(float(pt_rows(t, q, cfg)) - target)
-            constants[i] = 0.0
+            t, q = softmax_rows(t_logits), softmax_rows(s_logits)
+            cfg, allowed = _fit_temperature_coefficient(t, q, target), None
+        else:
+            t = _sample_binary(rng)
+            q = _sample_binary(rng)
+            if method == "label_smoothing":
+                cfg = ls_coefficients(ProbVector(t), param, order)
+                target = float(kl_rows(smooth_rows(t, param), q))
+                allowed = float(entropy_rows(smooth_rows(t, param))
+                                - entropy_rows(t))
+            else:
+                cfg = focal_coefficients(ProbVector(q), param, order)
+                target, allowed = float(focal_rows(t, q, param)), None
+        gap = float(pt_rows(t, q, cfg)) - target
+        deviations[i] = abs(gap - (allowed or 0.0))
+        constants[i] = 0.0 if allowed is None else gap
 
     return EquivalenceReport(
         method=method,

@@ -286,6 +286,7 @@ class TestTrainTeacher:
             "--arch", "6,16,3", "--epochs", "1", "--out", str(out))
         assert code == 2
         assert len(err.splitlines()) == 1 and message in err
+        assert str(train) in err
         assert not out.exists()
 
 
@@ -339,6 +340,26 @@ class TestDistill:
         doc = json.loads(out.read_text())
         assert doc["method"] == "kl"
         assert (tmp_path / "report.json.manifest.json").exists()
+
+    def test_each_label_is_checked_once(self, workspace, capsys, tmp_path,
+                                        monkeypatch):
+        # the readers check the labels, and nothing after them again
+        _, data_dir, teacher = workspace
+        checked = {}
+        check = data.check_labels
+
+        def spy(source, labels, num_classes):
+            name = Path(source).name
+            checked[name] = checked.get(name, 0) + len(labels)
+            check(source, labels, num_classes)
+        monkeypatch.setattr(data, "check_labels", spy)
+        code, _, err = run_cli(
+            capsys, "distill", "--data-dir", str(data_dir), "--teacher",
+            str(teacher), "--method", "kl", "--epochs", "1",
+            "--out", str(tmp_path / "kl.json"))
+        assert code == 0, err
+        sizes = json.loads((data_dir / "spec.json").read_text())["split_sizes"]
+        assert checked == {f"{name}.csv": rows for name, rows in sizes.items()}
 
     def test_pt_with_coeffs_file(self, workspace, capsys, tmp_path):
         _, data_dir, teacher = workspace
@@ -493,6 +514,15 @@ class TestSearchCoeffs:
         code, err, out = search_cli(capsys, tmp_path, "--trials", "1")
         assert code == 2
         assert len(err.splitlines()) == 1 and "labels" in err
+        assert not out.exists()
+
+    def test_label_error_names_the_label_file(self, capsys, tmp_path):
+        write_search_inputs(tmp_path, ["0", "5"],
+                            np.array([[0.6, 0.4], [0.3, 0.7]]))
+        code, err, out = search_cli(capsys, tmp_path, "--trials", "1")
+        assert code == 2
+        assert err == (f"error: {tmp_path / 'labels.csv'}: labels must be "
+                       f"integers in [0, 2)\n")
         assert not out.exists()
 
     def test_non_numeric_range_is_schema_error(self, capsys, tmp_path):
@@ -789,7 +819,8 @@ class TestMalformedDataset:
         ids=["3-sealed", "-1-sealed", "1.5-sealed", "3-edited-csv"])
     def test_bad_test_label_is_one_line(self, workspace, capsys, tmp_path,
                                         command, label, sealed):
-        # the line a bad label gave when every split was held
+        # the line names the CSV, also when the label reached the check
+        # through a sealed copy, which is then refused and the CSV parsed
         _, data_dir, teacher = workspace
         bad_dir = tmp_path / "data"
         shutil.copytree(data_dir, bad_dir)
@@ -806,8 +837,31 @@ class TestMalformedDataset:
         code, stdout, err = run_cli(capsys, command, "--data-dir",
                                     str(bad_dir), *argv)
         assert code == 2 and stdout == ""
-        assert err == "error: labels must be integers in [0, 3)\n"
+        assert err == f"error: {split}: labels must be integers in [0, 3)\n"
         assert list(tmp_path.glob("out.json*")) == []
+
+    @pytest.mark.parametrize("label", ["-1", "1.5", "nan"])
+    def test_specless_bad_label_names_the_csv(self, workspace, capsys,
+                                              tmp_path, label):
+        # without a spec a label must be a whole number >= 0; this one
+        # reaches the check through a sealed copy, then through the CSV
+        _, data_dir, _ = workspace
+        bad_dir = tmp_path / "data"
+        shutil.copytree(data_dir, bad_dir)
+        meta = json.loads((bad_dir / "spec.json").read_text())
+        (bad_dir / "spec.json").write_text(json.dumps(dict(meta, spec=None)))
+        train = bad_dir / "train.csv"
+        lines = train.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + label
+        train.write_text("\n".join(lines) + "\n")
+        reseal(train)
+        out = tmp_path / "m.json"
+        code, stdout, err = run_cli(
+            capsys, "train-teacher", "--data-dir", str(bad_dir),
+            "--arch", "6,16,3", "--epochs", "1", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err == f"error: {train}: labels must be integers >= 0\n"
+        assert not out.exists()
 
 
 class TestEmptySplits:
@@ -1232,6 +1286,17 @@ class TestParserSurface:
         for name, flags in expected.items():
             assert _flags(sub.choices[name]) == {"--config": str, **flags}, name
 
+    @pytest.mark.parametrize("argv,says", [
+        (["--version"], cli.__version__ + "\n"),
+        (["eval", "--help"], "usage: ptdistill eval"),
+    ])
+    def test_help_and_version_exit_zero(self, capsys, argv, says):
+        # only usage errors leave through run's handler
+        with pytest.raises(SystemExit) as exit_:
+            cli.run(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith(says)
+
 
 class TestDeterminism:
     def test_rerun_reproduces_digests(self, capsys, tmp_path):
@@ -1355,6 +1420,16 @@ ONE_LINE_CASES = [
     pytest.param("eval --data-dir {data} --model {four_outputs}", 1, False,
                  "the model has 4 outputs but the dataset has 3 classes",
                  id="eval-model-outputs"),
+    # argparse's own errors, without its usage block
+    pytest.param("search-coeffs --trials abc", 2, False,
+                 "invalid int value: 'abc'", id="usage-trials-not-int"),
+    pytest.param("nope", 2, False, "invalid choice: 'nope'",
+                 id="usage-unknown-command"),
+    pytest.param("eval --split nope", 2, False, "invalid choice: 'nope'",
+                 id="usage-unknown-split"),
+    # a value that starts with - is attached with =, as in --range=-1,10
+    pytest.param("search-coeffs --range -1,10", 2, False,
+                 "--range: expected one argument", id="usage-range-dash"),
 ]
 
 

@@ -368,6 +368,23 @@ class TestLabeledDataset:
                                         "test": 0})
 
 
+class TestCheckLabels:
+    @pytest.mark.parametrize("labels,num_classes", [
+        ([0, 2, 1], 3), ([-0.0, 1.0], 2), ([0, 1e12], None), ([], 3)])
+    def test_passes(self, labels, num_classes):
+        data.check_labels("f.csv", np.array(labels, dtype=float), num_classes)
+
+    @pytest.mark.parametrize("label,num_classes,rule", [
+        (3, 3, "in [0, 3)"), (-1, 3, "in [0, 3)"), (1.5, 3, "in [0, 3)"),
+        (math.nan, 3, "in [0, 3)"), (-1, None, ">= 0"),
+        (1.5, None, ">= 0"), (math.nan, None, ">= 0"),
+        (math.inf, None, ">= 0")])
+    def test_names_the_source(self, label, num_classes, rule):
+        with pytest.raises(SchemaError) as exc:
+            data.check_labels("f.csv", np.array([0.0, label]), num_classes)
+        assert str(exc.value) == f"f.csv: labels must be integers {rule}"
+
+
 def spy_on_parsing(monkeypatch) -> list:
     """The paths np.loadtxt parses from now on, in order."""
     parsed = []
