@@ -278,6 +278,9 @@ def cmd_distill(cfg: dict, digests: dict):
 def cmd_search_coeffs(cfg: dict, digests: dict):
     probs = read_probs_csv(cfg["teacher-probs"])
     labels = read_labels_csv(cfg["labels"])
+    if len(labels) != len(probs):
+        raise SchemaError(f"{cfg['labels']} has {len(labels)} rows but "
+                          f"{cfg['teacher-probs']} has {len(probs)}")
     check_labels(cfg["labels"], labels, probs.shape[1])
     labels = one_hot(labels, probs.shape[1])
     trials = run_search(probs, labels, _search_spec(cfg, "seed"))

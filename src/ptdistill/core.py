@@ -44,7 +44,7 @@ class SearchFailureError(DomainError, RuntimeError):
 
 
 class TrainingDivergenceError(DomainError, RuntimeError):
-    """Training produced a non-finite loss or parameter."""
+    """Training produced a non-finite parameter (a diverging loss does)."""
 
 
 class SchemaError(Exception):

@@ -162,7 +162,7 @@ def verify_equivalence(method: str, param: float, order: int, trials: int,
         if method == "temperature":
             t_logits = rng.uniform(-3.0, 3.0, size=2)
             s_logits = rng.uniform(-3.0, 3.0, size=2)
-            target = float(temperature.values_and_grads(t_logits, s_logits)[0])
+            target = float(temperature.values(t_logits, s_logits))
             t, q = softmax_rows(t_logits), softmax_rows(s_logits)
             cfg, allowed = _fit_temperature_coefficient(t, q, target), None
         else:

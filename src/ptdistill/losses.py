@@ -139,25 +139,6 @@ def pt_rows(teacher: np.ndarray, student: np.ndarray,
     return kl_rows(teacher, student) + np.sum(value, axis=-1)
 
 
-def pt_grad_rows(teacher: np.ndarray, student_logits: np.ndarray,
-                 cfg: PerturbationConfig):
-    """Row-wise PT loss values and exact gradients w.r.t. student logits.
-
-    The KL part contributes (p^s - p^t); the perturbation part folds the
-    softmax Jacobian in analytically.
-    """
-    teacher = np.asarray(teacher, dtype=float)
-    student_logits = np.asarray(student_logits, dtype=float)
-    _check_same_classes(teacher, student_logits)
-    q = softmax_rows(student_logits)
-    cfg.check_classes(teacher.shape[-1])
-    value, s = perturbation_terms(teacher, q, cfg.coefficients.T, 1)
-    values = kl_rows(teacher, q) + np.sum(value, axis=-1)
-    qs = np.sum(q * s, axis=-1, keepdims=True)
-    grads = (q - teacher) - (q * s - q * qs)
-    return values, grads
-
-
 def smooth_rows(teacher: np.ndarray, delta: float) -> np.ndarray:
     """Mix a distribution with uniform: (1 - delta) p + delta / C."""
     teacher = np.asarray(teacher, dtype=float)
@@ -194,12 +175,12 @@ def check_param(name: str, value: float) -> float:
 # ---------------------------------------------------------------------------
 
 class TrainingLoss:
-    """A named per-example loss with analytic logit gradients for training.
-
-    ``method`` is the name reports carry; ``name`` names the loss itself.
-    ``param`` is the one constructor argument (None: no argument), and
-    ``targets`` is what the student trains against: the training
-    ``labels``, the teacher's ``logits`` or the teacher's ``probs``.
+    """A named per-example loss: a subclass defines ``values(targets,
+    logits)``, each row's loss, and ``grads``, its gradient w.r.t. the
+    logits, which is all an SGD step reads. ``method`` is the name reports
+    carry; ``name`` names the loss itself. ``param`` is the one constructor
+    argument (None: no argument), and ``targets`` is what the student trains
+    against: the training ``labels``, the teacher's ``logits`` or ``probs``.
     """
 
     name = method = "base"
@@ -207,30 +188,39 @@ class TrainingLoss:
     targets = "probs"
 
     def values_and_grads(self, targets: np.ndarray, logits: np.ndarray):
-        raise NotImplementedError
+        return self.values(targets, logits), self.grads(targets, logits)
 
 
-class CrossEntropyLoss(TrainingLoss):
+class KLLoss(TrainingLoss):
+    """KL(targets || softmax of the logits); targets are probability rows.
+
+    A subclass builds its own pair (t, q) and keeps the gradient
+    (q - t) / ``scale``; cross-entropy overrides only its value."""
+
+    name = method = "kl"
+    scale = 1.0  # x / 1.0 is exact, so unscaled gradients keep their bits
+
+    def pair(self, targets, logits):
+        return targets, softmax_rows(logits)
+
+    def values(self, targets, logits):
+        return kl_rows(*self.pair(targets, logits))
+
+    def grads(self, targets, logits):
+        t, q = self.pair(targets, logits)
+        return (q - t) / self.scale
+
+
+class CrossEntropyLoss(KLLoss):
     """One-hot cross-entropy; targets are one-hot rows."""
 
     name = "cross_entropy"
     method = "onehot"
     targets = "labels"
 
-    def values_and_grads(self, targets, logits):
+    def values(self, targets, logits):
         q = softmax_rows(logits)
-        values = -np.sum(targets * np.log(clamp_probs(q)), axis=-1)
-        return values, q - targets
-
-
-class KLLoss(TrainingLoss):
-    """KL(targets || softmax of the logits); targets are probability rows."""
-
-    name = method = "kl"
-
-    def values_and_grads(self, targets, logits):
-        q = softmax_rows(logits)
-        return kl_rows(targets, q), q - targets
+        return -np.sum(targets * np.log(clamp_probs(q)), axis=-1)
 
 
 class PTLoss(TrainingLoss):
@@ -242,11 +232,21 @@ class PTLoss(TrainingLoss):
     def __init__(self, cfg: PerturbationConfig):
         self.cfg = cfg
 
-    def values_and_grads(self, targets, logits):
-        return pt_grad_rows(targets, logits, self.cfg)
+    def values(self, targets, logits):
+        return pt_rows(targets, softmax_rows(logits), self.cfg)
+
+    def grads(self, targets, logits):
+        # the KL part q - t, then the perturbation part through the softmax
+        teacher = np.asarray(targets, dtype=float)
+        q = softmax_rows(logits)
+        _check_same_classes(teacher, q)
+        self.cfg.check_classes(teacher.shape[-1])
+        _, s = perturbation_terms(teacher, q, self.cfg.coefficients.T, 1)
+        qs = np.sum(q * s, axis=-1, keepdims=True)
+        return (q - teacher) - (q * s - q * qs)
 
 
-class TemperatureKLLoss(TrainingLoss):
+class TemperatureKLLoss(KLLoss):
     """KL between temperature-scaled softmaxes; targets are teacher logits."""
 
     name = method = "temperature"
@@ -254,15 +254,14 @@ class TemperatureKLLoss(TrainingLoss):
     targets = "logits"
 
     def __init__(self, tau: float):
-        self.tau = check_param("tau", tau)
+        self.tau = self.scale = check_param("tau", tau)
 
-    def values_and_grads(self, targets, logits):
-        t = softmax_rows(np.asarray(targets, dtype=float) / self.tau)
-        q = softmax_rows(np.asarray(logits, dtype=float) / self.tau)
-        return kl_rows(t, q), (q - t) / self.tau
+    def pair(self, targets, logits):
+        return (softmax_rows(np.asarray(targets, dtype=float) / self.tau),
+                softmax_rows(np.asarray(logits, dtype=float) / self.tau))
 
 
-class SmoothedKLLoss(TrainingLoss):
+class SmoothedKLLoss(KLLoss):
     """KL loss against targets smoothed toward uniform by delta."""
 
     name = method = "label_smoothing"
@@ -271,10 +270,8 @@ class SmoothedKLLoss(TrainingLoss):
     def __init__(self, delta: float):
         self.delta = check_param("delta", delta)
 
-    def values_and_grads(self, targets, logits):
-        smoothed = smooth_rows(targets, self.delta)
-        q = softmax_rows(logits)
-        return kl_rows(smoothed, q), q - smoothed
+    def pair(self, targets, logits):
+        return smooth_rows(targets, self.delta), softmax_rows(logits)
 
 
 class FocalKDLoss(TrainingLoss):
@@ -286,18 +283,19 @@ class FocalKDLoss(TrainingLoss):
     def __init__(self, gamma: float):
         self.gamma = check_param("gamma", gamma)
 
-    def values_and_grads(self, targets, logits):
+    def values(self, targets, logits):
+        return focal_rows(targets, softmax_rows(logits), self.gamma)
+
+    def grads(self, targets, logits):
         t = np.asarray(targets, dtype=float)
         q = softmax_rows(logits)
-        values = focal_rows(t, q, self.gamma)
         qc = clamp_probs(q)
         u = 1.0 - q
         # dL/dq_c (clamped u keeps u**(gamma-1) finite), then the softmax Jacobian.
         dldq = t * (self.gamma * clamp_probs(u) ** (self.gamma - 1.0)
                     * np.log(qc) - u ** self.gamma / qc)
         inner = np.sum(dldq * q, axis=-1, keepdims=True)
-        grads = q * (dldq - inner)
-        return values, grads
+        return q * (dldq - inner)
 
 
 # Method names and their aliases -> loss class.

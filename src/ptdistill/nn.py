@@ -149,7 +149,8 @@ def forward_rows(model: MlpModel, x: np.ndarray,
 
 class _Step:
     """Forward and backprop buffers for batches of up to ``rows`` rows, and
-    the flat gradient buffer (``_param_views`` layout) a step fills."""
+    the flat gradient buffer (``_param_views`` layout) a step fills. A step
+    reads the loss's logit gradients (``loss.grads``), never its values."""
 
     def __init__(self, layer_dims: list[int], rows: int):
         hidden = layer_dims[1:-1]
@@ -160,13 +161,13 @@ class _Step:
                                  in zip(layer_dims[:-1], layer_dims[1:])))
         self.dws, self.dbs = _param_views(layer_dims, self.grad)
 
-    def loss_and_grads(self, model: MlpModel, x: np.ndarray,
-                       targets: np.ndarray, loss: TrainingLoss) -> float:
-        """Mean loss over the batch; its exact parameter gradients land in
-        ``grad`` (``dws`` and ``dbs``)."""
+    def backprop(self, model: MlpModel, x: np.ndarray, targets: np.ndarray,
+                 loss: TrainingLoss) -> None:
+        """Fill ``grad`` (``dws`` and ``dbs``) with the exact parameter
+        gradients of the batch's mean loss."""
         m = x.shape[0]
         layers = _forward_layers(model, x, [a[:m] for a in self.outputs])
-        values, delta = loss.values_and_grads(targets, layers[-1])
+        delta = loss.grads(targets, layers[-1])
         delta /= m
         for i in range(len(model.weights) - 1, -1, -1):
             np.matmul(layers[i].T, delta, out=self.dws[i])
@@ -176,21 +177,17 @@ class _Step:
                 delta = np.matmul(delta, model.weights[i].T,
                                   out=self.deltas[i - 1][:m])
                 delta *= mask
-        return float(np.mean(values))
 
 
 def evaluate(model: MlpModel, x: np.ndarray, targets: np.ndarray,
              loss: TrainingLoss, hidden: list[np.ndarray] | None = None):
     """Full-batch mean loss and argmax accuracy against the targets;
-    ``hidden`` as for ``forward_rows``."""
+    ``hidden`` as for ``forward_rows``. The loss is read through
+    ``values_and_grads``, the call the benchmark's loss spans time."""
     logits = forward_rows(model, x, hidden)
     values, _ = loss.values_and_grads(targets, logits)
     acc = float(np.mean(np.argmax(logits, axis=1) == np.argmax(targets, axis=1)))
     return float(np.mean(values)), acc
-
-
-def _all_finite(model: MlpModel) -> bool:
-    return all(np.isfinite(p).all() for p in (*model.weights, *model.biases))
 
 
 def train(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
@@ -201,7 +198,8 @@ def train(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
     after each epoch; with ``record_history`` false no epoch is evaluated
     and the history is empty. Epoch shuffling is driven by (seed, epoch).
     The trained copy's weights and biases are views into one flat parameter
-    buffer.
+    buffer. ``TrainingDivergenceError`` is raised on the step that leaves a
+    parameter non-finite; no loss diverges while the logits are finite.
     """
     inputs = _check_inputs(model, inputs)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -222,12 +220,8 @@ def train(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
         epoch_inputs, epoch_targets = inputs[order], targets[order]
         for start in range(0, n, tc.batch_size):
             batch = slice(start, start + tc.batch_size)
-            value = step.loss_and_grads(model, epoch_inputs[batch],
-                                        epoch_targets[batch], loss)
-            if not np.isfinite(value):
-                raise TrainingDivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch start {start}"
-                )
+            step.backprop(model, epoch_inputs[batch], epoch_targets[batch],
+                          loss)
             step.grad *= tc.learning_rate
             params -= step.grad
             if not np.isfinite(params).all():
@@ -271,6 +265,6 @@ def load_model(path) -> MlpModel:
             or [b.shape for b in model.biases] != [(o,) for _, o in shapes]):
         raise SchemaError(f"{path}: weight and bias shapes do not match "
                           f"layer_dims {model.layer_dims}")
-    if not _all_finite(model):
+    if not all(np.isfinite(p).all() for p in (*model.weights, *model.biases)):
         raise SchemaError(f"{path}: weights and biases must be finite")
     return model

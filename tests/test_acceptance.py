@@ -21,9 +21,9 @@ from ptdistill.equivalence import truncation_bound, verify_equivalence
 from ptdistill.losses import (
     PerturbationConfig,
     kl_rows,
+    PTLoss,
     make_loss,
     perturbation_terms,
-    pt_grad_rows,
     pt_rows,
 )
 from ptdistill.proxy import solve_proxy_rows
@@ -70,13 +70,13 @@ def test_criterion_2_gradient_correctness():
         t = rng.dirichlet(np.ones(c))
         z = rng.uniform(-3, 3, size=c)
         cfg = PerturbationConfig(m, rng.uniform(-10, 10, size=(c, m)))
-        _, grad = pt_grad_rows(t, z, cfg)
+        grad = PTLoss(cfg).grads(t, z)
         fd = np.zeros(c)
         for j in range(c):
             e = np.zeros(c)
             e[j] = h
-            fd[j] = (pt_grad_rows(t, z + e, cfg)[0]
-                     - pt_grad_rows(t, z - e, cfg)[0]) / (2 * h)
+            fd[j] = (PTLoss(cfg).values(t, z + e)
+                     - PTLoss(cfg).values(t, z - e)) / (2 * h)
         rel = np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1.0)
         worst_loss = max(worst_loss, float(rel))
 
@@ -88,17 +88,17 @@ def test_criterion_2_gradient_correctness():
         loss = make_loss("pt", cfg=cfg)
         x = rng.normal(size=(5, 4))
         targets = rng.dirichlet(np.ones(3), size=5)
-        # the step train takes; a second one evaluates the perturbed models
-        step, probe = (nn._Step(model.layer_dims, len(x)) for _ in range(2))
-        step.loss_and_grads(model, x, targets, loss)
+        # the step train takes; the mean loss of the perturbed models
+        step = nn._Step(model.layer_dims, len(x))
+        step.backprop(model, x, targets, loss)
         dws = step.dws
         for li in range(len(model.weights)):
             i, j = 0, 0
             pert = copy.deepcopy(model)
             pert.weights[li][i, j] += h
-            up = probe.loss_and_grads(pert, x, targets, loss)
+            up = np.mean(loss.values(targets, nn.forward_rows(pert, x)))
             pert.weights[li][i, j] -= 2 * h
-            dn = probe.loss_and_grads(pert, x, targets, loss)
+            dn = np.mean(loss.values(targets, nn.forward_rows(pert, x)))
             fd = (up - dn) / (2 * h)
             rel = abs(dws[li][i, j] - fd) / max(abs(fd), 1.0)
             worst_net = max(worst_net, float(rel))

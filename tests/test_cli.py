@@ -525,6 +525,15 @@ class TestSearchCoeffs:
                        f"integers in [0, 2)\n")
         assert not out.exists()
 
+    def test_row_count_mismatch_names_both_files(self, capsys, tmp_path):
+        write_search_inputs(tmp_path, ["0", "1", "0"],
+                            np.array([[0.6, 0.4], [0.3, 0.7]]))
+        code, err, out = search_cli(capsys, tmp_path, "--trials", "1")
+        assert code == 2
+        assert err == (f"error: {tmp_path / 'labels.csv'} has 3 rows but "
+                       f"{tmp_path / 'probs.csv'} has 2\n")
+        assert not out.exists()
+
     def test_non_numeric_range_is_schema_error(self, capsys, tmp_path):
         probs = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])
         write_search_inputs(tmp_path, ["0", "1"], probs)

@@ -60,6 +60,10 @@ class TestLsCoefficients:
         with pytest.raises(InvalidInputError):
             ls_coefficients(ProbVector([0.5, 0.5]), 1.0, 2)
 
+    def test_order_below_one(self):
+        with pytest.raises(InvalidInputError, match="^order must be >= 1$"):
+            ls_coefficients(ProbVector([0.5, 0.5]), 0.1, 0)
+
 
 class TestFocalCoefficients:
     def test_closed_form(self):
@@ -77,6 +81,10 @@ class TestFocalCoefficients:
     def test_bad_gamma(self):
         with pytest.raises(InvalidInputError):
             focal_coefficients(ProbVector([0.5, 0.5]), -0.5, 2)
+
+    def test_order_below_one(self):
+        with pytest.raises(InvalidInputError, match="^order must be >= 1$"):
+            focal_coefficients(ProbVector([0.5, 0.5]), 2.0, 0)
 
 
 class TestTruncationBound:
@@ -107,6 +115,10 @@ class TestTruncationBound:
     def test_domain_errors(self, bad):
         with pytest.raises(InvalidInputError):
             truncation_bound(bad, 3)
+
+    def test_order_below_one(self):
+        with pytest.raises(InvalidInputError, match="^order must be >= 1$"):
+            truncation_bound(0.5, 0)
 
 
 class TestRequiredOrder:

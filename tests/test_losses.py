@@ -5,13 +5,13 @@ from ptdistill.core import InvalidInputError, softmax_rows
 from ptdistill.losses import (
     CrossEntropyLoss,
     PerturbationConfig,
+    PTLoss,
     SmoothedKLLoss,
     TemperatureKLLoss,
     focal_rows,
     kl_rows,
     make_loss,
     perturbation_terms,
-    pt_grad_rows,
     pt_rows,
     smooth_rows,
 )
@@ -197,25 +197,25 @@ class TestLogSeries:
 
 
 class TestPtLossGrad:
-    """PT loss values and logit gradients from ``pt_grad_rows``."""
+    """PT loss values and logit gradients from ``PTLoss``."""
 
     def test_zero_at_kl_minimum(self):
         z = np.array([0.4, -0.1, 0.2])
         t = softmax_rows(z)
-        _, grad = pt_grad_rows(t, z, PerturbationConfig.zero(3))
+        grad = PTLoss(PerturbationConfig.zero(3)).grads(t, z)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_kl_gradient_analytic(self):
         t = np.array([0.8, 0.2])
         z = np.log([0.7, 0.3])
-        _, grad = pt_grad_rows(t, z, PerturbationConfig.zero(2))
+        grad = PTLoss(PerturbationConfig.zero(2)).grads(t, z)
         np.testing.assert_allclose(grad, [-0.1, 0.1], atol=1e-12)
         assert abs(grad.sum()) <= 1e-9
 
     def test_full_gradient_analytic(self):
         t = np.array([0.8, 0.2])
         z = np.log([0.7, 0.3])
-        _, grad = pt_grad_rows(t, z, PerturbationConfig.tied([1.0], 2))
+        grad = PTLoss(PerturbationConfig.tied([1.0], 2)).grads(t, z)
         np.testing.assert_allclose(grad, [-0.226, 0.226], atol=1e-12)
         assert abs(grad.sum()) <= 1e-9
 
@@ -223,7 +223,7 @@ class TestPtLossGrad:
         t = np.array([0.6, 0.4])
         z = np.array([1.0, -0.5])
         cfg = PerturbationConfig(2, np.array([[0.5, -0.3], [1.2, 0.7]]))
-        value, grad = pt_grad_rows(t, z, cfg)
+        value, grad = PTLoss(cfg).values_and_grads(t, z)
         s = softmax_rows(z)
         assert float(value) == pytest.approx(pt_rows(t, s, cfg), abs=1e-14)
         assert abs(grad.sum()) <= 1e-9
@@ -236,16 +236,23 @@ class TestPtLossGrad:
             t = random_simplex(rng, c)
             z = rng.uniform(-2, 2, size=c)
             cfg = random_config(rng, c)
-            _, grad = pt_grad_rows(t, z, cfg)
+            grad = PTLoss(cfg).grads(t, z)
             fd = np.zeros(c)
             for j in range(c):
                 e = np.zeros(c)
                 e[j] = h
-                up, _ = pt_grad_rows(t, z + e, cfg)
-                dn, _ = pt_grad_rows(t, z - e, cfg)
+                up = PTLoss(cfg).values(t, z + e)
+                dn = PTLoss(cfg).values(t, z - e)
                 fd[j] = (up - dn) / (2 * h)
             scale = max(np.max(np.abs(fd)), 1.0)
             assert np.max(np.abs(grad - fd)) / scale <= 1e-5
+
+    def test_class_count_mismatch(self):
+        # the configuration is for 2 classes, the rows have 3
+        cfg = PerturbationConfig.tied([1.0], 2)
+        with pytest.raises(InvalidInputError,
+                           match="coefficients are for 2 classes"):
+            PTLoss(cfg).grads(np.full(3, 1 / 3), np.zeros(3))
 
     def test_gradient_sums_to_zero(self):
         rng = np.random.default_rng(17)
@@ -254,7 +261,7 @@ class TestPtLossGrad:
             t = random_simplex(rng, c)
             z = rng.uniform(-3, 3, size=c)
             cfg = random_config(rng, c)
-            _, grad = pt_grad_rows(t, z, cfg)
+            grad = PTLoss(cfg).grads(t, z)
             assert abs(grad.sum()) <= 1e-9
 
 

@@ -177,10 +177,13 @@ class TestBackprop:
             targets = rng.dirichlet(np.ones(3), size=5)
         else:
             targets = np.eye(3)[rng.integers(0, 3, size=5)]
-        # the step train takes; a second one evaluates the perturbed models
-        step, probe = (nn._Step(model.layer_dims, len(x)) for _ in range(2))
-        step.loss_and_grads(model, x, targets, loss)
+        # the step train takes; the mean loss of the perturbed models
+        step = nn._Step(model.layer_dims, len(x))
+        step.backprop(model, x, targets, loss)
         dws, dbs = step.dws, step.dbs
+
+        def mean_loss(pert):
+            return np.mean(loss.values(targets, nn.forward_rows(pert, x)))
         h = 1e-6
         checks = 0
         for li in range(len(model.weights)):
@@ -189,17 +192,17 @@ class TestBackprop:
             for (i, j) in idxs:
                 pert = copy.deepcopy(model)
                 pert.weights[li][i, j] += h
-                up = probe.loss_and_grads(pert, x, targets, loss)
+                up = mean_loss(pert)
                 pert.weights[li][i, j] -= 2 * h
-                dn = probe.loss_and_grads(pert, x, targets, loss)
+                dn = mean_loss(pert)
                 fd = (up - dn) / (2 * h)
                 assert dws[li][i, j] == pytest.approx(fd, abs=2e-6, rel=1e-4)
                 checks += 1
             pert = copy.deepcopy(model)
             pert.biases[li][0] += h
-            up = probe.loss_and_grads(pert, x, targets, loss)
+            up = mean_loss(pert)
             pert.biases[li][0] -= 2 * h
-            dn = probe.loss_and_grads(pert, x, targets, loss)
+            dn = mean_loss(pert)
             assert dbs[li][0] == pytest.approx((up - dn) / (2 * h),
                                                abs=2e-6, rel=1e-4)
         assert checks == 4
@@ -283,12 +286,13 @@ class TestTrain:
         model = nn.init([2, 4, 2], seed=0)
         tc = nn.TrainConfig(learning_rate=1e12, epochs=50, seed=0)
         with pytest.raises(TrainingDivergenceError,
-                           match="^non-finite loss at epoch 13, batch start 0$"):
+                           match="^non-finite parameter at epoch 13, "
+                                 "batch start 0$"):
             nn.train(model, x, labels, make_loss("cross_entropy"), tc)
 
     class HugeGradient(TrainingLoss):
-        def values_and_grads(self, targets, logits):
-            return np.zeros(len(logits)), np.full(logits.shape, 1e308)
+        def grads(self, targets, logits):
+            return np.full(logits.shape, 1e308)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_weight_detected(self):
@@ -311,6 +315,27 @@ class TestTrain:
                                  "batch start 0$"):
             nn.train(model, np.zeros((1, 2)), np.eye(2)[:1],
                      self.HugeGradient(), tc)
+
+    def test_steps_read_only_grads(self, monkeypatch):
+        # every batch reads the loss's gradients once and never its values;
+        # only a recorded epoch's evaluation reads the values, once
+        x, labels = self.make_toy(n=50)
+        loss = make_loss("kl")
+        calls = []
+        for name in ("values", "grads", "values_and_grads"):
+            def spy(targets, logits, name=name, inner=getattr(loss, name)):
+                calls.append((name, len(targets)))
+                return inner(targets, logits)
+            monkeypatch.setattr(loss, name, spy)
+        tc = nn.TrainConfig(batch_size=16, epochs=2, seed=0)
+        nn.train(nn.init([2, 4, 2], seed=0), x, labels, loss, tc)
+        steps = [("grads", 16)] * 3 + [("grads", 2)]
+        evaluation = [("values_and_grads", 50), ("values", 50), ("grads", 50)]
+        assert calls == 2 * (steps + evaluation)
+        calls.clear()
+        nn.train(nn.init([2, 4, 2], seed=0), x, labels, loss, tc,
+                 record_history=False)
+        assert calls == 2 * steps
 
     def test_one_set_of_inference_buffers(self, monkeypatch):
         # the per-epoch evaluations share one set of hidden buffers

@@ -10,7 +10,7 @@ from ptdistill.core import (
     on_simplex,
     softmax_rows,
 )
-from ptdistill.losses import PerturbationConfig, pt_grad_rows, pt_rows
+from ptdistill.losses import PerturbationConfig, PTLoss, pt_rows
 from ptdistill.proxy import (
     SolverConfig,
     _local_model,
@@ -98,7 +98,7 @@ class TestSolveProxyExample:
             cfg = PerturbationConfig(m, rng.uniform(-2, 2, size=(c, m)))
             (proxy,), (converged,) = solve_proxy_rows(t, cfg)
             if converged:
-                grad = pt_grad_rows(t, np.log(proxy), cfg)[1]
+                grad = PTLoss(cfg).grads(t, np.log(proxy))
                 assert np.linalg.norm(grad) <= 1e-6
 
     def test_teacher_entries_at_or_near_zero(self):
@@ -116,7 +116,7 @@ class TestSolveProxyExample:
             cfg = PerturbationConfig(len(eps[0]), np.array(eps))
             proxies, converged = solve_proxy_rows(teachers, cfg)
             assert np.all(converged) and np.all(np.isfinite(proxies))
-            grads = pt_grad_rows(teachers, np.log(proxies), cfg)[1]
+            grads = PTLoss(cfg).grads(teachers, np.log(proxies))
             assert np.all(np.linalg.norm(grads, axis=1) <= 1e-6)
             # a class the teacher rules out gets (next to) no proxy mass
             assert np.all(proxies[teachers == 0.0] <= 1e-12)
@@ -155,7 +155,7 @@ class TestSolveProxyExample:
             cfg = PerturbationConfig(1, np.array(eps)[:, None])
             proxy, _, iterations, converged = solve_one(t, cfg)
             assert converged and iterations <= most
-            grad = pt_grad_rows(t, np.log(proxy), cfg)[1]
+            grad = PTLoss(cfg).grads(t, np.log(proxy))
             assert np.linalg.norm(grad) <= SolverConfig().tolerance
 
     def test_matches_grid_oracle(self):
