@@ -53,7 +53,6 @@ _COPY_DTYPE = np.dtype("<f8")
 # Rows per block when the dataset is generated, written and read; nn's
 # shortest inference block too.
 _BLOCK_ROWS = 8192
-_FORMAT_ROWS = 1024  # rows write_csv formats at once; more raise the peak
 
 
 def _row_blocks(lo: int, hi: int):
@@ -431,18 +430,14 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 def write_csv(path, header, blocks) -> None:
     """Rows of numbers under a header of column names, at full precision.
 
-    ``blocks``, row blocks as wide as the header (arrays or lists of rows),
-    are written in turn, each part of up to ``_FORMAT_ROWS`` rows by one
-    ``%`` of the row format repeated: ``np.savetxt(fmt="%.17g")``'s bytes.
+    ``blocks`` is an iterable of 2-D row blocks, a list of one table or a
+    generator, written in turn with one ``np.savetxt`` call each; it
+    formats row by row, so the bytes are those of one call on all rows.
     """
-    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for block in blocks:
-            block = np.asarray(block, dtype=float)
-            for start in range(0, len(block), _FORMAT_ROWS):
-                part = block[start:start + _FORMAT_ROWS]
-                f.write((row * len(part)) % tuple(part.ravel().tolist()))
+        for rows in blocks:
+            np.savetxt(f, rows, delimiter=",", fmt="%.17g")
 
 
 def _copy_path(csv_path) -> Path:

@@ -194,11 +194,10 @@ class TrainingLoss:
 class KLLoss(TrainingLoss):
     """KL(targets || softmax of the logits); targets are probability rows.
 
-    A subclass builds its own pair (t, q) and keeps the gradient
-    (q - t) / ``scale``; cross-entropy overrides only its value."""
+    A subclass builds its own pair (t, q) and keeps the gradient q - t;
+    cross-entropy overrides only its value."""
 
     name = method = "kl"
-    scale = 1.0  # x / 1.0 is exact, so unscaled gradients keep their bits
 
     def pair(self, targets, logits):
         return targets, softmax_rows(logits)
@@ -208,7 +207,7 @@ class KLLoss(TrainingLoss):
 
     def grads(self, targets, logits):
         t, q = self.pair(targets, logits)
-        return (q - t) / self.scale
+        return q - t
 
 
 class CrossEntropyLoss(KLLoss):
@@ -254,11 +253,14 @@ class TemperatureKLLoss(KLLoss):
     targets = "logits"
 
     def __init__(self, tau: float):
-        self.tau = self.scale = check_param("tau", tau)
+        self.tau = check_param("tau", tau)
 
     def pair(self, targets, logits):
         return (softmax_rows(np.asarray(targets, dtype=float) / self.tau),
                 softmax_rows(np.asarray(logits, dtype=float) / self.tau))
+
+    def grads(self, targets, logits):
+        return super().grads(targets, logits) / self.tau
 
 
 class SmoothedKLLoss(KLLoss):

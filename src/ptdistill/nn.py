@@ -182,9 +182,10 @@ class _Step:
 def evaluate(model: MlpModel, x: np.ndarray, targets: np.ndarray,
              loss: TrainingLoss, hidden: list[np.ndarray] | None = None):
     """Full-batch mean loss and argmax accuracy against the targets;
-    ``hidden`` as for ``forward_rows``. The loss is read through
-    ``values_and_grads``, the call the benchmark's loss spans time."""
+    ``hidden`` as for ``forward_rows``."""
     logits = forward_rows(model, x, hidden)
+    # values_and_grads, not values: the traced benchmark's loss spans wrap
+    # only this call until they wrap values and grads (ROADMAP step 1c)
     values, _ = loss.values_and_grads(targets, logits)
     acc = float(np.mean(np.argmax(logits, axis=1) == np.argmax(targets, axis=1)))
     return float(np.mean(values)), acc

@@ -335,20 +335,20 @@ class TestSerialization:
         assert first == "x_0,x_1,x_2,label"
 
     def test_csv_bytes_match_savetxt(self, tmp_path):
-        # one % per part of up to 1,024 rows writes np.savetxt's bytes,
-        # whatever the block lengths; a block may be a list of rows
+        # blocks written in turn give the bytes of one np.savetxt call on
+        # all rows, whatever their lengths; a block may be a list of rows
         special = [[-0.0, 3.0, 1e-300, 1e300], [0.0, -12.0, 0.1, -1e300]]
         table = np.vstack([special,
                            np.random.default_rng(0).normal(size=(2_500, 4))])
         blocks = [table[:0], [], table[:1], table[1:2_501],
                   table[2_501:].tolist()]
         write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], blocks)
-        want = io.StringIO("")
+        want = io.StringIO()
         want.write("a,b,c,d\n")
         np.savetxt(want, table, delimiter=",", fmt="%.17g")
         assert (tmp_path / "t.csv").read_text() == want.getvalue()
 
-    @pytest.mark.parametrize("body",["", "\n"], ids=["header", "blank"])
+    @pytest.mark.parametrize("body", ["", "\n"], ids=["header", "blank"])
     def test_header_only_csv_is_empty(self, tmp_path, recwarn, body):
         path = tmp_path / "test.csv"
         path.write_text("x_0,x_1,label\n" + body)
