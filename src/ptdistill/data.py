@@ -50,9 +50,11 @@ MAX_MEAN_DRAWS = 100_000
 # A split's binary copy: a SHA-256 seal, then its rows in this dtype.
 _SEAL_BYTES = 32
 _COPY_DTYPE = np.dtype("<f8")
-# Rows per block when the dataset is generated, written and read; nn's
-# shortest inference block too.
-_BLOCK_ROWS = 8192
+# Rows per block when the dataset is generated, written and read and its
+# posterior computed; nn's shortest inference block too. A 90,000-row split
+# is scored in 4,286-row blocks: two 128-wide hidden buffers of 8.8 MB, below
+# a one-block 5,000-row pass's 10.2 MB (nn's "Memory layout" on their bits).
+_BLOCK_ROWS = 4096
 
 
 def _row_blocks(lo: int, hi: int):

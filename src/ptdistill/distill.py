@@ -66,10 +66,12 @@ def score_split(models: list[MlpModel], data: LabeledDataset, name: str,
 
     The split, held or a ``SplitFile``, is read one block of
     ``nn.inference_blocks`` at a time, so the logits have the bits of one
-    ``forward_rows`` call. The models share one architecture and, unless
-    diagnosing, one set of hidden buffers (diagnosing, each block's are
-    freed before the posterior's temporaries are made). Only per-row
-    values outlive a block, and each mean is taken once over the split.
+    ``forward_rows`` call over the split; nn's "Memory layout" says for
+    which nets those are also one full-batch product's. The models share
+    one architecture and, unless diagnosing, one set of hidden buffers
+    (diagnosing, each block's are freed before the posterior's temporaries
+    are made). Only per-row values outlive a block, and each mean is taken
+    once over the split.
     """
     n, spec = data.rows(name), data.spec
     for model in models:

@@ -17,15 +17,21 @@ Memory layout:
 * The forward pass adds the bias in place (``a = h @ w; a += b``), so a
   layer costs one array of its output size, never a second temporary.
 * ``forward_rows`` runs N rows as the ``inference_blocks(N)``:
-  ``max(1, N // 8192)`` near-equal blocks of 8,192 to 16,383 rows that
+  ``max(1, N // 4096)`` near-equal blocks of 4,096 to 8,191 rows that
   share one set of hidden buffers, and the last layer writes into the
   block's rows of the logits. Inference memory is then bounded by the
-  block, not N. Blocks that long take the same BLAS kernel path as one
-  full-batch product, so the logits are the same bits; short blocks (a
-  few thousand rows) can move their last bits. Each block is its own
-  single block, so rows handed to ``forward_rows`` one of those blocks at
-  a time get the same logits. ``train`` allocates one set of these
-  buffers for all of its epochs' evaluations.
+  block, not N. Whether blocks move the logits' last bits depends on the
+  BLAS and the layer widths. On OpenBLAS 0.3.31 at 90,000 rows, the
+  logits of ``[30, 128, 128, 3]``, ``[30, 8, 3]``, ``[30, 80, 3]``,
+  ``[30, 256, 3]`` and ``[30, 128, 128, 100]`` in 4,096- and 8,192-row
+  blocks were the bits of one full-batch product (``[30, 128, 128, 3]``'s
+  down to about 2,600-row blocks). Narrow last hidden layers' were not:
+  in 4,096-row blocks, ``[30, 32, 3]``, ``[30, 64, 3]`` and
+  ``[30, 16, 16, 3]`` moved the last bits of most rows (``[30, 64, 3]``
+  matched in 8,192-row blocks, the other two did not). Each block is its
+  own single block, so rows handed to ``forward_rows`` one of those
+  blocks at a time get the same logits. ``train`` allocates one set of
+  these buffers for all of its epochs' evaluations.
 """
 from __future__ import annotations
 
@@ -121,8 +127,9 @@ def _block_count(n: int) -> int:
 
 
 def inference_blocks(n: int):
-    """The row blocks ``forward_rows`` runs n rows in: ``max(1, n // 8192)``
-    near-equal slices, made one at a time."""
+    """The row blocks ``forward_rows`` runs n rows in: ``max(1, n // 4096)``
+    near-equal slices, of 4,096 to 8,191 rows once n reaches 4,096, made one
+    at a time."""
     count = _block_count(n)
     return (slice(k * n // count, (k + 1) * n // count) for k in range(count))
 

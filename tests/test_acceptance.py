@@ -2,10 +2,14 @@
 
 Each test prints one PASS/FAIL line so the suite doubles as a checklist.
 The desk-scale reproduction (criterion 7) trains real teachers and students
-and takes several minutes; everything else runs in seconds.
+and takes about a minute on two cores; everything else runs in seconds.
 """
 import copy
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -218,41 +222,69 @@ def test_criterion_6_quality_score_guarantee():
 ARCH = [30, 128, 128, 3]
 
 
-@pytest.fixture(scope="module")
-def desk_scale():
-    """Shared pipeline state: dataset, per-seed students, and the sweep."""
-    spec = GaussianMixtureSpec.sample(seed=0)
-    data = generate(spec, 100_000, (0.05, 0.05, 0.9))
+# The fixture's independent work runs in this many spawned workers, one
+# BLAS thread each; on one core it runs in-process.
+WORKERS = min(2, os.cpu_count() or 1)
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _seed_students(data, seed):
+    """One seed's teacher, and its KL and PT students' test accuracies."""
     x_val, y_val = data.split("validation")
+    teacher, _ = train_teacher(data, ARCH,
+                               nn.TrainConfig(epochs=100, seed=seed))
+    stc = nn.TrainConfig(epochs=100, seed=seed + 100)
+    # no test reads the students' histories
+    kl_student, _ = _train_student(teacher, data, make_loss("kl"), stc,
+                                   record_history=False)
+    cfg = best_trial(run_search(
+        teacher_probs(teacher, x_val), y_val,
+        SearchSpec(max_order=3, trials_per_order=100, seed=seed))).config
+    pt_student, _ = _train_student(teacher, data,
+                                   make_loss("pt", cfg=cfg), stc,
+                                   record_history=False)
+    return teacher, score_split([kl_student, pt_student], data, "test")
 
-    accs = []
-    teachers = {}
-    for seed in range(3):
-        teacher, _ = train_teacher(data, ARCH,
-                                   nn.TrainConfig(epochs=100, seed=seed))
-        teachers[seed] = teacher
-        stc = nn.TrainConfig(epochs=100, seed=seed + 100)
-        # no test reads the students' histories
-        kl_student, _ = _train_student(teacher, data, make_loss("kl"), stc,
-                                       record_history=False)
-        cfg = best_trial(run_search(
-            teacher_probs(teacher, x_val), y_val,
-            SearchSpec(max_order=3, trials_per_order=100, seed=seed))).config
-        pt_student, _ = _train_student(teacher, data,
-                                       make_loss("pt", cfg=cfg), stc,
-                                       record_history=False)
-        accs.append(score_split([kl_student, pt_student], data, "test"))
 
-    # sweep: spread 12 candidates across the score range of a short search
-    traj = run_search(teacher_probs(teachers[0], x_val), y_val,
+def _sweep(data, teacher):
+    """12 candidates spread across the score range of a short search on
+    the teacher's validation probabilities, each distilled once."""
+    x_val, y_val = data.split("validation")
+    traj = run_search(teacher_probs(teacher, x_val), y_val,
                       SearchSpec(max_order=2, trials_per_order=10, seed=0))
     kept = sorted((t for t in traj if not t.discarded),
                   key=lambda t: t.score.total)
     idx = np.unique(np.linspace(0, len(kept) - 1, 12).astype(int))
     configs = [kept[i].config for i in idx]
-    points = sweep_proxy_teachers(teachers[0], data, configs,
-                                  nn.TrainConfig(epochs=100, seed=100))
-    return accs, points
+    return sweep_proxy_teachers(teacher, data, configs,
+                                nn.TrainConfig(epochs=100, seed=100))
+
+
+@pytest.fixture(scope="module")
+def desk_scale():
+    """Shared pipeline state: per-seed student accuracies, and the sweep
+    on seed 0's teacher.
+
+    The three seeds are independent, and the sweep needs only seed 0's
+    teacher, so with two cores they run in two ``spawn`` workers (this
+    process has started BLAS threads, which ``fork`` would copy badly).
+    Each worker starts with one BLAS thread in its environment, before it
+    imports numpy.
+    """
+    spec = GaussianMixtureSpec.sample(seed=0)
+    data = generate(spec, 100_000, (0.05, 0.05, 0.9))
+    if WORKERS < 2:
+        seeds = [_seed_students(data, seed) for seed in range(3)]
+        return [accs for _, accs in seeds], _sweep(data, seeds[0][0])
+    pool = ProcessPoolExecutor(WORKERS,
+                               mp_context=multiprocessing.get_context("spawn"))
+    with pool:
+        # workers start as work is submitted, so all of them start here
+        with mock.patch.dict(os.environ, dict.fromkeys(BLAS_ENV, "1")):
+            seeds = [pool.submit(_seed_students, data, seed)
+                     for seed in range(3)]
+        points = pool.submit(_sweep, data, seeds[0].result()[0])
+        return [f.result()[1] for f in seeds], points.result()
 
 
 @pytest.mark.desk_scale

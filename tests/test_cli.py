@@ -291,21 +291,21 @@ class TestTrainTeacher:
 
 
 # The rows of the wide_test_split dataset held for training (4,000 inputs
-# and one-hot labels), and one 9,000-row inference block's hidden layer
+# and one-hot labels), and one 4,500-row inference block's hidden layer
 TRAINING_ROWS_BYTES = 4_000 * (30 + 3) * 8
-HIDDEN_BLOCK_BYTES = 9_000 * 4 * 8
-# One 9,000-row block as read from a split's binary copy (30 inputs and the
+HIDDEN_BLOCK_BYTES = 4_500 * 4 * 8
+# One 4,500-row block as read from a split's binary copy (30 inputs and the
 # label), and the posterior's (rows, classes, dim) squared differences for
-# one 8,192-row block
-READ_BLOCK_BYTES = 9_000 * 31 * 8
-POSTERIOR_BLOCK_BYTES = 8_192 * 3 * 30 * 8
+# one 4,096-row block
+READ_BLOCK_BYTES = 4_500 * 31 * 8
+POSTERIOR_BLOCK_BYTES = 4_096 * 3 * 30 * 8
 
 
 @pytest.fixture(scope="module")
 def wide_test_split(tmp_path_factory):
     """40,000 rows split 0.05/0.05/0.9 and a one-epoch 30,4,3 teacher: a
     command that holds only what it computes on scores the 36,000 test
-    rows as the four 9,000-row inference blocks are read."""
+    rows as the eight 4,500-row inference blocks are read."""
     root = tmp_path_factory.mktemp("wide_test_split")
     data_dir, teacher = root / "data", root / "t.json"
     assert cli.run(["generate-data", "--n", "40000", "--split",
@@ -453,7 +453,7 @@ class TestDistill:
         # the slack covers the block read from the test split's copy (31
         # columns against the hidden layer's 4), its logits and the
         # student's training buffers; holding the test rows (36,000 x 33
-        # x 8 bytes) breaks it, as every split held took 9.2 times the sum
+        # x 8 bytes) breaks it, as every split held took 10.3 times the sum
         assert peak <= 4 * (TRAINING_ROWS_BYTES + HIDDEN_BLOCK_BYTES)
 
 
@@ -670,7 +670,7 @@ class TestSweep:
             "--configs", str(tmp_path / "configs.json"), "--epochs", "1",
             "--out", str(out))
         assert code == 0
-        # the slack as for distill; every split held took 2.3 times the bound
+        # the slack as for distill; every split held took 2.6 times the bound
         assert peak <= 4 * (TRAINING_ROWS_BYTES + HIDDEN_BLOCK_BYTES)
         held = sweep_proxy_teachers(
             nn.load_model(teacher), data.load_dataset(data_dir),
@@ -698,7 +698,7 @@ class TestEval:
         assert code == 0
         # 2,000 held rows; the slack covers the copy's read block, the
         # posterior's (rows, classes, dim) temporaries and the risk-gap
-        # terms; every split held took 3.8 times the bound
+        # terms; every split held took 4.6 times the bound
         assert peak <= 4 * (TRAINING_ROWS_BYTES // 2 + HIDDEN_BLOCK_BYTES)
 
     def test_holds_no_test_rows(self, wide_test_split):
@@ -709,7 +709,7 @@ class TestEval:
         # one inference block, and for each of the 36,000 test rows the
         # model's probabilities, the posterior and the one-hot labels (3
         # classes each), kept by block and then joined; holding the test
-        # rows took 1.4 times the bound
+        # rows took 2.0 times the bound
         per_row = 36_000 * 3 * 3 * 8
         assert peak <= READ_BLOCK_BYTES + POSTERIOR_BLOCK_BYTES + 2 * per_row
 

@@ -137,14 +137,15 @@ class TestForward:
         assert peak <= 2.25 * hidden_bytes
 
     @pytest.mark.parametrize("n,longest", [
-        (16_383, 16_383), (16_384, 8_192), (50_000, 8_334), (100_000, 8_334)])
+        (8_191, 8_191), (8_192, 4_096), (50_000, 4_167), (100_000, 4_167)])
     def test_blocks_match_full_batch_in_bounded_memory(self, n, longest):
-        # inference runs in max(1, n // 8192) near-equal blocks that share
-        # their hidden buffers: 16,383 rows is the last single block, 16,384
-        # rows run as two blocks of 8,192, and past the logits the peak is
-        # one block's, whatever n is. On OpenBLAS 0.3.31 the blocked logits
-        # are bit-equal to one full-batch pass; the 1e-12 bound leaves room
-        # for a BLAS whose kernels split rows differently.
+        # inference runs in max(1, n // 4096) near-equal blocks that share
+        # their hidden buffers: 8,191 rows is the last single block, 8,192
+        # rows run as two blocks of 4,096, and past the logits the peak is
+        # one block's, whatever n is. On OpenBLAS 0.3.31 this net's blocked
+        # logits are bit-equal to one full-batch pass (narrower last hidden
+        # layers' are not); the 1e-12 bound leaves room for a BLAS whose
+        # kernels split rows differently.
         model = nn.init([30, 128, 128, 3], seed=2)
         x = np.random.default_rng(n).normal(size=(n, 30))
         tracemalloc.start()
